@@ -36,6 +36,11 @@ class UnsupportedSnapshotError(ConfigurationError):
     """
 
 
+class NotASnapshotError(ConfigurationError):
+    """Bytes handed to :mod:`repro.persistence` carry none of its magics
+    — never a snapshot at all, as opposed to a damaged one."""
+
+
 class CapacityError(ReproError, RuntimeError):
     """A bounded structure ran out of room.
 

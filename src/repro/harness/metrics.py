@@ -21,6 +21,7 @@ from repro._util import ElementLike, require_positive
 from repro.bitarray.memory import AccessStats
 
 __all__ = [
+    "AggregateMemory",
     "access_stats_dict",
     "aggregate_access_stats",
     "measure_accesses_per_query",
@@ -60,6 +61,37 @@ def aggregate_access_stats(stats: Iterable[AccessStats]) -> AccessStats:
         total.read_ops += item.read_ops
         total.write_ops += item.write_ops
     return total
+
+
+class AggregateMemory:
+    """Read-only view summing several filters' memory models.
+
+    Quacks enough like a :class:`~repro.bitarray.memory.MemoryModel`
+    (``stats``, ``reset``, ``snapshot``, ``word_bits``) for the
+    measurement helpers, so a sharded store or a generational ring is
+    measured exactly like one filter.  *filters* is called on every
+    access and returns the current members (shards swap on rotation);
+    recording always happens on the members' models, never here.
+    """
+
+    def __init__(self, filters: Callable[[], Sequence]):
+        self._filters = filters
+
+    @property
+    def stats(self) -> AccessStats:
+        return aggregate_access_stats(
+            filt.memory.stats for filt in self._filters())
+
+    @property
+    def word_bits(self) -> int:
+        return self._filters()[0].memory.word_bits
+
+    def reset(self) -> None:
+        for filt in self._filters():
+            filt.memory.reset()
+
+    def snapshot(self) -> AccessStats:
+        return self.stats
 
 
 def measure_fpr(

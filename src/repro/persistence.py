@@ -1,43 +1,26 @@
-"""Snapshot persistence for the bit-array filters.
+"""Snapshot persistence: one codec for filters, stores and rings.
 
 Membership filters are long-lived: a gateway builds one from a catalog
-and serves it for hours (the paper's deployments push the bit array into
-SRAM and leave it there).  This module snapshots a filter's parameters
-and raw bits into a self-describing binary blob so it can be shipped
-between processes or persisted across restarts — the Summary-Cache
-pattern of §2.2, where nodes exchange whole filters.
+and serves it for hours.  This module snapshots a filter's parameters
+and raw bits into a self-describing blob that can be shipped between
+processes or persisted across restarts — the Summary-Cache pattern of
+§2.2, where nodes exchange whole filters — and does the same for whole
+:class:`~repro.store.ShardedFilterStore` fleets and
+:class:`~repro.store.generational.GenerationalStore` rings.
 
-Only deterministic, seed-reconstructible hash families can round-trip:
-every family in the :mod:`repro.hashing` registry qualifies
-(``family_spec`` maps the instance to a ``(kind, seed)`` pair, and
-``make_family`` rebuilds it on restore — BLAKE2b lanes, the vectorised
-mixers, Kirsch–Mitzenmacher double hashing and the reference mixers
-alike).  A blob declaring an unknown family is refused with a clear
-error rather than restored under the wrong hashes.  Counting variants
-are deliberately excluded: their DRAM-tier counter state belongs to
-the updater, not to query-side snapshots.
+Every blob is ``magic | u16 version | u32 header_len | JSON header |
+BLAKE2b-128 digest over header + payload | payload``; the magic says
+what it holds: ``SHBF`` one filter (raw bits), ``SHBS`` a sharded store
+and ``SHBG`` a generational ring (both: concatenated member ``SHBF``
+blobs).  Rings carry trigger config but **no clock state**, so a
+quiesced primary and its standby snapshot byte-identically.  The field
+tables live in ``docs/ARCHITECTURE.md`` ("Persistence formats").
 
-Format: a JSON header (magic, version, type, parameters, family kind +
-seed) followed by the raw bit buffer.  Integrity is guarded by a BLAKE2
-digest over header and payload.
-
-Three container levels share the scheme:
-
-* :func:`dumps`/:func:`loads` — one filter per blob (magic ``SHBF``);
-* :func:`dumps_store`/:func:`loads_store` — a whole
-  :class:`~repro.store.ShardedFilterStore` (magic ``SHBS``): a header
-  carrying the shard count, router family + seed and per-shard blob
-  sizes,
-  followed by the concatenated per-shard :func:`dumps` blobs, the lot
-  guarded by one digest.  Restoring rebuilds every shard *and* the
-  router, so restored stores route — and therefore answer —
-  bit-identically to the original fleet.
-* :func:`dumps_generational`/:func:`loads_generational` — a
-  :class:`~repro.store.generational.GenerationalStore` ring (magic
-  ``SHBG``): the trigger config plus the per-generation :func:`dumps`
-  blobs head-first.  Deliberately **no clock state** — generation ages
-  are process-local, so a quiesced primary and its standby produce
-  byte-identical containers.
+Only seed-reconstructible hash families round-trip (``family_spec`` ↔
+``make_family``); counting variants are refused, since their DRAM-tier
+counter state belongs to the updater.  Decoding is total: bytes that
+are not a well-formed snapshot raise
+:class:`~repro.errors.ConfigurationError`, never a stray ``KeyError``.
 """
 
 from __future__ import annotations
@@ -45,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import Union
+from contextlib import contextmanager
 
 from repro.baselines.bloom import BloomFilter
 from repro.baselines.counting_bloom import CountingBloomFilter
@@ -57,7 +40,11 @@ from repro.core.membership import (
     ShiftingBloomFilter,
 )
 from repro.core.multiplicity import CountingShiftingMultiplicityFilter
-from repro.errors import ConfigurationError, UnsupportedSnapshotError
+from repro.errors import (
+    ConfigurationError,
+    NotASnapshotError,
+    UnsupportedSnapshotError,
+)
 from repro.hashing.family import family_spec, make_family
 from repro.store.generational import GenerationalStore
 from repro.store.router import ShardRouter
@@ -65,20 +52,25 @@ from repro.store.sharded import ShardedFilterStore
 
 __all__ = [
     "dumps",
-    "dumps_generational",
-    "dumps_store",
+    "filter_from_header",
+    "filter_header",
+    "load_target",
     "loads",
-    "loads_generational",
-    "loads_store",
 ]
 
-_MAGIC = b"SHBF"
+_FILTER_MAGIC = b"SHBF"
 _STORE_MAGIC = b"SHBS"
-_GENERATIONAL_MAGIC = b"SHBG"
+_RING_MAGIC = b"SHBG"
 _VERSION = 1
+_PREFIX = struct.Struct("<4sHI")  # magic, version, header length
+_DIGEST_BYTES = 16
 
-SnapshotFilter = Union[BloomFilter, ShiftingBloomFilter,
-                       OneMemoryBloomFilter]
+#: Container magic -> (header ``type`` tag, header field counting the
+#: member blobs).
+_CONTAINERS = {
+    _STORE_MAGIC: ("sharded_store", "n_shards"),
+    _RING_MAGIC: ("generational_store", "generations"),
+}
 
 #: Counting variants pair the query-side bit array with DRAM-tier
 #: counter state owned by the updater; a bits-only snapshot would
@@ -92,75 +84,85 @@ _COUNTING_TYPES = (
     CountingShiftingMultiplicityFilter,
 )
 
+#: Filter type tag -> (class, constructor fields beyond ``m``/``k``,
+#: fields that size the bit array).  No sizing field of a real snapshot
+#: exceeds its payload's bit length, so a forged one is refused before
+#: the constructor allocates.
+_FILTER_TYPES = {
+    "shbf_m": (ShiftingBloomFilter, ("w_bar", "word_bits"), ("m", "w_bar")),
+    "one_mem_bf": (OneMemoryBloomFilter, ("word_bits",),
+                   ("m", "word_bits")),
+    "bf": (BloomFilter, (), ("m",)),
+}
 
-def _family_header(filt: SnapshotFilter) -> dict:
-    """The filter's ``(family kind, seed)`` spec as header fields.
 
-    Any registry family round-trips (``family_spec`` ↔ ``make_family``);
-    composite or ad-hoc families raise — a snapshot that cannot
-    reconstruct its family exactly would silently mis-hash on restore.
-    """
-    family = filt.family if hasattr(filt, "family") else filt._family
+@contextmanager
+def _well_formed(what: str):
+    """Report a header that lacks or mistypes a field as a
+    :class:`ConfigurationError` — the one error decoding may raise."""
     try:
-        kind, seed = family_spec(family)
-    except ConfigurationError as exc:
+        yield
+    except ConfigurationError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise ConfigurationError(
-            "filter cannot be snapshotted: %s" % exc) from None
-    return {"family": kind, "seed": seed}
+            "malformed %s header (%s: %s)"
+            % (what, type(exc).__name__, exc)) from None
 
 
-def _family_from_header(header: dict):
-    """Rebuild the hashing family a snapshot header declares.
+def _frame(magic: bytes, header: dict, payload: bytes) -> bytes:
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    digest = hashlib.blake2b(
+        header_bytes + payload, digest_size=_DIGEST_BYTES).digest()
+    return b"".join((
+        _PREFIX.pack(magic, _VERSION, len(header_bytes)),
+        header_bytes, digest, payload))
 
-    Pre-registry blobs carry only ``seed``; they were always BLAKE2b
-    lanes, so that is the default kind.  An unknown kind fails loudly:
-    restoring under a different family would not error at query time —
-    it would just answer wrongly.
-    """
-    kind = header.get("family", "blake2b")
+
+def _unframe(blob: bytes):
+    """Verify one framed blob and split it: ``(magic, header, payload)``."""
+    magic = bytes(blob[:4])
+    if magic != _FILTER_MAGIC and magic not in _CONTAINERS:
+        raise NotASnapshotError("not a ShBF snapshot (bad magic)")
+    if len(blob) < _PREFIX.size:
+        raise ConfigurationError("snapshot truncated inside the prefix")
+    _, version, header_len = _PREFIX.unpack_from(blob)
+    if version != _VERSION:
+        raise ConfigurationError("unsupported snapshot version %d" % version)
+    header_end = _PREFIX.size + header_len
+    header_bytes = blob[_PREFIX.size:header_end]
+    digest = blob[header_end:header_end + _DIGEST_BYTES]
+    payload = blob[header_end + _DIGEST_BYTES:]
+    expected = hashlib.blake2b(
+        header_bytes + payload, digest_size=_DIGEST_BYTES).digest()
+    if digest != expected:
+        raise ConfigurationError("snapshot integrity check failed")
     try:
-        return make_family(kind, header["seed"])
-    except ConfigurationError as exc:
-        raise ConfigurationError(
-            "snapshot declares hash family %r which cannot be "
-            "reconstructed (%s); restoring under a different family "
-            "would silently mis-hash every query" % (kind, exc)
-        ) from None
+        header = json.loads(header_bytes)
+    except (RecursionError, ValueError):
+        raise ConfigurationError("snapshot header is not valid JSON") from None
+    if not isinstance(header, dict):
+        raise ConfigurationError("snapshot header is not a JSON object")
+    return magic, header, payload
 
 
-def dumps(filt: SnapshotFilter) -> bytes:
-    """Serialise a supported filter to a self-describing byte string."""
-    if isinstance(filt, ShiftingBloomFilter):
-        header = {
-            "type": "shbf_m",
-            "m": filt.m,
-            "k": filt.k,
-            "w_bar": filt.w_bar,
-            "word_bits": filt.policy.word_bits,
-            "n_items": filt.n_items,
-            **_family_header(filt),
-        }
-        payload = filt.bits.to_bytes()
-    elif isinstance(filt, OneMemoryBloomFilter):
-        header = {
-            "type": "one_mem_bf",
-            "m": filt.m,
-            "k": filt.k,
-            "word_bits": filt.word_bits,
-            "n_items": filt.n_items,
-            **_family_header(filt),
-        }
-        payload = filt.bits.to_bytes()
-    elif isinstance(filt, BloomFilter):
-        header = {
-            "type": "bf",
-            "m": filt.m,
-            "k": filt.k,
-            "n_items": filt.n_items,
-            **_family_header(filt),
-        }
-        payload = filt.bits.to_bytes()
-    elif isinstance(filt, _COUNTING_TYPES):
+def filter_header(filt) -> dict:
+    """Describe a snapshot-capable filter as a JSON-able header dict.
+
+    The fields — ``type`` tag, geometry, ``n_items`` and the hash
+    family ``(kind, seed)`` — are everything :func:`filter_from_header`
+    needs to rebuild the filter around its bit buffer.  This is the
+    ``SHBF`` header and, plus byte placement, the shared-memory
+    generation meta of :mod:`repro.store.shm`.
+
+    Raises:
+        UnsupportedSnapshotError: for counting variants (their counter
+            array is updater state a bits-only image would drop).
+        ConfigurationError: for any other unsupported type or a hash
+            family that cannot be reconstructed.
+    """
+    if isinstance(filt, _COUNTING_TYPES):
         raise UnsupportedSnapshotError(
             "%s cannot be snapshotted: its counter array is DRAM-tier "
             "updater state that a bits-only snapshot would silently "
@@ -168,270 +170,186 @@ def dumps(filt: SnapshotFilter) -> bytes:
             "deletions.  Snapshot a plain query-side filter instead, "
             "or rebuild from the catalog." % type(filt).__name__
         )
+    if isinstance(filt, ShiftingBloomFilter):
+        header = {"type": "shbf_m", "w_bar": filt.w_bar,
+                  "word_bits": filt.policy.word_bits}
+    elif isinstance(filt, OneMemoryBloomFilter):
+        header = {"type": "one_mem_bf", "word_bits": filt.word_bits}
+    elif isinstance(filt, BloomFilter):
+        header = {"type": "bf"}
     else:
         raise ConfigurationError(
-            "unsupported filter type %r" % type(filt).__name__
-        )
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    digest = hashlib.blake2b(
-        header_bytes + payload, digest_size=16).digest()
-    return b"".join((
-        _MAGIC,
-        struct.pack("<HI", _VERSION, len(header_bytes)),
-        header_bytes,
-        digest,
-        payload,
-    ))
-
-
-def loads(blob: bytes) -> SnapshotFilter:
-    """Rebuild a filter from :func:`dumps` output.
-
-    Raises:
-        ConfigurationError: on bad magic, version, digest mismatch or an
-            unknown filter type — a truncated or tampered snapshot never
-            yields a silently-wrong filter.
-    """
-    if blob[:4] != _MAGIC:
-        raise ConfigurationError("not a ShBF snapshot (bad magic)")
-    if len(blob) < 10:
-        raise ConfigurationError(
-            "snapshot truncated inside the fixed header")
-    version, header_len = struct.unpack("<HI", blob[4:10])
-    if version != _VERSION:
-        raise ConfigurationError(
-            "unsupported snapshot version %d" % version)
-    header_end = 10 + header_len
-    header_bytes = blob[10:header_end]
-    digest = blob[header_end : header_end + 16]
-    payload = blob[header_end + 16 :]
-    expected = hashlib.blake2b(
-        header_bytes + payload, digest_size=16).digest()
-    if digest != expected:
-        raise ConfigurationError("snapshot integrity check failed")
-    header = json.loads(header_bytes)
-    family = _family_from_header(header)
-    if header["type"] == "shbf_m":
-        filt = ShiftingBloomFilter(
-            m=header["m"], k=header["k"], family=family,
-            word_bits=header["word_bits"], w_bar=header["w_bar"],
-        )
-        filt._bits = BitArray.from_bytes(payload, filt.bits.nbits)
-        filt._n_items = header["n_items"]
-        return filt
-    if header["type"] == "one_mem_bf":
-        filt = OneMemoryBloomFilter(
-            m=header["m"], k=header["k"], family=family,
-            word_bits=header["word_bits"],
-        )
-        filt._bits = BitArray.from_bytes(payload, filt.bits.nbits)
-        filt._n_items = header["n_items"]
-        return filt
-    if header["type"] == "bf":
-        filt = BloomFilter(m=header["m"], k=header["k"], family=family)
-        filt._bits = BitArray.from_bytes(payload, filt.bits.nbits)
-        filt._n_items = header["n_items"]
-        return filt
-    raise ConfigurationError(
-        "unknown snapshot type %r" % header["type"])
-
-
-def dumps_store(store: ShardedFilterStore) -> bytes:
-    """Serialise a whole sharded store to one container byte string.
-
-    Layout: ``SHBS`` magic, version, header length, JSON header
-    (``n_shards``, ``router_seed``, ``router_family``, per-shard blob
-    sizes), a 16-byte
-    BLAKE2 digest over header + payload, then the concatenated
-    per-shard :func:`dumps` blobs.  Every shard must itself be
-    snapshot-capable; counting shards raise
-    :class:`~repro.errors.UnsupportedSnapshotError` exactly as in the
-    single-filter path.
-    """
-    if not isinstance(store, ShardedFilterStore):
-        raise ConfigurationError(
-            "dumps_store expects a ShardedFilterStore, got %r"
-            % type(store).__name__
-        )
-    blobs = [dumps(shard) for shard in store.shards]
-    header = {
-        "type": "sharded_store",
-        "n_shards": store.n_shards,
-        "router_seed": store.router.seed,
-        "router_family": store.router.family_kind,
-        "blob_bytes": [len(blob) for blob in blobs],
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    payload = b"".join(blobs)
-    digest = hashlib.blake2b(
-        header_bytes + payload, digest_size=16).digest()
-    return b"".join((
-        _STORE_MAGIC,
-        struct.pack("<HI", _VERSION, len(header_bytes)),
-        header_bytes,
-        digest,
-        payload,
-    ))
-
-
-def loads_store(blob: bytes) -> ShardedFilterStore:
-    """Rebuild a sharded store from :func:`dumps_store` output.
-
-    Raises:
-        ConfigurationError: on bad magic or version, digest mismatch
-            (covers any truncated or tampered byte, shard blobs
-            included), inconsistent blob sizes, or a malformed shard
-            blob — a damaged container never yields a silently-wrong
-            fleet.
-    """
-    if blob[:4] != _STORE_MAGIC:
-        raise ConfigurationError("not a ShBF store container (bad magic)")
-    if len(blob) < 10:
-        raise ConfigurationError(
-            "store container truncated inside the fixed header")
-    version, header_len = struct.unpack("<HI", blob[4:10])
-    if version != _VERSION:
-        raise ConfigurationError(
-            "unsupported store container version %d" % version)
-    header_end = 10 + header_len
-    header_bytes = blob[10:header_end]
-    digest = blob[header_end : header_end + 16]
-    payload = blob[header_end + 16 :]
-    expected = hashlib.blake2b(
-        header_bytes + payload, digest_size=16).digest()
-    if digest != expected:
-        raise ConfigurationError(
-            "store container integrity check failed")
-    header = json.loads(header_bytes)
-    if header.get("type") != "sharded_store":
-        raise ConfigurationError(
-            "unknown container type %r" % header.get("type"))
-    blob_bytes = header["blob_bytes"]
-    if len(blob_bytes) != header["n_shards"]:
-        raise ConfigurationError(
-            "container lists %d blobs for %d shards"
-            % (len(blob_bytes), header["n_shards"])
-        )
-    if sum(blob_bytes) != len(payload):
-        raise ConfigurationError(
-            "container payload is %d bytes, header promises %d"
-            % (len(payload), sum(blob_bytes))
-        )
-    shards = []
-    cursor = 0
-    for size in blob_bytes:
-        shards.append(loads(payload[cursor : cursor + size]))
-        cursor += size
-    router_kind = header.get("router_family", "blake2b")
+            "unsupported filter type %r" % type(filt).__name__)
+    # Any registry family round-trips (family_spec <-> make_family); an
+    # ad-hoc one raises rather than silently mis-hash after a restore.
+    family = filt.family if hasattr(filt, "family") else filt._family
     try:
-        router = ShardRouter(
-            header["n_shards"], seed=header["router_seed"],
-            family_kind=router_kind)
+        kind, seed = family_spec(family)
     except ConfigurationError as exc:
         raise ConfigurationError(
-            "store container declares router family %r which cannot be "
-            "reconstructed (%s); a differently-routed restore would "
-            "send every element to the wrong shard" % (router_kind, exc)
-        ) from None
-    return ShardedFilterStore._from_shards(shards, router)
+            "filter cannot be snapshotted: %s" % exc) from None
+    header.update(m=filt.m, k=filt.k, n_items=filt.n_items,
+                  family=kind, seed=seed)
+    return header
 
 
-def dumps_generational(store: GenerationalStore) -> bytes:
-    """Serialise a generational ring to one container byte string.
+def filter_from_header(header: dict, payload,
+                       bits_of=BitArray.from_bytes):
+    """Rebuild a filter from a :func:`filter_header` dict and its bits.
 
-    Layout: ``SHBG`` magic, version, header length, JSON header
-    (``generations``, the rotation-trigger config, per-generation blob
-    sizes), a 16-byte BLAKE2 digest over header + payload, then the
-    concatenated per-generation :func:`dumps` blobs, head first.
-
-    The header carries *configuration*, never clock readings or the
-    rotation counter: ages restart on restore, and two rings holding
-    the same bits (a quiesced primary and its standby) serialise to
-    byte-identical containers.
-    """
-    if not isinstance(store, GenerationalStore):
-        raise ConfigurationError(
-            "dumps_generational expects a GenerationalStore, got %r"
-            % type(store).__name__
-        )
-    blobs = [dumps(gen) for gen in store.generations]
-    header = {
-        "type": "generational_store",
-        "generations": store.n_generations,
-        "rotate_after_items": store.rotate_after_items,
-        "rotate_after_s": store.rotate_after_s,
-        "blob_bytes": [len(blob) for blob in blobs],
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    payload = b"".join(blobs)
-    digest = hashlib.blake2b(
-        header_bytes + payload, digest_size=16).digest()
-    return b"".join((
-        _GENERATIONAL_MAGIC,
-        struct.pack("<HI", _VERSION, len(header_bytes)),
-        header_bytes,
-        digest,
-        payload,
-    ))
-
-
-def loads_generational(blob: bytes, factory=None,
-                       clock=None) -> GenerationalStore:
-    """Rebuild a generational store from :func:`dumps_generational`.
-
-    *factory* and *clock* pass through to the restored store (the blob
-    cannot carry callables); a store restored without a factory serves
-    and accepts replication deltas but refuses to rotate.
+    ``bits_of(payload, nbits)`` turns the payload into the filter's
+    :class:`~repro.bitarray.BitArray`: the default copies it into a
+    private writable buffer; :meth:`BitArray.attach_readonly` wraps it
+    zero-copy (the shared-memory attach path).  Extra header keys are
+    ignored.
 
     Raises:
-        ConfigurationError: on bad magic or version, digest mismatch
-            (covers any truncated or tampered byte, generation blobs
-            included), inconsistent blob sizes, or a malformed
-            generation blob.
+        ConfigurationError: on an unknown type tag, a missing or
+            mistyped field, geometry the payload cannot hold, or a hash
+            family that cannot be reconstructed.
     """
-    if blob[:4] != _GENERATIONAL_MAGIC:
+    with _well_formed("filter"):
+        if header["type"] not in _FILTER_TYPES:
+            raise ConfigurationError(
+                "unknown snapshot type %r" % header["type"])
+        cls, fields, sizing = _FILTER_TYPES[header["type"]]
+        for name in sizing + ("n_items",):
+            value = header[name]
+            if type(value) is not int or value < 0 or (
+                    name in sizing and value > 8 * len(payload)):
+                raise ConfigurationError(
+                    "snapshot declares %s=%r for a %d-byte payload"
+                    % (name, value, len(payload)))
+        # Pre-registry blobs carry only a seed: they were BLAKE2b lanes.
+        kind = header.get("family", "blake2b")
+        try:
+            family = make_family(kind, header["seed"])
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                "snapshot declares hash family %r which cannot be "
+                "reconstructed (%s); restoring under a different family "
+                "would silently mis-hash every query" % (kind, exc)
+            ) from None
+        filt = cls(m=header["m"], k=header["k"], family=family,
+                   **{name: header[name] for name in fields})
+        filt._bits = bits_of(payload, filt.bits.nbits)
+        filt._n_items = header["n_items"]
+    return filt
+
+
+def _filter_blob(filt) -> bytes:
+    return _frame(_FILTER_MAGIC, filter_header(filt), filt.bits.to_bytes())
+
+
+def _container(magic: bytes, header: dict, members) -> bytes:
+    """Frame member filters as concatenated ``SHBF`` blobs."""
+    blobs = [_filter_blob(member) for member in members]
+    header["type"] = _CONTAINERS[magic][0]
+    header["blob_bytes"] = [len(blob) for blob in blobs]
+    return _frame(magic, header, b"".join(blobs))
+
+
+def dumps(target) -> bytes:
+    """Serialise a filter, a sharded store or a generational ring.
+
+    A :class:`~repro.store.ShardedFilterStore` becomes an ``SHBS``
+    container, a :class:`~repro.store.generational.GenerationalStore`
+    an ``SHBG`` container, anything else a single-filter ``SHBF`` blob.
+    Every member filter must be snapshot-capable; counting variants
+    raise :class:`~repro.errors.UnsupportedSnapshotError`.
+    """
+    if isinstance(target, ShardedFilterStore):
+        return _container(_STORE_MAGIC, {
+            "n_shards": target.n_shards,
+            "router_seed": target.router.seed,
+            "router_family": target.router.family_kind,
+        }, target.shards)
+    if isinstance(target, GenerationalStore):
+        return _container(_RING_MAGIC, {
+            "generations": target.n_generations,
+            "rotate_after_items": target.rotate_after_items,
+            "rotate_after_s": target.rotate_after_s,
+        }, target.generations)
+    return _filter_blob(target)
+
+
+def loads(blob: bytes):
+    """Rebuild a single filter from an ``SHBF`` blob — strictly.
+
+    The slot-install paths (replication shard entries, cluster shard
+    installs) hand the result to ``replace_shard``, which accepts any
+    object; a container blob must therefore be refused here, not
+    installed as one shard.
+
+    Raises:
+        ConfigurationError: on a container or unknown magic, version,
+            digest mismatch or a malformed header — a truncated or
+            tampered snapshot never yields a silently-wrong filter.
+    """
+    magic, header, payload = _unframe(blob)
+    if magic != _FILTER_MAGIC:
         raise ConfigurationError(
-            "not a generational-store container (bad magic)")
-    if len(blob) < 10:
+            "expected a single-filter snapshot, got a %s container "
+            "(bad magic)" % _CONTAINERS[magic][0])
+    return filter_from_header(header, payload)
+
+
+def _members(header: dict, payload: bytes, count_field: str) -> list:
+    """Split a container payload into its member filters."""
+    sizes = header["blob_bytes"]
+    if (not isinstance(sizes, list) or len(sizes) != header[count_field]
+            or any(type(size) is not int or size < 0 for size in sizes)
+            or sum(sizes) != len(payload)):
         raise ConfigurationError(
-            "generational container truncated inside the fixed header")
-    version, header_len = struct.unpack("<HI", blob[4:10])
-    if version != _VERSION:
-        raise ConfigurationError(
-            "unsupported generational container version %d" % version)
-    header_end = 10 + header_len
-    header_bytes = blob[10:header_end]
-    digest = blob[header_end : header_end + 16]
-    payload = blob[header_end + 16 :]
-    expected = hashlib.blake2b(
-        header_bytes + payload, digest_size=16).digest()
-    if digest != expected:
-        raise ConfigurationError(
-            "generational container integrity check failed")
-    header = json.loads(header_bytes)
-    if header.get("type") != "generational_store":
-        raise ConfigurationError(
-            "unknown container type %r" % header.get("type"))
-    blob_bytes = header["blob_bytes"]
-    if len(blob_bytes) != header["generations"]:
-        raise ConfigurationError(
-            "container lists %d blobs for %d generations"
-            % (len(blob_bytes), header["generations"])
-        )
-    if sum(blob_bytes) != len(payload):
-        raise ConfigurationError(
-            "container payload is %d bytes, header promises %d"
-            % (len(payload), sum(blob_bytes))
-        )
-    filters = []
-    cursor = 0
-    for size in blob_bytes:
-        filters.append(loads(payload[cursor : cursor + size]))
-        cursor += size
-    return GenerationalStore._from_generations(
-        filters,
-        rotate_after_items=header["rotate_after_items"],
-        rotate_after_s=header["rotate_after_s"],
-        factory=factory,
-        clock=clock,
-    )
+            "container blob_bytes %r do not split its %d-byte payload "
+            "into %s=%r blobs"
+            % (sizes, len(payload), count_field, header[count_field]))
+    offsets = [0]
+    for size in sizes:
+        offsets.append(offsets[-1] + size)
+    return [loads(payload[start:end])
+            for start, end in zip(offsets, offsets[1:])]
+
+
+def load_target(blob: bytes, factory=None, clock=None):
+    """Rebuild whatever :func:`dumps` wrote, choosing the kind by magic.
+
+    *factory* and *clock* pass through to a restored generational ring
+    (the blob cannot carry callables); a ring restored without a
+    factory serves and accepts replication deltas but refuses to
+    rotate.  Filters and sharded stores ignore them.
+
+    Raises:
+        NotASnapshotError: the bytes carry no known magic at all.
+        ConfigurationError: on version, digest, size or header
+            inconsistencies anywhere in the container, member blobs
+            included — a damaged blob never yields a silently-wrong
+            filter or fleet.
+    """
+    magic, header, payload = _unframe(blob)
+    if magic == _FILTER_MAGIC:
+        return filter_from_header(header, payload)
+    kind, count_field = _CONTAINERS[magic]
+    with _well_formed("container"):
+        if header.get("type") != kind:
+            raise ConfigurationError(
+                "unknown container type %r" % (header.get("type"),))
+        members = _members(header, payload, count_field)
+        if magic == _RING_MAGIC:
+            return GenerationalStore._from_generations(
+                members,
+                rotate_after_items=header["rotate_after_items"],
+                rotate_after_s=header["rotate_after_s"],
+                factory=factory, clock=clock)
+        router_kind = header.get("router_family", "blake2b")
+        try:
+            router = ShardRouter(
+                header["n_shards"], seed=header["router_seed"],
+                family_kind=router_kind)
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                "store container declares router family %r which cannot "
+                "be reconstructed (%s); a differently-routed restore "
+                "would send every element to the wrong shard"
+                % (router_kind, exc)) from None
+        return ShardedFilterStore._from_shards(members, router)

@@ -6,7 +6,7 @@ availability — built entirely on the serving layer's wire protocol:
 
 * :mod:`repro.replication.replicator` —
   :class:`ReplicatedFilterService` keeps warm standbys current with a
-  full ``SHBS`` snapshot on attach (SUBSCRIBE) and shard-wise deltas
+  full persistence snapshot on attach (SUBSCRIBE) and shard-wise deltas
   (DELTA) thereafter, paced by :class:`ReplicationConfig`;
 * :mod:`repro.replication.failover` — :class:`FailoverClient` retries
   reads on a standby when the primary sheds or dies, routes writes

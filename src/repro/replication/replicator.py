@@ -5,7 +5,7 @@
 services warm over the wire protocol's replication ops:
 
 * **attach** (:meth:`~ReplicatedFilterService.attach_standby`) sends a
-  SUBSCRIBE frame carrying a full ``SHBS``/``SHBF`` snapshot, flipping
+  SUBSCRIBE frame carrying a full persistence snapshot, flipping
   the peer into the read-only standby role at the current epoch;
 * **steady state** ships shard-wise DELTA frames: the write journal
   (fed by the service's ``on_write`` hook) is grouped per shard, each
@@ -251,12 +251,7 @@ class ReplicatedFilterService:
     # Snapshot / delta construction
     # ------------------------------------------------------------------
     def _snapshot_blob(self) -> bytes:
-        target = self.service.target
-        if isinstance(target, ShardedFilterStore):
-            return persistence.dumps_store(target)
-        if isinstance(target, GenerationalStore):
-            return persistence.dumps_generational(target)
-        return persistence.dumps(target)
+        return persistence.dumps(self.service.target)
 
     @staticmethod
     def _identity_map(target) -> Optional[List[int]]:

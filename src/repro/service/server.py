@@ -62,6 +62,7 @@ from repro import persistence
 from repro.core.association_types import AssociationAnswer
 from repro.errors import (
     ConfigurationError,
+    NotASnapshotError,
     ProtocolError,
     ReplicationError,
     ServiceOverloadedError,
@@ -83,11 +84,6 @@ __all__ = [
     "ReplicaState",
     "ServiceCounters",
 ]
-
-#: Magic prefixes of the three persistence formats RESTORE accepts.
-_STORE_MAGIC = b"SHBS"
-_FILTER_MAGIC = b"SHBF"
-_GENERATIONAL_MAGIC = b"SHBG"
 
 logger = logging.getLogger("repro.service")
 
@@ -653,16 +649,13 @@ class FilterService:
     # ------------------------------------------------------------------
     @staticmethod
     def _load_snapshot(blob: bytes, op_name: str):
-        """Materialise a store container or single-filter blob by magic."""
-        if blob[:4] == _STORE_MAGIC:
-            return persistence.loads_store(blob)
-        if blob[:4] == _GENERATIONAL_MAGIC:
-            return persistence.loads_generational(blob)
-        if blob[:4] == _FILTER_MAGIC:
-            return persistence.loads(blob)
-        raise ProtocolError(
-            "%s payload is neither a store container, a generational "
-            "ring, nor a filter snapshot (bad magic)" % op_name)
+        """Materialise any persistence blob; bytes that are no snapshot
+        at all are a malformed request, not a damaged snapshot."""
+        try:
+            return persistence.load_target(blob)
+        except NotASnapshotError as exc:
+            raise ProtocolError(
+                "%s payload: %s" % (op_name, exc)) from None
 
     def _swap_target(self, target) -> None:
         """Adopt a freshly restored/subscribed target atomically."""
@@ -795,10 +788,6 @@ class FilterService:
             return self.metrics.render_prometheus().encode("utf-8")
 
         if op == protocol.OP_SNAPSHOT:
-            if isinstance(self._target, ShardedFilterStore):
-                return persistence.dumps_store(self._target)
-            if isinstance(self._target, GenerationalStore):
-                return persistence.dumps_generational(self._target)
             return persistence.dumps(self._target)
 
         if op == protocol.OP_RESTORE:

@@ -50,9 +50,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import ElementLike, require_positive
-from repro.bitarray.memory import AccessStats
 from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.harness.metrics import aggregate_access_stats
+from repro.harness.metrics import AggregateMemory
 
 __all__ = ["GenerationalStore", "GenerationStats", "RotationEvent"]
 
@@ -83,6 +82,15 @@ class RotationEvent:
     stall_s: float
 
 
+def _check_triggers(rotate_after_items, rotate_after_s) -> None:
+    if rotate_after_items < 0:
+        raise ConfigurationError(
+            "rotate_after_items must be >= 0, got %d" % rotate_after_items)
+    if rotate_after_s < 0:
+        raise ConfigurationError(
+            "rotate_after_s must be >= 0, got %r" % rotate_after_s)
+
+
 class _Generation:
     """One ring slot: the filter plus its birth reading and sequence."""
 
@@ -92,34 +100,6 @@ class _Generation:
         self.filt = filt
         self.seq = seq
         self.born = born
-
-
-class _RingMemory:
-    """Aggregate read-only view over the generations' memory models.
-
-    The same duck type as the sharded store's aggregate: enough of a
-    :class:`~repro.bitarray.memory.MemoryModel` (``stats``, ``reset``,
-    ``snapshot``, ``word_bits``) for the harness measurement helpers.
-    """
-
-    def __init__(self, store: "GenerationalStore"):
-        self._store = store
-
-    @property
-    def stats(self) -> AccessStats:
-        return aggregate_access_stats(
-            gen.filt.memory.stats for gen in self._store._generations)
-
-    @property
-    def word_bits(self) -> int:
-        return self._store._generations[0].filt.memory.word_bits
-
-    def reset(self) -> None:
-        for gen in self._store._generations:
-            gen.filt.memory.reset()
-
-    def snapshot(self) -> AccessStats:
-        return self.stats
 
 
 class GenerationalStore:
@@ -174,13 +154,7 @@ class GenerationalStore:
                 "a generational store needs >= 2 generations (got %d); "
                 "with one, every rotation would drop the entire window"
                 % generations)
-        if rotate_after_items < 0:
-            raise ConfigurationError(
-                "rotate_after_items must be >= 0, got %d"
-                % rotate_after_items)
-        if rotate_after_s < 0:
-            raise ConfigurationError(
-                "rotate_after_s must be >= 0, got %r" % rotate_after_s)
+        _check_triggers(rotate_after_items, rotate_after_s)
         self._factory = factory
         self._clock = clock if clock is not None else time.monotonic
         self._rotate_after_items = rotate_after_items
@@ -215,6 +189,7 @@ class GenerationalStore:
             raise ConfigurationError(
                 "a generational store needs >= 2 generations, got %d"
                 % len(filters))
+        _check_triggers(rotate_after_items, rotate_after_s)
         store = cls.__new__(cls)
         store._factory = factory
         store._clock = clock if clock is not None else time.monotonic
@@ -294,9 +269,9 @@ class GenerationalStore:
         return sum(gen.filt.size_bits for gen in self._generations)
 
     @property
-    def memory(self) -> _RingMemory:
+    def memory(self) -> AggregateMemory:
         """Aggregate access-model view (sum over the generations)."""
-        return _RingMemory(self)
+        return AggregateMemory(lambda: self.generations)
 
     def generation_stats(self) -> List[GenerationStats]:
         """Per-generation ``(seq, n_items, age_s)`` rows, head first."""
@@ -512,7 +487,7 @@ class GenerationalStore:
         """
         from repro import persistence
 
-        return persistence.dumps_generational(self)
+        return persistence.dumps(self)
 
     @classmethod
     def restore(
@@ -529,8 +504,11 @@ class GenerationalStore:
         """
         from repro import persistence
 
-        return persistence.loads_generational(
-            blob, factory=factory, clock=clock)
+        store = persistence.load_target(blob, factory=factory, clock=clock)
+        if not isinstance(store, GenerationalStore):
+            raise ConfigurationError(
+                "not a generational-store container (bad magic)")
+        return store
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return ("GenerationalStore(generations=%d, n_items=%d, "

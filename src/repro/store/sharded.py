@@ -21,7 +21,7 @@ What sharding buys, beyond parallelism headroom:
   the Summary-Cache exchange pattern at store scale;
 * **whole-store snapshots** — :meth:`snapshot`/:meth:`restore` ship the
   fleet as one integrity-checked container blob
-  (:func:`repro.persistence.dumps_store`).
+  (:func:`repro.persistence.dumps`).
 
 Accounting stays first-class: :attr:`memory` presents the sum of the
 per-shard :class:`~repro.bitarray.memory.MemoryModel` tallies, so the
@@ -32,7 +32,6 @@ breaks the traffic down per shard.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -41,7 +40,7 @@ import numpy as np
 from repro._util import ElementLike, require_positive
 from repro.bitarray.memory import AccessStats
 from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.harness.metrics import aggregate_access_stats
+from repro.harness.metrics import AggregateMemory, aggregate_access_stats
 from repro.store.router import ShardRouter
 
 __all__ = ["ShardAccessReport", "ShardedFilterStore", "StoreAccessReport"]
@@ -82,35 +81,6 @@ class StoreAccessReport:
         return max(loads) / mean if mean else 0.0
 
 
-class _StoreMemory:
-    """Aggregate read-only view over the shards' memory models.
-
-    Quacks enough like a :class:`~repro.bitarray.memory.MemoryModel`
-    (``stats``, ``reset``, ``snapshot``, ``word_bits``) for the harness
-    measurement helpers; recording always happens on the per-shard
-    models, never here.
-    """
-
-    def __init__(self, store: "ShardedFilterStore"):
-        self._store = store
-
-    @property
-    def stats(self) -> AccessStats:
-        return aggregate_access_stats(
-            shard.memory.stats for shard in self._store.shards)
-
-    @property
-    def word_bits(self) -> int:
-        return self._store.shards[0].memory.word_bits
-
-    def reset(self) -> None:
-        for shard in self._store.shards:
-            shard.memory.reset()
-
-    def snapshot(self) -> AccessStats:
-        return self.stats
-
-
 class ShardedFilterStore:
     """N shard filters behind one hash router, batch-routed.
 
@@ -126,10 +96,6 @@ class ShardedFilterStore:
         router: optional pre-built :class:`ShardRouter`; its
             ``n_shards`` must match.  Defaults to a fresh router with
             the library's routing seed.
-        max_workers: when > 1, per-shard batch dispatch fans out over a
-            :class:`~concurrent.futures.ThreadPoolExecutor`.  The
-            default (0) dispatches serially — with CPython's GIL the
-            win is workload-dependent, so fan-out is opt-in.
 
     Example:
         >>> from repro.core import ShiftingBloomFilter
@@ -146,7 +112,6 @@ class ShardedFilterStore:
         factory: Callable[[int], object],
         n_shards: int,
         router: Optional[ShardRouter] = None,
-        max_workers: int = 0,
     ):
         require_positive("n_shards", n_shards)
         if router is None:
@@ -161,8 +126,6 @@ class ShardedFilterStore:
         self._shards: List[object] = [
             factory(shard) for shard in range(n_shards)
         ]
-        self._max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._swap_count = 0
 
     @classmethod
@@ -171,7 +134,6 @@ class ShardedFilterStore:
         shards: Sequence[object],
         router: ShardRouter,
         factory: Optional[Callable[[int], object]] = None,
-        max_workers: int = 0,
     ) -> "ShardedFilterStore":
         """Adopt pre-built shard filters (restore/merge constructor)."""
         if len(shards) != router.n_shards:
@@ -183,8 +145,6 @@ class ShardedFilterStore:
         store._router = router
         store._factory = factory
         store._shards = list(shards)
-        store._max_workers = max_workers
-        store._pool = None
         store._swap_count = 0
         return store
 
@@ -226,9 +186,9 @@ class ShardedFilterStore:
         return sum(shard.size_bits for shard in self._shards)
 
     @property
-    def memory(self) -> _StoreMemory:
+    def memory(self) -> AggregateMemory:
         """Aggregate access-model view (sum of the per-shard models)."""
-        return _StoreMemory(self)
+        return AggregateMemory(lambda: self._shards)
 
     def report(self) -> StoreAccessReport:
         """Store-level access report with per-shard breakdown."""
@@ -272,20 +232,6 @@ class ShardedFilterStore:
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def _dispatch(self, jobs):
-        """Run ``(fn, args)`` jobs, serially or via the thread pool.
-
-        The pool is created lazily on first use and reused for the
-        store's lifetime — per-batch pool spawn/teardown would tax every
-        small batch on the hot serving path.
-        """
-        if self._max_workers > 1 and len(jobs) > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(self._max_workers)
-            futures = [self._pool.submit(fn, *args) for fn, args in jobs]
-            return [future.result() for future in futures]
-        return [fn(*args) for fn, args in jobs]
-
     def add_batch(
         self,
         elements: Sequence[ElementLike],
@@ -307,16 +253,13 @@ class ShardedFilterStore:
             )
         if not elements:
             return
-        jobs = []
         for shard_id, idx in self._router.group(elements):
             chunk = [elements[i] for i in idx]
             shard = self._shards[shard_id]
             if counts is None:
-                jobs.append((shard.add_batch, (chunk,)))
+                shard.add_batch(chunk)
             else:
-                jobs.append(
-                    (shard.add_batch, (chunk, [counts[i] for i in idx])))
-        self._dispatch(jobs)
+                shard.add_batch(chunk, [counts[i] for i in idx])
 
     def query_batch(self, elements: Sequence[ElementLike]):
         """Batch query with per-shard vectorised dispatch.
@@ -330,12 +273,10 @@ class ShardedFilterStore:
         if not elements:
             return self._shards[0].query_batch([])
         groups = list(self._router.group(elements))
-        jobs = [
-            (self._shards[shard_id].query_batch,
-             ([elements[i] for i in idx],))
+        results = [
+            self._shards[shard_id].query_batch([elements[i] for i in idx])
             for shard_id, idx in groups
         ]
-        results = self._dispatch(jobs)
         if isinstance(results[0], np.ndarray):
             out = np.empty(len(elements), dtype=results[0].dtype)
             for (shard_id, idx), result in zip(groups, results):
@@ -361,13 +302,10 @@ class ShardedFilterStore:
 
         parts1 = partition_by_shard(s1, self._router)
         parts2 = partition_by_shard(s2, self._router)
-        jobs = [
-            (self._shards[shard_id].build_batch,
-             (parts1[shard_id], parts2[shard_id]))
-            for shard_id in range(self.n_shards)
-            if parts1[shard_id] or parts2[shard_id]
-        ]
-        self._dispatch(jobs)
+        for shard_id in range(self.n_shards):
+            if parts1[shard_id] or parts2[shard_id]:
+                self._shards[shard_id].build_batch(
+                    parts1[shard_id], parts2[shard_id])
 
     # ------------------------------------------------------------------
     # Fleet operations
@@ -515,9 +453,7 @@ class ShardedFilterStore:
                 )
             merged.append(union(theirs))
         return ShardedFilterStore._from_shards(
-            merged, self._router, factory=self._factory,
-            max_workers=self._max_workers,
-        )
+            merged, self._router, factory=self._factory)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -525,23 +461,27 @@ class ShardedFilterStore:
     def snapshot(self) -> bytes:
         """Serialise the whole store to one container blob.
 
-        Delegates to :func:`repro.persistence.dumps_store`: a header
-        (shard count, router family + seed, per-shard blob sizes), the
-        per-shard snapshots — each carrying its filter's hash-family
-        kind and seed — and a BLAKE2 digest over everything.  A restore
-        therefore hashes *and* routes bit-identically whatever family
-        the shards were wired with.
+        Delegates to :func:`repro.persistence.dumps`: an ``SHBS``
+        container with a header (shard count, router family + seed,
+        per-shard blob sizes), the per-shard snapshots — each carrying
+        its filter's hash-family kind and seed — and a BLAKE2 digest
+        over everything.  A restore therefore hashes *and* routes
+        bit-identically whatever family the shards were wired with.
         """
         from repro import persistence
 
-        return persistence.dumps_store(self)
+        return persistence.dumps(self)
 
     @classmethod
     def restore(cls, blob: bytes) -> "ShardedFilterStore":
         """Rebuild a store from :meth:`snapshot` output."""
         from repro import persistence
 
-        return persistence.loads_store(blob)
+        store = persistence.load_target(blob)
+        if not isinstance(store, ShardedFilterStore):
+            raise ConfigurationError(
+                "not a ShBF store container (bad magic)")
+        return store
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ShardedFilterStore(n_shards=%d, n_items=%d, router=%r)" % (

@@ -22,24 +22,23 @@ rebuilds the same structure over that buffer *zero-copy* — every shard's
 physical copy of the bits.  Attached targets answer ``query_batch``
 bit-identically to the original; writes fail at the buffer layer.
 
-The meta/payload split deliberately mirrors :mod:`repro.persistence`
-(same type tags, same family-spec round-trip) but skips its digests and
-framing: a generation lives in page-cache-speed shared memory guarded by
-the seqlock header (:mod:`repro.mpserve.genheader`), not on disk where
-torn writes survive restarts.
+Each shard's meta entry *is* its :func:`repro.persistence.filter_header`
+plus ``nbits``/``nbytes``/``offset``, and attaching goes through
+:func:`repro.persistence.filter_from_header` with a zero-copy
+``bits_of`` — one type switch, one family round-trip, one counting-type
+refusal for both.  What shm skips is the framing and digest: a
+generation lives in page-cache-speed shared memory guarded by the
+seqlock header (:mod:`repro.mpserve.genheader`), not on disk where torn
+writes survive restarts.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Tuple
 
+from repro import persistence
 from repro.bitarray import BitArray
-from repro.baselines.bloom import BloomFilter
-from repro.baselines.one_mem_bloom import OneMemoryBloomFilter
-from repro.core.membership import ShiftingBloomFilter
-from repro.errors import ConfigurationError, UnsupportedSnapshotError
-from repro.hashing.family import family_spec, make_family
+from repro.errors import ConfigurationError
 from repro.store.router import ShardRouter
 from repro.store.sharded import ShardedFilterStore
 
@@ -52,44 +51,18 @@ __all__ = [
 ]
 
 
-def _filter_family(filt):
-    """The shard's hash family (``OneMemoryBloomFilter`` hides it)."""
-    return filt.family if hasattr(filt, "family") else filt._family
-
-
 def _filter_meta(filt, offset: int) -> dict:
-    """One shard's geometry + its byte placement in the payload."""
-    if isinstance(filt, ShiftingBloomFilter):
-        kind, seed = family_spec(filt.family)
-        return {
-            "type": "shbf_m", "m": filt.m, "k": filt.k,
-            "w_bar": filt.w_bar, "word_bits": filt.policy.word_bits,
-            "family": kind, "seed": seed, "n_items": filt.n_items,
-            "nbits": filt.bits.nbits, "nbytes": filt.bits.nbytes,
-            "offset": offset,
-        }
-    if isinstance(filt, OneMemoryBloomFilter):
-        kind, seed = family_spec(_filter_family(filt))
-        return {
-            "type": "one_mem_bf", "m": filt.m, "k": filt.k,
-            "word_bits": filt.word_bits,
-            "family": kind, "seed": seed, "n_items": filt.n_items,
-            "nbits": filt.bits.nbits, "nbytes": filt.bits.nbytes,
-            "offset": offset,
-        }
-    if isinstance(filt, BloomFilter):
-        kind, seed = family_spec(filt.family)
-        return {
-            "type": "bf", "m": filt.m, "k": filt.k,
-            "family": kind, "seed": seed, "n_items": filt.n_items,
-            "nbits": filt.bits.nbits, "nbytes": filt.bits.nbytes,
-            "offset": offset,
-        }
-    raise UnsupportedSnapshotError(
-        "%s cannot be exported to a shared-memory generation: only "
-        "bits-only filters have an immutable byte image (counting "
-        "updater state lives DRAM-side)" % type(filt).__name__
-    )
+    """One shard's persistence header + its byte placement in the payload."""
+    meta = persistence.filter_header(filt)
+    meta.update(nbits=filt.bits.nbits, nbytes=filt.bits.nbytes,
+                offset=offset)
+    return meta
+
+
+def _shard_filters(target) -> Tuple:
+    if isinstance(target, ShardedFilterStore):
+        return target.shards
+    return (target,)
 
 
 def snapshot_meta(target) -> dict:
@@ -99,34 +72,24 @@ def snapshot_meta(target) -> dict:
     rebuild the structure — including each shard's byte ``offset`` into
     the flat payload, assigned here in shard order.
     """
-    if isinstance(target, ShardedFilterStore):
-        shards = []
-        offset = 0
-        for shard in target.shards:
-            meta = _filter_meta(shard, offset)
-            shards.append(meta)
-            offset += meta["nbytes"]
-        return {
-            "kind": "sharded_store",
-            "n_shards": target.n_shards,
-            "router_seed": target.router.seed,
-            "router_family": target.router.family_kind,
-            "shards": shards,
-        }
-    return {"kind": "filter", "shards": [_filter_meta(target, 0)]}
+    shards, offset = [], 0
+    for filt in _shard_filters(target):
+        shards.append(_filter_meta(filt, offset))
+        offset += filt.bits.nbytes
+    if not isinstance(target, ShardedFilterStore):
+        return {"kind": "filter", "shards": shards}
+    return {
+        "kind": "sharded_store",
+        "n_shards": target.n_shards,
+        "router_seed": target.router.seed,
+        "router_family": target.router.family_kind,
+        "shards": shards,
+    }
 
 
 def snapshot_nbytes(target) -> int:
     """Total payload bytes a generation of *target* occupies."""
-    meta = snapshot_meta(target)
-    last = meta["shards"][-1]
-    return last["offset"] + last["nbytes"]
-
-
-def _shard_filters(target) -> Tuple:
-    if isinstance(target, ShardedFilterStore):
-        return target.shards
-    return (target,)
+    return sum(filt.bits.nbytes for filt in _shard_filters(target))
 
 
 def export_into(target, buffer) -> dict:
@@ -157,34 +120,14 @@ def export_into(target, buffer) -> dict:
 
 def _attach_filter(meta: dict, view: memoryview):
     """Rebuild one read-only shard over its slice of the payload."""
-    try:
-        family = make_family(meta["family"], meta["seed"])
-    except ConfigurationError as exc:
-        raise ConfigurationError(
-            "generation declares hash family %r which cannot be "
-            "reconstructed (%s)" % (meta.get("family"), exc)) from None
-    if meta["type"] == "shbf_m":
-        filt = ShiftingBloomFilter(
-            m=meta["m"], k=meta["k"], family=family,
-            word_bits=meta["word_bits"], w_bar=meta["w_bar"])
-    elif meta["type"] == "one_mem_bf":
-        filt = OneMemoryBloomFilter(
-            m=meta["m"], k=meta["k"], family=family,
-            word_bits=meta["word_bits"])
-    elif meta["type"] == "bf":
-        filt = BloomFilter(m=meta["m"], k=meta["k"], family=family)
-    else:
-        raise ConfigurationError(
-            "unknown generation shard type %r" % meta.get("type"))
+    start = meta["offset"]
+    filt = persistence.filter_from_header(
+        meta, view[start:start + meta["nbytes"]], BitArray.attach_readonly)
     if filt.bits.nbits != meta["nbits"]:
         raise ConfigurationError(
             "generation shard geometry mismatch: meta promises %d bits, "
             "the declared parameters produce %d"
             % (meta["nbits"], filt.bits.nbits))
-    start = meta["offset"]
-    filt._bits = BitArray.attach_readonly(
-        view[start:start + meta["nbytes"]], meta["nbits"])
-    filt._n_items = meta["n_items"]
     return filt
 
 
@@ -217,8 +160,4 @@ def materialize(target):
     restarted writer warms up from the last published generation
     without inheriting read-only buffers.
     """
-    from repro import persistence
-
-    if isinstance(target, ShardedFilterStore):
-        return persistence.loads_store(persistence.dumps_store(target))
-    return persistence.loads(persistence.dumps(target))
+    return persistence.load_target(persistence.dumps(target))

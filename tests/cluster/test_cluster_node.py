@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import persistence
 from repro.cluster.node import ClusterState
 from repro.cluster.shardmap import bootstrap_map
 from repro.core import ShiftingBloomFilter
@@ -193,6 +194,25 @@ class TestMigrateTargetSide:
         np.testing.assert_array_equal(
             dst.shards[shard].query_batch(probe),
             src.shards[shard].query_batch(probe))
+
+    def test_install_replace_refuses_container_blob(self, pair):
+        """MIGRATE_INSTALL_REPLACE carries one shard's ``SHBF`` blob;
+        a whole ``SHBS`` store must be refused, not installed as one
+        shard, and the shard must stay as it was."""
+        _, (service_a, state_a), (service_b, state_b) = pair
+        dst = service_b.target
+        shard = state_a.owned_shards[0]
+        dst.shards[shard].add_batch(
+            elements_for_shard(dst.router, shard, 4, prefix="kept"))
+        before = dst.shards[shard]
+        bits = before.bits.to_bytes()
+        with pytest.raises(ConfigurationError, match="magic"):
+            state_b.handle_migrate(protocol.encode_migrate(
+                protocol.MIGRATE_INSTALL_REPLACE, shard,
+                persistence.dumps(service_a.target)))
+        assert dst.shards[shard] is before
+        assert before.bits.to_bytes() == bits
+        assert state_b.counters["shards_installed"] == 0
 
     def test_install_merge_refuses_misrouted_elements(self, pair):
         _, (service_a, state_a), (service_b, state_b) = pair

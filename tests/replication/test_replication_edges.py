@@ -17,7 +17,11 @@ from repro.core.membership import (
     CountingShiftingBloomFilter,
     ShiftingBloomFilter,
 )
-from repro.errors import ReplicationError, UnsupportedSnapshotError
+from repro.errors import (
+    ConfigurationError,
+    ReplicationError,
+    UnsupportedSnapshotError,
+)
 from repro.service import protocol
 from repro.store.sharded import ShardedFilterStore
 from repro.workloads.replication import build_replication_workload
@@ -173,6 +177,40 @@ class TestMissedRotation:
                 await ctx.repl.ship()
                 assert (await primary.snapshot()
                         == await standby.snapshot())
+            finally:
+                await primary.close()
+                await standby.close()
+
+        pair_run(scenario)
+
+
+class TestWrongKindReplaceEntry:
+    def test_container_blob_as_replace_entry_is_refused(self, pair_run):
+        """A replace entry installs one filter into one slot; a whole
+        ``SHBS`` store container there must be refused by the strict
+        single-filter loader, not swapped in as a shard."""
+        workload = build_replication_workload(200, seed=23)
+
+        async def scenario(ctx):
+            primary = await ctx.connect_primary()
+            standby = await ctx.connect_standby()
+            try:
+                await primary.add(list(workload.acknowledged))
+                await ctx.repl.ship()
+                store = ctx.primary_service.target
+                slices = partition_by_shard(
+                    workload.acknowledged, store.router)
+                before = ctx.standby_service.target.shards[0]
+                epoch = (await standby.stats())["replication"]["epoch"]
+                with pytest.raises(ConfigurationError, match="magic"):
+                    await standby.delta(epoch + 1, entries=[
+                        (0, protocol.MODE_REPLACE,
+                         persistence.dumps(store))])
+                assert ctx.standby_service.target.shards[0] is before
+                stats = await standby.stats()
+                assert stats["replication"]["epoch"] == epoch
+                assert stats["replication"]["shards_replaced"] == 0
+                assert (await standby.query(slices[0])).all()
             finally:
                 await primary.close()
                 await standby.close()

@@ -80,19 +80,6 @@ class TestScalarBatchEquivalence:
         assert all(store.query(e) for e in MEMBERS[:50])
 
 
-class TestWorkerFanout:
-    def test_threaded_dispatch_matches_serial(self):
-        serial = make_store()
-        threaded = make_store(max_workers=4)
-        serial.add_batch(MEMBERS)
-        threaded.add_batch(MEMBERS)
-        for ours, theirs in zip(serial.shards, threaded.shards):
-            assert ours.bits.to_bytes() == theirs.bits.to_bytes()
-        assert (threaded.query_batch(MIXED)
-                == serial.query_batch(MIXED)).all()
-        assert threaded.memory.stats == serial.memory.stats
-
-
 class TestConstruction:
     def test_router_shard_count_must_match(self):
         with pytest.raises(ConfigurationError):

@@ -72,8 +72,8 @@ class TestRoundTrip:
 
     def test_module_level_functions_match_methods(self):
         store = build_store()
-        assert persistence.loads_store(
-            persistence.dumps_store(store)).query_batch(PROBES).tolist() \
+        assert persistence.load_target(
+            persistence.dumps(store)).query_batch(PROBES).tolist() \
             == store.query_batch(PROBES).tolist()
 
 
@@ -146,7 +146,7 @@ class TestFamilyRoundTrip:
             lambda h: h.__setitem__("router_family", "quantum128"))
         with pytest.raises(ConfigurationError,
                            match="router family 'quantum128'"):
-            persistence.loads_store(forged)
+            persistence.load_target(forged)
 
     def test_legacy_header_without_family_is_blake2b(self):
         """Pre-registry blobs carry only a seed; they were always
@@ -164,31 +164,31 @@ class TestFamilyRoundTrip:
 class TestRejection:
     def test_bad_magic_rejected(self):
         with pytest.raises(ConfigurationError, match="magic"):
-            persistence.loads_store(b"NOPE" + b"\x00" * 64)
+            persistence.load_target(b"NOPE" + b"\x00" * 64)
 
     def test_single_filter_blob_is_not_a_container(self):
         blob = persistence.dumps(ShiftingBloomFilter(m=512, k=4))
         with pytest.raises(ConfigurationError, match="magic"):
-            persistence.loads_store(blob)
+            ShardedFilterStore.restore(blob)
 
     def test_unsupported_version_rejected(self):
         blob = bytearray(build_store().snapshot())
         blob[4:6] = struct.pack("<H", 99)
         with pytest.raises(ConfigurationError, match="version"):
-            persistence.loads_store(bytes(blob))
+            persistence.load_target(bytes(blob))
 
     def test_corrupted_digest_rejected(self):
         blob = bytearray(build_store().snapshot())
         _, header_len = struct.unpack("<HI", blob[4:10])
         blob[10 + header_len] ^= 0xFF  # first digest byte
         with pytest.raises(ConfigurationError, match="integrity"):
-            persistence.loads_store(bytes(blob))
+            persistence.load_target(bytes(blob))
 
     def test_corrupted_payload_rejected(self):
         blob = bytearray(build_store().snapshot())
         blob[-1] ^= 0xFF
         with pytest.raises(ConfigurationError, match="integrity"):
-            persistence.loads_store(bytes(blob))
+            persistence.load_target(bytes(blob))
 
     def test_truncated_blob_rejected(self):
         blob = build_store().snapshot()
@@ -196,7 +196,7 @@ class TestRejection:
         # prefix (the last would reach struct.unpack unguarded)
         for cut in (len(blob) - 1, len(blob) // 2, 30, 8, 5):
             with pytest.raises(ConfigurationError):
-                persistence.loads_store(blob[:cut])
+                persistence.load_target(blob[:cut])
 
     def test_truncated_single_filter_blob_rejected(self):
         blob = persistence.dumps(ShiftingBloomFilter(m=512, k=4))
@@ -215,11 +215,7 @@ class TestRejection:
         forged = (blob[:4] + struct.pack("<HI", 1, len(new_header))
                   + new_header + blob[10 + header_len :])
         with pytest.raises(ConfigurationError):
-            persistence.loads_store(forged)
-
-    def test_non_store_input_to_dumps_store(self):
-        with pytest.raises(ConfigurationError, match="ShardedFilterStore"):
-            persistence.dumps_store(ShiftingBloomFilter(m=512, k=4))
+            persistence.load_target(forged)
 
 
 class TestCountingVariantsTypedError:
