@@ -105,6 +105,11 @@ class OneMemoryBloomFilter:
         return self._word_bits
 
     @property
+    def words_per_element(self) -> int:
+        """How many consecutive words an element's bits may span."""
+        return self._words_per_element
+
+    @property
     def n_groups(self) -> int:
         """Number of word groups an element can hash into."""
         return self._n_groups

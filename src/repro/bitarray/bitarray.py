@@ -409,11 +409,14 @@ class BitArray:
                            record: bool = True) -> np.ndarray:
         """Vectorised :meth:`read_window`: one ``uint64`` per start.
 
-        The fast path gathers eight consecutive bytes per window, which
-        covers every span with ``(start % 8) + nbits <= 64`` — all the
-        configurations the paper's offset bounds permit.  Wider windows
-        fall back to per-element :meth:`read_window` calls (identical
-        values, still one Python call for the batch).
+        The fast path is one unaligned little-endian 64-bit load per
+        window — a single gather from :meth:`_words`, the ``<u8`` view
+        that starts a word at every byte — then a shift and a mask.  It
+        covers every span with ``(start % 8) + nbits <= 64``: all the
+        configurations the paper's offset bounds permit.  Windows wider
+        than that (``word_bits=128`` policies, ``c_max > 57``) fall back
+        to per-element :meth:`read_window` calls (identical values,
+        still one Python call for the batch).
         """
         starts = as_batch_int64(starts)
         require_positive("nbits", nbits)
@@ -435,18 +438,32 @@ class BitArray:
                  for s in starts],
                 dtype=object if nbits > 64 else np.uint64,
             )
-        view = self.as_numpy()
-        # Gather 8 bytes per window, clamping indices at the buffer end:
-        # the window itself is bounds-checked, so clamped (duplicated)
-        # bytes only ever occupy the bits shifted/masked away below.
-        idx = (starts >> 3)[:, None] + np.arange(8)
-        np.minimum(idx, len(self._buf) - 1, out=idx)
-        chunk = view[idx]
-        values = np.ascontiguousarray(chunk).view("<u8").ravel()
-        values >>= misalign.astype(np.uint64)
+        words = self._words()
+        # A window whose bytes lie in the last seven bytes of the buffer
+        # has no full word of its own: load the last word instead and
+        # fold the skipped bytes into the shift.  The window is bounds-
+        # checked above, so the shift stays below 64 and the shifted
+        # value still holds all of its bits.
+        first = np.minimum(starts >> 3, len(words) - 1)
+        values = words[first] >> (starts - (first << 3)).astype(np.uint64)
         if nbits < 64:
             values &= np.uint64((1 << nbits) - 1)
         return values
+
+    def _words(self) -> np.ndarray:
+        """``<u8`` view with a word starting at every byte.
+
+        Element ``i`` is the little-endian 64-bit word over bytes
+        ``i .. i + 7`` — an unaligned load — so there are ``nbytes - 7``
+        of them.  Zero copy over the backing buffer, attached read-only
+        buffers included; a buffer shorter than eight bytes is copied
+        zero-padded into a single word.
+        """
+        buf = self._buf
+        if len(buf) < 8:
+            buf = bytes(buf).ljust(8, b"\x00")
+        return np.ndarray(shape=(len(buf) - 7,), dtype="<u8",
+                          buffer=buf, strides=(1,))
 
     # ------------------------------------------------------------------
     # Bulk helpers

@@ -46,6 +46,23 @@ __all__ = [
 ]
 
 
+#: The eight possible answers, indexed by the survivor code
+#: ``c0 + 2·c1 + 4·c2`` of the S1-only, intersection and S2-only
+#: candidates.  ShBF_A answers carry no false positives on the declared
+#: region, so any single-candidate answer is clear (§4.2 outcomes 1-3);
+#: code 0 is the empty, unclear answer.  Answers are frozen, so every
+#: query shares these instances.
+_ANSWERS = tuple(
+    AssociationAnswer(
+        candidates=frozenset(
+            region for bit, region in enumerate(
+                (Association.S1_ONLY, Association.BOTH, Association.S2_ONLY))
+            if code >> bit & 1),
+        clear=code in (1, 2, 4))
+    for code in range(8)
+)
+
+
 class _AssociationBase:
     """Hash/offset plumbing shared by the plain and counting variants.
 
@@ -144,40 +161,63 @@ class _AssociationBase:
             values[:, self._k], values[:, self._k + 1])
         return bases, o1, o2
 
-    def _query_batch_bits(
-        self, bits, elements: Sequence[ElementLike]
-    ) -> List[AssociationAnswer]:
-        """Shared batch query: vectorised triple probes + §4.2 combine.
+    def _query_bits(self, bits: BitArray,
+                    element: ElementLike) -> AssociationAnswer:
+        """§4.2's query: read the 3 bits per hash in one fetch, combine.
 
-        Bills the SRAM model exactly what the scalar early-exit loop
-        would — triple reads up to and including the first iteration at
-        which all three region candidates are dead.
+        ``k`` memory accesses and ``k + 2`` hashes worst case, computed
+        lazily.  If every candidate dies the element provably lies
+        outside ``S1 ∪ S2`` (possible only when the §4.2 query-model
+        assumption is violated) and the loop exits early with an empty,
+        unclear answer.
+        """
+        o1, o2 = self._policy.association_offsets(
+            self._family.hash(self._k, element),
+            self._family.hash(self._k + 1, element))
+        alive0 = alive1 = alive2 = True
+        m = self._m
+        for value in self._family.iter_values(element, self._k):
+            b0, b1, b2 = bits.test_triple(value % m, o1, o2)
+            alive0 = alive0 and b0
+            alive1 = alive1 and b1
+            alive2 = alive2 and b2
+            if not (alive0 or alive1 or alive2):
+                break
+        return _ANSWERS[alive0 + 2 * alive1 + 4 * alive2]
+
+    def _query_batch_bits(
+        self, bits: BitArray, elements: Sequence[ElementLike]
+    ) -> List[AssociationAnswer]:
+        """Batch §4.2 query: one 64-bit word load per base, 8-way answer.
+
+        Each base's window — sized by the batch's largest ``o2`` — is one
+        :meth:`BitArray.read_windows_batch` load; the three probe bits
+        ``B[h_i]``, ``B[h_i + o1]``, ``B[h_i + o2]`` are shifted out of it
+        into a 3-bit survivor code ``c0 + 2·c1 + 4·c2`` per hash, and
+        AND-accumulating the codes along the ``k`` hashes leaves each
+        element's final code, which indexes the shared answers in
+        ``_ANSWERS``.  Bills the SRAM model exactly what the scalar
+        early-exit loop would — triple reads spanning ``o2 + 1`` bits up
+        to and including the first hash at which the code reaches 0.
         """
         elements = list(elements)
         if not elements:
             return []
         bases, o1, o2 = self._bases_and_offsets_batch(elements)
-        b0 = bits.test_bits_batch(bases, record=False)
-        b1 = bits.test_bits_batch(bases + o1[:, None], record=False)
-        b2 = bits.test_bits_batch(bases + o2[:, None], record=False)
-        c0 = np.logical_and.accumulate(b0, axis=1)
-        c1 = np.logical_and.accumulate(b1, axis=1)
-        c2 = np.logical_and.accumulate(b2, axis=1)
-        alive = c0 | c1 | c2
-        billed = billed_prefix(alive)
-        costs = bits.memory.read_cost_batch(bases, o2[:, None] + 1)
+        windows = bits.read_windows_batch(
+            bases.ravel(), int(o2.max()) + 1, record=False,
+        ).reshape(bases.shape)
+        # uint64 words on the fast path, Python ints past 64 bits.
+        o1 = o1.astype(windows.dtype)[:, None]
+        o2 = o2.astype(windows.dtype)[:, None]
+        codes = (windows & 1) | (windows >> o1 & 1) << 1 \
+            | (windows >> o2 & 1) << 2
+        codes = np.bitwise_and.accumulate(codes.astype(np.uint8), axis=1)
+        billed = billed_prefix(codes != 0)
+        costs = bits.memory.read_cost_batch(bases, o2.astype(np.int64) + 1)
         bits.memory.record_reads(
             int(billed.sum()), prefix_cost_sum(costs, billed))
-        regions = (Association.S1_ONLY, Association.BOTH,
-                   Association.S2_ONLY)
-        answers: List[AssociationAnswer] = []
-        for flags in zip(c0[:, -1].tolist(), c1[:, -1].tolist(),
-                         c2[:, -1].tolist()):
-            candidates = frozenset(
-                region for region, flag in zip(regions, flags) if flag)
-            answers.append(AssociationAnswer(
-                candidates=candidates, clear=len(candidates) == 1))
-        return answers
+        return list(map(_ANSWERS.__getitem__, codes[:, -1].tolist()))
 
     def _region_offset(self, data: bytes, o1: int, o2: int) -> int:
         """Offset for the element's current region per the §4.1 rules."""
@@ -319,17 +359,20 @@ class ShiftingAssociationFilter(_AssociationBase):
         distinct element still pays ``k`` single-bit writes at its
         region's offset.
         """
-        self._t1 = {to_bytes(e) for e in s1}
-        self._t2 = {to_bytes(e) for e in s2}
-        union = sorted(self._t1 | self._t2)
+        t1 = self._t1 = {to_bytes(e) for e in s1}
+        t2 = self._t2 = {to_bytes(e) for e in s2}
+        # Region by set algebra, in C: offset 0 for S1 - S2, o1 for
+        # S1 ∩ S2, o2 for S2 - S1.  Bits are OR-ed, so the encode order
+        # (set iteration order) cannot change the result.
+        s1_only, both, s2_only = t1 - t2, t1 & t2, t2 - t1
+        union = [*s1_only, *both, *s2_only]
         if not union:
             return
         bases, o1, o2 = self._bases_and_offsets_batch(union)
-        offsets = np.fromiter(
-            (self._region_offset(data, int(o1[row]), int(o2[row]))
-             for row, data in enumerate(union)),
-            dtype=np.int64, count=len(union),
-        )
+        lo, hi = len(s1_only), len(s1_only) + len(both)
+        offsets = np.zeros(len(union), dtype=np.int64)
+        offsets[lo:hi] = o1[lo:hi]
+        offsets[hi:] = o2[hi:]
         self._bits.set_bits_batch((bases + offsets[:, None]).ravel())
 
     # ------------------------------------------------------------------
@@ -342,39 +385,8 @@ class ShiftingAssociationFilter(_AssociationBase):
         return self._query_batch_bits(self._bits, elements)
 
     def query(self, element: ElementLike) -> AssociationAnswer:
-        """Read the 3 bits per hash in one fetch; combine the survivors.
-
-        ``k`` memory accesses and ``k + 2`` hashes worst case, computed
-        lazily.  If every candidate dies the element provably lies
-        outside ``S1 ∪ S2`` (possible only when the §4.2 query-model
-        assumption is violated) and the loop exits early with an empty,
-        unclear answer.
-        """
-        o1, o2 = self._policy.association_offsets(
-            self._family.hash(self._k, element),
-            self._family.hash(self._k + 1, element))
-        alive0 = alive1 = alive2 = True
-        m = self._m
-        bits = self._bits
-        for value in self._family.iter_values(element, self._k):
-            b0, b1, b2 = bits.test_triple(value % m, o1, o2)
-            alive0 = alive0 and b0
-            alive1 = alive1 and b1
-            alive2 = alive2 and b2
-            if not (alive0 or alive1 or alive2):
-                return AssociationAnswer(candidates=frozenset(), clear=False)
-        candidates = frozenset(
-            region
-            for region, flag in zip(
-                (Association.S1_ONLY, Association.BOTH, Association.S2_ONLY),
-                (alive0, alive1, alive2),
-            )
-            if flag
-        )
-        # ShBF_A answers carry no false positives on the declared region,
-        # so any single-candidate answer is clear (§4.2 outcomes 1-3).
-        return AssociationAnswer(
-            candidates=candidates, clear=len(candidates) == 1)
+        """Association query: ``k`` one-word reads, §4.2's combination."""
+        return self._query_bits(self._bits, element)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ShiftingAssociationFilter(m=%d, k=%d, |S1|=%d, |S2|=%d)" % (
@@ -542,29 +554,7 @@ class CountingShiftingAssociationFilter(_AssociationBase):
 
     def query(self, element: ElementLike) -> AssociationAnswer:
         """Association query against the SRAM bit array."""
-        o1, o2 = self._policy.association_offsets(
-            self._family.hash(self._k, element),
-            self._family.hash(self._k + 1, element))
-        alive0 = alive1 = alive2 = True
-        m = self._m
-        bits = self._bits
-        for value in self._family.iter_values(element, self._k):
-            b0, b1, b2 = bits.test_triple(value % m, o1, o2)
-            alive0 = alive0 and b0
-            alive1 = alive1 and b1
-            alive2 = alive2 and b2
-            if not (alive0 or alive1 or alive2):
-                return AssociationAnswer(candidates=frozenset(), clear=False)
-        candidates = frozenset(
-            region
-            for region, flag in zip(
-                (Association.S1_ONLY, Association.BOTH, Association.S2_ONLY),
-                (alive0, alive1, alive2),
-            )
-            if flag
-        )
-        return AssociationAnswer(
-            candidates=candidates, clear=len(candidates) == 1)
+        return self._query_bits(self._bits, element)
 
     def check_synchronised(self) -> bool:
         """Invariant: ``B[i]`` set iff ``C[i] > 0`` (tests hook)."""

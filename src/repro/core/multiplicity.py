@@ -249,11 +249,7 @@ class ShiftingMultiplicityFilter(_MultiplicityBase):
                 static filter cannot re-encode; use the counting variant)
                 or *count* exceeds ``c_max``.
         """
-        require_positive("count", count)
-        if count > self._c_max:
-            raise ConfigurationError(
-                "count %d exceeds c_max %d" % (count, self._c_max)
-            )
+        self._check_count(count)
         data = to_bytes(element)
         if data in self._counts:
             raise ConfigurationError(
@@ -287,7 +283,8 @@ class ShiftingMultiplicityFilter(_MultiplicityBase):
         offset ``count - 1``.
         """
         elements = list(elements)
-        counts = [int(c) for c in counts]
+        if not isinstance(counts, np.ndarray):
+            counts = list(counts)
         if len(elements) != len(counts):
             raise ConfigurationError(
                 "add_batch needs one count per element (%d vs %d)"
@@ -295,26 +292,44 @@ class ShiftingMultiplicityFilter(_MultiplicityBase):
             )
         if not elements:
             return
+        counts = self._checked_counts(counts)
         datas = [to_bytes(e) for e in elements]
-        seen = set()
-        for data, count in zip(datas, counts):
-            require_positive("count", count)
-            if count > self._c_max:
-                raise ConfigurationError(
-                    "count %d exceeds c_max %d" % (count, self._c_max)
-                )
-            if data in self._counts or data in seen:
-                raise ConfigurationError(
-                    "element already encoded; the static ShBF_x encodes "
-                    "each element exactly once (use "
-                    "CountingShiftingMultiplicityFilter for updates)"
-                )
-            seen.add(data)
+        if (len(set(datas)) != len(datas)
+                or not self._counts.keys().isdisjoint(datas)):
+            raise ConfigurationError(
+                "element already encoded; the static ShBF_x encodes "
+                "each element exactly once (use "
+                "CountingShiftingMultiplicityFilter for updates)"
+            )
         bases = self._family.positions_batch(datas, self._k, self._m)
-        offsets = np.asarray(counts, dtype=np.int64) - 1
-        self._bits.set_bits_batch((bases + offsets[:, None]).ravel())
-        for data, count in zip(datas, counts):
-            self._counts[data] = count
+        self._bits.set_bits_batch((bases + (counts - 1)[:, None]).ravel())
+        self._counts.update(zip(datas, counts.tolist()))
+
+    def _check_count(self, count: int) -> None:
+        require_positive("count", count)
+        if count > self._c_max:
+            raise ConfigurationError(
+                "count %d exceeds c_max %d" % (count, self._c_max)
+            )
+
+    def _checked_counts(self, counts) -> np.ndarray:
+        """:meth:`add`'s count checks over a batch, as an int64 array.
+
+        Counts must be Python or NumPy integers — never ``bool`` or
+        ``float`` — within ``[1, c_max]``.  One vectorised pass accepts a
+        valid batch; otherwise the per-count checks name the first bad
+        count, as a scalar :meth:`add` loop would.
+        """
+        array = np.asarray(counts)
+        if array.dtype.kind in "iu" and (
+                isinstance(counts, np.ndarray)
+                or {bool, np.bool_}.isdisjoint(map(type, counts))):
+            if 0 < array.min() and array.max() <= self._c_max:
+                return array.astype(np.int64)
+        for count in counts:
+            self._check_count(
+                int(count) if isinstance(count, np.integer) else count)
+        return array.astype(np.int64)
 
     # ------------------------------------------------------------------
     # Query (§5.2)

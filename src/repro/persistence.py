@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from contextlib import contextmanager
 
@@ -86,14 +87,20 @@ _COUNTING_TYPES = (
 
 #: Filter type tag -> (class, constructor fields beyond ``m``/``k``,
 #: fields that size the bit array).  No sizing field of a real snapshot
-#: exceeds its payload's bit length, so a forged one is refused before
-#: the constructor allocates.
+#: exceeds its payload's bit length, and neither does the product of
+#: the sizing fields after ``m`` (the widest span one probe covers), so
+#: a forged one is refused before the constructor allocates.
 _FILTER_TYPES = {
     "shbf_m": (ShiftingBloomFilter, ("w_bar", "word_bits"), ("m", "w_bar")),
-    "one_mem_bf": (OneMemoryBloomFilter, ("word_bits",),
-                   ("m", "word_bits")),
+    "one_mem_bf": (OneMemoryBloomFilter, ("word_bits", "words_per_element"),
+                   ("m", "word_bits", "words_per_element")),
     "bf": (BloomFilter, (), ("m",)),
 }
+
+#: Constructor fields a header may omit, with the value omission means.
+#: Writers leave a field out at its default, which keeps the bytes of
+#: every snapshot written before the field existed.
+_FIELD_DEFAULTS = {"words_per_element": 1}
 
 
 @contextmanager
@@ -175,6 +182,8 @@ def filter_header(filt) -> dict:
                   "word_bits": filt.policy.word_bits}
     elif isinstance(filt, OneMemoryBloomFilter):
         header = {"type": "one_mem_bf", "word_bits": filt.word_bits}
+        if filt.words_per_element != _FIELD_DEFAULTS["words_per_element"]:
+            header["words_per_element"] = filt.words_per_element
     elif isinstance(filt, BloomFilter):
         header = {"type": "bf"}
     else:
@@ -209,6 +218,7 @@ def filter_from_header(header: dict, payload,
             family that cannot be reconstructed.
     """
     with _well_formed("filter"):
+        header = {**_FIELD_DEFAULTS, **header}
         if header["type"] not in _FILTER_TYPES:
             raise ConfigurationError(
                 "unknown snapshot type %r" % header["type"])
@@ -220,6 +230,11 @@ def filter_from_header(header: dict, payload,
                 raise ConfigurationError(
                     "snapshot declares %s=%r for a %d-byte payload"
                     % (name, value, len(payload)))
+        span = math.prod(header[name] for name in sizing[1:])
+        if span > 8 * len(payload):
+            raise ConfigurationError(
+                "snapshot declares a %d-bit probe span for a %d-byte "
+                "payload" % (span, len(payload)))
         # Pre-registry blobs carry only a seed: they were BLAKE2b lanes.
         kind = header.get("family", "blake2b")
         try:

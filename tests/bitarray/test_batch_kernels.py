@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bitarray import AccessStats, BitArray, CounterArray, MemoryModel
 
@@ -122,6 +124,93 @@ def test_read_windows_batch_aligned_64_and_wide_fallback(rng):
     got = batch.read_windows_batch(wide_starts, 90)
     want = [scalar.read_window(int(s), 90) for s in wide_starts]
     assert [int(v) for v in got] == want
+    assert batch.memory.stats == scalar.memory.stats
+
+
+@st.composite
+def filled_windows(draw):
+    """A random buffer plus in-range windows of one width up to 64."""
+    nbytes = draw(st.integers(1, 40))
+    nbits = draw(st.integers(max(1, 8 * nbytes - 7), 8 * nbytes))
+    data = draw(st.binary(min_size=nbytes, max_size=nbytes))
+    width = draw(st.integers(1, min(64, nbits)))
+    starts = draw(st.lists(st.integers(0, nbits - width),
+                           min_size=1, max_size=24))
+    return data, nbits, width, starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=filled_windows())
+def test_property_read_windows_batch_matches_scalar(case):
+    """The one-word gather equals the scalar read for any width up to 64
+    and any start: misaligned, in the last seven bytes, or in a buffer
+    shorter than one word."""
+    data, nbits, width, starts = case
+    batch = BitArray.from_bytes(data, nbits)
+    scalar = BitArray.from_bytes(data, nbits)
+    got = batch.read_windows_batch(starts, width)
+    assert got.dtype == np.uint64
+    assert [int(v) for v in got] \
+        == [scalar.read_window(s, width) for s in starts]
+    assert batch.memory.stats == scalar.memory.stats
+
+
+def test_read_windows_batch_in_the_last_seven_bytes(rng):
+    """Windows that start in the buffer's last seven bytes have no full
+    word of their own: each loads the last word and shifts further."""
+    nbits = 8 * 23 - 3
+    bits = BitArray.from_bytes(rng.bytes(23), nbits)
+    for width in (1, 3, 9, 21):
+        starts = list(range(8 * 16, nbits - width + 1))
+        got = bits.read_windows_batch(starts, width, record=False)
+        assert [int(v) for v in got] \
+            == [bits.read_window(s, width, record=False) for s in starts]
+    tail = bits.read_windows_batch([nbits - 1], 1, record=False)
+    assert int(tail[0]) == bits.peek(nbits - 1)
+
+
+@pytest.mark.parametrize("nbytes", [1, 3, 7, 8])
+def test_read_windows_batch_buffers_up_to_one_word(rng, nbytes):
+    nbits = 8 * nbytes
+    bits = BitArray.from_bytes(rng.bytes(nbytes), nbits)
+    for width in range(1, nbits + 1):
+        starts = list(range(nbits - width + 1))
+        got = bits.read_windows_batch(starts, width, record=False)
+        assert [int(v) for v in got] \
+            == [bits.read_window(s, width, record=False) for s in starts]
+
+
+def test_read_windows_batch_over_attached_readonly_buffer(rng):
+    """A read-only shared buffer gathers zero copy, like the original."""
+    owner = BitArray(997)
+    owner.set_bits_batch(rng.integers(0, 997, 400), record=False)
+    attached = BitArray.attach_readonly(owner.export_readonly(), 997)
+    assert attached.readonly
+    starts = rng.integers(0, 997 - 57, 200)
+    got = attached.read_windows_batch(starts, 57)
+    want = owner.read_windows_batch(starts, 57)
+    assert got.tolist() == want.tolist()
+    assert attached.memory.stats == owner.memory.stats
+    small = BitArray.attach_readonly(memoryview(b"\xa5\x0f"), 13)
+    assert int(small.read_windows_batch([2], 11, record=False)[0]) \
+        == small.read_window(2, 11, record=False)
+
+
+def test_read_windows_batch_wide_fallback_mixed_alignment(rng):
+    """A batch whose widest misalignment pushes a 60-bit window past one
+    word takes the per-element path, with identical values and bill."""
+    batch, scalar = make_pair(nbits=2048)
+    filler = rng.integers(0, 2048, 700)
+    batch.set_bits_batch(filler, record=False)
+    scalar.set_bits_batch(filler, record=False)
+    starts = [0, 8, 13, 2047 - 60]
+    got = batch.read_windows_batch(starts, 60)
+    assert got.dtype == np.uint64
+    assert [int(v) for v in got] == [scalar.read_window(s, 60)
+                                     for s in starts]
+    got = batch.read_windows_batch(starts[:2], 128)
+    assert got.dtype == object
+    assert list(got) == [scalar.read_window(s, 128) for s in starts[:2]]
     assert batch.memory.stats == scalar.memory.stats
 
 

@@ -1,5 +1,11 @@
 """Tests for ShBF_A and CShBF_A — association shifting filters."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,3 +221,39 @@ class TestCountingUpdates:
             else:
                 truth = Association.S2_ONLY
             assert filt.query(element).consistent_with(truth)
+
+
+_BUILD_UNDER_HASH_SEED = """
+import hashlib, json
+from repro.core import ShiftingAssociationFilter
+from tests.conftest import make_elements
+
+s1 = make_elements(600, "s1only") + make_elements(300, "both")
+s2 = make_elements(300, "both") + make_elements(600, "s2only")
+filt = ShiftingAssociationFilter(m=12000, k=8)
+filt.build_batch(s1, s2)
+stats = filt.memory.stats
+print(json.dumps({
+    "bits": hashlib.sha256(filt.bits.to_bytes()).hexdigest(),
+    "writes": [stats.write_ops, stats.write_words],
+    "order": hashlib.sha256(b"".join(set(s1) - set(s2))).hexdigest(),
+}))
+"""
+
+
+def test_build_batch_bits_do_not_depend_on_hash_order():
+    """``build_batch`` encodes in set-iteration order, which follows the
+    process's string-hash seed; the filter and its write bill must not."""
+    repo = pathlib.Path(__file__).resolve().parents[2]
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(repo / "src"), str(repo)]))
+        out = subprocess.run(
+            [sys.executable, "-c", _BUILD_UNDER_HASH_SEED], env=env,
+            cwd=repo, capture_output=True, text=True, check=True).stdout
+        runs.append(json.loads(out))
+    assert runs[0]["order"] != runs[1]["order"]  # the orders do differ
+    assert runs[0]["bits"] == runs[1]["bits"]
+    assert runs[0]["writes"] == runs[1]["writes"]

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import BloomFilter, OneMemoryBloomFilter
 from repro.core import (
+    Association,
     CountingShiftingAssociationFilter,
     CountingShiftingBloomFilter,
     CountingShiftingMultiplicityFilter,
@@ -30,6 +31,7 @@ from repro.core import (
     ShiftingBloomFilter,
     ShiftingMultiplicityFilter,
 )
+from repro.core import association
 from repro.errors import ConfigurationError
 from tests.conftest import make_elements
 
@@ -386,6 +388,62 @@ def test_association_query_batch_equivalence(make):
     assert batch.query_batch([]) == []
 
 
+def assert_association_equivalent(batch, scalar, queries):
+    """Same answers as the scalar path — the very same shared frozen
+    instances — and the same bill."""
+    got = batch.query_batch(queries)
+    want = [scalar.query(q) for q in queries]
+    assert got == want
+    assert all(a is b for a, b in zip(got, want))
+    assert {id(a) for a in got} <= {id(a) for a in association._ANSWERS}
+    assert_same_stats(batch, scalar)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: ShiftingAssociationFilter(m=8192, k=8,
+                                                   word_bits=32),
+                 id="shbf_a_w32"),
+    pytest.param(lambda: ShiftingAssociationFilter(m=8192, k=8,
+                                                   word_bits=128),
+                 id="shbf_a_w128_wide_fallback"),
+    # m this small puts most windows in the slack tail, many in the
+    # buffer's last seven bytes.
+    pytest.param(lambda: ShiftingAssociationFilter(m=3, k=4),
+                 id="shbf_a_tail_m3"),
+    pytest.param(lambda: ShiftingAssociationFilter(m=61, k=4),
+                 id="shbf_a_tail_m61"),
+    pytest.param(lambda: ShiftingAssociationFilter(m=1531, k=3, w_bar=9),
+                 id="shbf_a_tail_w9"),
+])
+def test_association_geometries_batch_equivalence(make):
+    batch, scalar = make(), make()
+    batch.build_batch(S1[:40], S2[:40])
+    scalar.build(S1[:40], S2[:40])
+    assert batch.bits.to_bytes() == scalar.bits.to_bytes()
+    assert_same_stats(batch, scalar)
+    assert_association_equivalent(
+        batch, scalar, MEMBERS[:300] + ABSENT[:200])
+
+
+def test_counting_association_after_region_transitions():
+    """Re-encoded elements (S1-only -> both, both -> S2-only) answer the
+    same on the batch path as on the scalar one."""
+    filters = [CountingShiftingAssociationFilter(m=4096, k=6)
+               for _ in range(2)]
+    for filt in filters:
+        filt.build(S1, S2)
+        for element in S1[:60]:        # S1-only elements join S2
+            filt.add_to_s2(element)
+        for element in S2[:60]:        # intersection elements leave S1
+            filt.remove_from_s1(element)
+        assert filt.check_synchronised()
+    batch, scalar = filters
+    assert batch.region_of(S1[0]) is Association.BOTH
+    assert batch.region_of(S2[0]) is Association.S2_ONLY
+    assert_association_equivalent(
+        batch, scalar, MEMBERS[:400] + ABSENT[:100])
+
+
 # ----------------------------------------------------------------------
 # Multiplicity (ShBF_x)
 # ----------------------------------------------------------------------
@@ -407,6 +465,22 @@ def test_multiplicity_batch_equivalence(report):
     assert got.tolist() == [scalar.query(q).reported for q in MIXED]
     assert batch.memory.stats == scalar.memory.stats
     assert batch.query_batch([]).shape == (0,)
+
+
+@pytest.mark.parametrize("m", [1, 7, 64])
+def test_multiplicity_slack_tail_batch_equivalence(m):
+    """A tiny m puts the windows in the slack tail (and the buffer's last
+    seven bytes): values and bill still match the scalar reads."""
+    batch = ShiftingMultiplicityFilter(m=m, k=4, c_max=57)
+    scalar = ShiftingMultiplicityFilter(m=m, k=4, c_max=57)
+    batch.add_batch(MEMBERS[:3], [1, 30, 57])
+    for element, count in zip(MEMBERS[:3], [1, 30, 57]):
+        scalar.add(element, count)
+    assert batch.bits.to_bytes() == scalar.bits.to_bytes()
+    queries = MEMBERS[:20] + ABSENT[:20]
+    assert batch.query_batch(queries).tolist() \
+        == [scalar.query(q).reported for q in queries]
+    assert batch.memory.stats == scalar.memory.stats
 
 
 def test_multiplicity_batch_wide_cmax_fallback():
@@ -433,6 +507,49 @@ def test_multiplicity_add_batch_validates_before_mutating():
         structure.add_batch([b"a", b"a"], [1, 2])  # duplicate in batch
     assert structure.bits.to_bytes() == snapshot
     assert structure.n_items == 0
+
+
+@pytest.mark.parametrize("counts", [
+    pytest.param([2.7], id="float"),
+    pytest.param([2.0], id="integral_float"),
+    pytest.param([True], id="bool"),
+    pytest.param([3, True], id="bool_among_ints"),
+    pytest.param([np.True_], id="numpy_bool"),
+    pytest.param(np.array([2.5]), id="float_array"),
+    pytest.param(np.array([True]), id="bool_array"),
+    pytest.param([0], id="zero"),
+    pytest.param(np.array([9], dtype=np.uint8), id="over_c_max_array"),
+    pytest.param([2 ** 70], id="huge_int"),
+    pytest.param(["2"], id="string"),
+])
+def test_multiplicity_add_batch_rejects_what_add_rejects(counts):
+    """``add_batch`` used to coerce counts with ``int()``: 2.7 encoded
+    as 2 and True as 1, where the scalar ``add`` refuses both."""
+    structure = ShiftingMultiplicityFilter(m=4096, k=4, c_max=8)
+    snapshot = structure.bits.to_bytes()
+    elements = [b"a", b"b"][:len(counts)]
+    with pytest.raises(ConfigurationError):
+        structure.add_batch(elements, counts)
+    with pytest.raises(ConfigurationError):
+        for element, count in zip(elements, counts):
+            ShiftingMultiplicityFilter(m=64, k=2, c_max=8).add(
+                element, count)
+    assert structure.bits.to_bytes() == snapshot
+    assert structure.n_items == 0
+    assert structure.memory.stats.write_ops == 0
+
+
+def test_multiplicity_add_batch_accepts_numpy_integers():
+    batch = ShiftingMultiplicityFilter(m=4096, k=4, c_max=8)
+    scalar = ShiftingMultiplicityFilter(m=4096, k=4, c_max=8)
+    batch.add_batch(MEMBERS[:3], np.array([1, 8, 5], dtype=np.uint16))
+    batch.add_batch(MEMBERS[3:5], [np.int64(2), 7])
+    for element, count in zip(MEMBERS[:5], [1, 8, 5, 2, 7]):
+        scalar.add(element, count)
+    assert batch.bits.to_bytes() == scalar.bits.to_bytes()
+    assert batch.memory.stats == scalar.memory.stats
+    assert [batch.true_count(e) for e in MEMBERS[:5]] == [1, 8, 5, 2, 7]
+    assert all(type(batch.true_count(e)) is int for e in MEMBERS[:5])
 
 
 def test_counting_multiplicity_query_batch_equivalence():

@@ -147,6 +147,24 @@ class TestDispatch:
             persistence.load_target(b"NOPE" + bytes(64))
         assert issubclass(NotASnapshotError, ConfigurationError)
 
+    def test_one_mem_bf_keeps_words_per_element(self):
+        """A multi-word 1Mem-BF used to restore with one word per
+        element and answer 499 of its 500 members absent."""
+        filt = OneMemoryBloomFilter(m=8192, k=8, words_per_element=2,
+                                    family=Blake2Family(seed=7))
+        filt.add_batch(MEMBERS[:500])
+        blob = persistence.dumps(filt)
+        assert unframe(blob)[1]["words_per_element"] == 2
+        clone = persistence.load_target(blob)
+        assert clone.words_per_element == 2
+        assert clone.query_batch(MEMBERS[:500]).all()
+        assert clone.query_batch(PROBES).tolist() \
+            == filt.query_batch(PROBES).tolist()
+        assert persistence.dumps(clone) == blob
+        # one word per element stays the default, so it is never written
+        assert "words_per_element" not in unframe(
+            persistence.dumps(golden_one_mem_bf()))[1]
+
     def test_filter_header_round_trips_zero_copy(self):
         original = golden_shbf_m()
         buffer = bytearray(original.bits.to_bytes())
@@ -201,6 +219,12 @@ class TestMalformedHeaders:
                 persistence.loads(blob)
         blob = reforged(persistence.dumps(golden_one_mem_bf()),
                         lambda h: dict(h, word_bits=2 ** 40))
+        with pytest.raises(ConfigurationError, match="-byte payload"):
+            persistence.loads(blob)
+        # each field fits the payload, but their word group does not
+        blob = reforged(persistence.dumps(golden_one_mem_bf()),
+                        lambda h: dict(h, word_bits=4096,
+                                       words_per_element=4096))
         with pytest.raises(ConfigurationError, match="-byte payload"):
             persistence.loads(blob)
 
