@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro._util import ElementLike, require_positive
-from repro._vector import billed_prefix, prefix_cost_sum
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.memory import MemoryModel
 from repro.errors import ConfigurationError, UnsupportedOperationError
@@ -171,19 +170,28 @@ class BloomFilter:
     def query_batch(self, elements: Sequence[ElementLike]) -> np.ndarray:
         """Batch membership test returning a boolean array.
 
-        Each element is billed for single-bit reads up to and including
-        its first zero bit — the scalar early-exit accounting.
+        Runs the scalar early exit in survivor rounds, like
+        :func:`repro.core.membership._query_pairs_batch`: round ``j``
+        probes bit ``j`` of only the elements still alive, so each
+        element is billed single-bit reads up to and including its
+        first zero bit — the scalar early-exit accounting.
         """
-        elements = list(elements)
-        if not elements:
-            return np.zeros(0, dtype=bool)
         positions = self._family.positions_batch(elements, self._k, self._m)
-        probes = self._bits.test_bits_batch(positions, record=False)
-        billed = billed_prefix(probes)
-        costs = self.memory.read_cost_batch(positions, 1)
-        self.memory.record_reads(
-            int(billed.sum()), prefix_cost_sum(costs, billed))
-        return probes.all(axis=1)
+        rows = np.arange(len(positions))
+        memory = self.memory
+        ops = words = 0
+        for j in range(self._k):
+            probe = positions[rows, j]
+            ok = self._bits.test_bits_batch(probe, record=False)
+            ops += len(rows)
+            words += int(memory.read_cost_batch(probe, 1).sum())
+            rows = rows[ok]
+            if not len(rows):
+                break
+        memory.record_reads(ops, words)
+        verdicts = np.zeros(len(positions), dtype=bool)
+        verdicts[rows] = True
+        return verdicts
 
     def query(self, element: ElementLike) -> bool:
         """Membership test with early exit on the first zero bit.
@@ -221,11 +229,16 @@ class BloomFilter:
             )
 
     def empty_like(self) -> "BloomFilter":
-        """A fresh zero-bit filter with this filter's geometry and
-        family — :meth:`union`-compatible by construction, used to build
+        """A fresh zero-bit filter with this filter's geometry, family
+        and memory-model word size and tier —
+        :meth:`union`-compatible by construction, used to build
         incremental replication deltas (see
         :meth:`repro.core.membership.ShiftingBloomFilter.empty_like`)."""
-        return BloomFilter(m=self._m, k=self._k, family=self._family)
+        return BloomFilter(
+            m=self._m, k=self._k, family=self._family,
+            memory=MemoryModel(word_bits=self.memory.word_bits,
+                               tier=self.memory.tier),
+        )
 
     def union(self, other: "BloomFilter") -> "BloomFilter":
         """Bitwise union: represents exactly ``S1 | S2``.
@@ -235,12 +248,9 @@ class BloomFilter:
         directly — the classic BF property Summary Cache relies on.
         """
         self._check_compatible(other)
-        result = BloomFilter(m=self._m, k=self._k, family=self._family)
-        merged = bytes(
-            a | b for a, b in zip(self._bits.to_bytes(),
-                                  other._bits.to_bytes())
-        )
-        result._bits = BitArray.from_bytes(merged, self._m)
+        result = self.empty_like()
+        np.bitwise_or(self._bits.as_numpy(), other._bits.as_numpy(),
+                      out=result._bits.as_numpy())
         result._n_items = self._n_items + other._n_items
         return result
 

@@ -33,6 +33,38 @@ from repro.errors import ConfigurationError
 __all__ = ["BitArray"]
 
 
+#: Positions per :func:`_or_bits` round.  Bounds the kernel's
+#: temporaries (about 18 bytes per position) at roughly 1.2 MB for any
+#: batch size, and keeps each round's sort and gather cache-resident.
+_OR_CHUNK = 1 << 16
+
+
+def _or_bits(view: np.ndarray, positions: np.ndarray) -> None:
+    """Set bit ``p`` of the LSB-first byte buffer *view* for each *p*.
+
+    The scatter-OR under the batch write kernels.  Each chunk of
+    positions is grouped by in-byte bit with one stable argsort (a radix
+    sort for 8-bit keys), then each of the eight groups is written with
+    one fancy-indexed ``|=``.  Within a group every position ORs the
+    same mask, so a byte named twice is written the same value twice
+    and no ``np.ufunc.at`` read-modify-write is needed.  *positions* is
+    not modified: the byte indices are shifted in place on the gathered
+    copy.
+    """
+    for start in range(0, len(positions), _OR_CHUNK):
+        chunk = positions[start:start + _OR_CHUNK]
+        bit = (chunk & 7).astype(np.uint8)
+        order = np.argsort(bit, kind="stable")
+        bounds = np.searchsorted(bit[order], np.arange(9))
+        byte = chunk[order]
+        del order
+        byte >>= 3
+        for b in range(8):
+            lo, hi = bounds[b], bounds[b + 1]
+            if lo != hi:
+                view[byte[lo:hi]] |= np.uint8(1 << b)
+
+
 class BitArray:
     """A fixed-size array of bits supporting windowed access.
 
@@ -268,7 +300,8 @@ class BitArray:
     # accounting — n probes bill n ops whose word costs are computed per
     # access with ``memory.read_cost_batch`` and recorded in one call.
     # Query paths that need the scalar loops' *early-exit* billing call
-    # the kernels with ``record=False`` and bill the prefix themselves.
+    # the kernels with ``record=False`` and bill what they probed
+    # themselves.  The write kernels share one scatter-OR, :func:`_or_bits`.
 
     def as_numpy(self) -> np.ndarray:
         """Zero-copy ``uint8`` view of the backing buffer.
@@ -276,9 +309,9 @@ class BitArray:
         The backing store is a ``bytearray`` (or, for an array built by
         :meth:`attach_readonly`, a read-only ``memoryview`` over an
         external buffer); the view's writeable flag tracks the backing
-        buffer.  Do not rely on that flag alone to police writes —
-        ``np.ufunc.at`` ignores it — the batch write kernels guard with
-        :meth:`_check_writable` instead.
+        buffer.  The batch write kernels do not rely on that flag alone:
+        they refuse a read-only array with :meth:`_check_writable` before
+        touching any byte.
         """
         return np.frombuffer(self._buf, dtype=np.uint8)
 
@@ -355,10 +388,9 @@ class BitArray:
         return ((view[positions >> 3] >> (positions & 7)) & 1).astype(bool)
 
     def _check_writable(self) -> None:
-        # ``np.ufunc.at`` ignores the writeable flag (observed on numpy
-        # 2.4: it happily scribbles on a read-only view), so the batch
-        # write kernels cannot rely on NumPy to police an attached
-        # shared segment the way the scalar ops rely on memoryview.
+        # Refuse an attached shared segment up front, with the same
+        # error type as the scalar ops' memoryview, before any byte
+        # changes or any write is billed.
         if self.readonly:
             raise TypeError(
                 "BitArray is read-only (attached to an external "
@@ -374,10 +406,7 @@ class BitArray:
         if record:
             costs = self.memory.read_cost_batch(positions, 1)
             self.memory.record_writes(positions.size, int(costs.sum()))
-        view = self.as_numpy()
-        np.bitwise_or.at(
-            view, positions >> 3,
-            (np.uint8(1) << (positions & 7).astype(np.uint8)))
+        _or_bits(self.as_numpy(), positions)
 
     def set_offsets_batch(self, bases, offsets,
                           record: bool = True) -> None:
@@ -400,10 +429,7 @@ class BitArray:
             spans = np.broadcast_to(offsets.max(axis=-1) + 1, bases.shape)
             costs = self.memory.read_cost_batch(bases, spans)
             self.memory.record_writes(bases.size, int(costs.sum()))
-        view = self.as_numpy()
-        np.bitwise_or.at(
-            view, positions >> 3,
-            (np.uint8(1) << (positions & 7).astype(np.uint8)))
+        _or_bits(self.as_numpy(), positions)
 
     def read_windows_batch(self, starts, nbits: int,
                            record: bool = True) -> np.ndarray:
@@ -488,11 +514,10 @@ class BitArray:
         """Whether the backing buffer refuses writes.
 
         ``False`` for ordinary (``bytearray``-backed) arrays; ``True``
-        for arrays built by :meth:`attach_readonly`.  Write entry
-        points are not pre-checked — a write against a read-only array
-        raises at the buffer layer (``TypeError`` from the memoryview
-        for scalar ops, ``ValueError`` from NumPy for batch kernels),
-        which keeps the hot paths branch-free.
+        for arrays built by :meth:`attach_readonly`.  Scalar writes are
+        not pre-checked — they raise ``TypeError`` at the memoryview,
+        which keeps those hot paths branch-free — while the batch write
+        kernels raise the same ``TypeError`` before writing anything.
         """
         buf = self._buf
         return isinstance(buf, memoryview) and buf.readonly

@@ -27,7 +27,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import ElementLike, require_even, require_positive
-from repro._vector import billed_prefix, prefix_cost_sum
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
@@ -67,21 +66,32 @@ def _flat_pairs_batch(filt, elements):
 def _query_pairs_batch(filt, bits, elements) -> np.ndarray:
     """Shared ShBF_M batch query against *bits* (§3.2, vectorised).
 
-    Verdicts equal the scalar ``query`` element for element, and the
-    bit array's memory model is billed exactly what the scalar
-    early-exit loop would bill — each element pays for pair reads up to
-    and including its first dead pair.
+    Runs the scalar early exit in survivor rounds: round ``j`` probes
+    pair ``j`` of only the elements whose pairs ``0 .. j-1`` were all
+    set, and the batch ends as soon as no element survives.  Verdicts
+    equal the scalar ``query`` element for element, and the memory
+    model is billed the pair reads actually made — which is exactly
+    what the scalar loop bills — in one call once every round has
+    passed its bounds checks.
     """
-    elements = list(elements)
-    if not elements:
-        return np.zeros(0, dtype=bool)
-    bases, offsets = _bases_and_offsets_batch(filt, elements)
-    pairs = bits.test_pairs_batch(bases, offsets[:, None], record=False)
-    billed = billed_prefix(pairs)
-    costs = bits.memory.read_cost_batch(bases, offsets[:, None] + 1)
-    bits.memory.record_reads(
-        int(billed.sum()), prefix_cost_sum(costs, billed))
-    return pairs.all(axis=1)
+    values = filt._family.values_batch(elements, filt._half + 1)
+    offsets = filt._policy.membership_offset_batch(values[:, filt._half])
+    rows = np.arange(len(values))
+    memory = bits.memory
+    ops = words = 0
+    for j in range(filt._half):
+        bases = (values[rows, j] % filt._m).astype(np.int64)
+        ok = bits.test_pairs_batch(bases, offsets, record=False)
+        ops += len(rows)
+        words += int(memory.read_cost_batch(bases, offsets + 1).sum())
+        rows = rows[ok]
+        offsets = offsets[ok]
+        if not len(rows):
+            break
+    memory.record_reads(ops, words)
+    verdicts = np.zeros(len(values), dtype=bool)
+    verdicts[rows] = True
+    return verdicts
 
 
 class ShiftingBloomFilter:
@@ -283,15 +293,18 @@ class ShiftingBloomFilter:
 
         Same ``m``, ``k``, ``w_bar``, word size and hash family, so the
         clone is :meth:`union`-compatible with the original by
-        construction.  This is the building block for incremental
-        replication deltas: new writes are applied to an empty clone,
-        the clone is shipped, and the receiver unions it in — bits and
-        ``n_items`` both land exactly as if the writes had been applied
-        remotely.
+        construction; its memory model has the original's word size and
+        tier, with fresh counters.  This is the building block for
+        incremental replication deltas: new writes are applied to an
+        empty clone, the clone is shipped, and the receiver unions it
+        in — bits and ``n_items`` both land exactly as if the writes had
+        been applied remotely.
         """
         return ShiftingBloomFilter(
             m=self._m, k=self._k, family=self._family,
             word_bits=self._policy.word_bits, w_bar=self.w_bar,
+            memory=MemoryModel(word_bits=self.memory.word_bits,
+                               tier=self.memory.tier),
         )
 
     def union(self, other: "ShiftingBloomFilter") -> "ShiftingBloomFilter":
@@ -309,15 +322,9 @@ class ShiftingBloomFilter:
                 "filters are incompatible (m/k/w_bar/family must match): "
                 "%r vs %r" % (self, other)
             )
-        result = ShiftingBloomFilter(
-            m=self._m, k=self._k, family=self._family,
-            word_bits=self._policy.word_bits, w_bar=self.w_bar,
-        )
-        merged = bytes(
-            a | b for a, b in zip(self._bits.to_bytes(),
-                                  other._bits.to_bytes())
-        )
-        result._bits = BitArray.from_bytes(merged, self._bits.nbits)
+        result = self.empty_like()
+        np.bitwise_or(self._bits.as_numpy(), other._bits.as_numpy(),
+                      out=result._bits.as_numpy())
         result._n_items = self._n_items + other._n_items
         return result
 

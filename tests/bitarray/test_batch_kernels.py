@@ -60,6 +60,97 @@ def test_set_offsets_batch_matches_scalar(rng):
     assert batch.memory.stats == scalar.memory.stats
 
 
+# ----------------------------------------------------------------------
+# The scatter-OR under both write kernels groups positions by in-byte
+# bit and writes each group with one fancy-indexed ``|=``.  Positions
+# drawn from a few bytes make every batch duplicate-heavy: different
+# bits land in the same byte and the same bit repeats, within a group
+# and across groups.
+# ----------------------------------------------------------------------
+FEW_BYTES = st.integers(min_value=0, max_value=3).flatmap(
+    lambda lo: st.integers(min_value=lo * 8, max_value=lo * 8 + 23))
+
+
+@settings(max_examples=60, deadline=None)
+@given(positions=st.lists(FEW_BYTES, min_size=1, max_size=80),
+       preset=st.lists(FEW_BYTES, max_size=10))
+def test_property_set_bits_batch_duplicate_heavy(positions, preset):
+    batch, scalar = make_pair(nbits=64)
+    for p in preset:
+        batch.set(p, record=False)
+        scalar.set(p, record=False)
+    batch.set_bits_batch(np.array(positions))
+    for p in positions:
+        scalar.set(p)
+    assert batch.to_bytes() == scalar.to_bytes()
+    assert batch.memory.stats == scalar.memory.stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(
+    st.tuples(st.integers(min_value=0, max_value=30),
+              st.integers(min_value=0, max_value=12),
+              st.integers(min_value=0, max_value=12)),
+    min_size=1, max_size=40))
+def test_property_set_offsets_batch_duplicate_heavy(rows):
+    batch, scalar = make_pair(nbits=48, word_bits=16)
+    bases = np.array([r[0] for r in rows])
+    offsets = np.array([r[1:] for r in rows])
+    batch.set_offsets_batch(bases, offsets)
+    for base, o1, o2 in rows:
+        scalar.set_offsets(base, (o1, o2))
+    assert batch.to_bytes() == scalar.to_bytes()
+    assert batch.memory.stats == scalar.memory.stats
+
+
+@pytest.mark.parametrize("positions", [
+    pytest.param([21, 21, 18, 21, 16, 18], id="one_byte"),
+    pytest.param([15, 8, 12, 9, 14, 11, 10, 13, 8, 15], id="all_eight_bits"),
+    pytest.param([69, 64, 66, 69, 68, 65, 67, 64], id="last_byte_partial"),
+    pytest.param([71, 70, 64, 71], id="last_bit"),
+])
+def test_set_bits_batch_byte_edges(positions):
+    nbits = 70 if max(positions) < 70 else 72
+    batch, scalar = make_pair(nbits=nbits)
+    batch.set_bits_batch(positions)
+    for p in positions:
+        scalar.set(p)
+    assert batch.to_bytes() == scalar.to_bytes()
+    assert batch.memory.stats == scalar.memory.stats
+    expected = 0
+    for p in positions:
+        expected |= 1 << p
+    assert int.from_bytes(batch.to_bytes(), "little") == expected
+
+
+def test_set_bits_batch_across_scatter_chunks(rng):
+    """Batches longer than one scatter round: bytes and bits recur
+    across rounds, later rounds set bits the first one never named,
+    and the bill still counts every position."""
+    from repro.bitarray.bitarray import _OR_CHUNK
+
+    batch = BitArray(300, memory=MemoryModel(word_bits=8))
+    positions = np.concatenate([rng.integers(0, 150, _OR_CHUNK),
+                                rng.integers(100, 300, _OR_CHUNK + 5)])
+    positions[-3:] = (299, 0, 299)
+    batch.set_bits_batch(positions)
+    expected = 0
+    for p in set(positions.tolist()):
+        expected |= 1 << p
+    assert int.from_bytes(batch.to_bytes(), "little") == expected
+    assert batch.memory.stats == AccessStats(
+        write_words=len(positions), write_ops=len(positions))
+
+
+def test_set_offsets_batch_fills_every_bit_of_the_last_byte():
+    batch, scalar = make_pair(nbits=64)
+    batch.set_offsets_batch([56, 60], [0, 1, 2, 3])
+    for base in (56, 60):
+        scalar.set_offsets(base, (0, 1, 2, 3))
+    assert batch.to_bytes() == scalar.to_bytes() == bytes(7) + b"\xff"
+    assert batch.memory.stats == scalar.memory.stats
+
+
 def test_test_bits_and_pairs_batch_match_scalar(rng):
     batch, scalar = make_pair()
     filler = rng.integers(0, 700, 200)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import BloomFilter, OneMemoryBloomFilter
+from repro.bitarray import MemoryModel
 from repro.core import (
     Association,
     CountingShiftingAssociationFilter,
@@ -137,17 +138,27 @@ def test_shbf_m_batch_property(elements, k, word_bits, seed):
 # ----------------------------------------------------------------------
 # A 16-element alphabet makes generated batches adversarially
 # duplicate-heavy: the same element is inserted and queried many times
-# inside one batch, exercising the batch kernels' read-modify-write
-# aggregation (np.bitwise_or.at) and the early-exit billing under
-# repeated probes — exactly where a naive vectorisation would diverge
-# from the scalar loops.
+# inside one batch, exercising the batch kernels' scatter-OR (several
+# probes landing on the same byte in one write pass) and the survivor
+# rounds' early-exit billing under repeated probes — exactly where a
+# naive vectorisation would diverge from the scalar loops.  The
+# ``*_mem8`` / ``*_mem16`` kinds bill against a memory model narrower
+# than the offset policy's word, so a pair read costs several words
+# and the billing must count exactly the probes made.
 DUP_ELEMENTS = st.integers(min_value=0, max_value=15).map(
     lambda i: ("dup-%02d" % i).encode())
 
 GEOMETRY_KINDS = {
     "bf": lambda m, k, w, fam: BloomFilter(m=m, k=k, family=fam),
+    "bf_mem8": lambda m, k, w, fam: BloomFilter(
+        m=m, k=k, family=fam, memory=MemoryModel(word_bits=8)),
     "shbf_m": lambda m, k, w, fam: ShiftingBloomFilter(
         m=m, k=k, word_bits=w, family=fam),
+    "shbf_m_mem8": lambda m, k, w, fam: ShiftingBloomFilter(
+        m=m, k=k, word_bits=w, family=fam, memory=MemoryModel(word_bits=8)),
+    "shbf_m_mem16": lambda m, k, w, fam: ShiftingBloomFilter(
+        m=m, k=k, word_bits=w, family=fam,
+        memory=MemoryModel(word_bits=16)),
     "cshbf_m": lambda m, k, w, fam: CountingShiftingBloomFilter(
         m=m, k=k, word_bits=w, family=fam),
     "one_mem_bf": lambda m, k, w, fam: OneMemoryBloomFilter(
@@ -158,7 +169,7 @@ GEOMETRY_KINDS = {
 }
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(sorted(GEOMETRY_KINDS)),
     m=st.integers(min_value=128, max_value=4096),
@@ -189,6 +200,62 @@ def test_property_geometry_sweep_batch_equivalence(
         assert batch.counters.to_list() == scalar.counters.to_list()
     assert batch.query_batch(probes).tolist() \
         == [scalar.query(p) for p in probes]
+    assert_same_stats(batch, scalar)
+
+
+# Survivor-round edges: filters whose queries stop early, at pair (or
+# bit) reads costing one word and several words.
+EARLY_EXIT_FACTORIES = [
+    pytest.param(lambda: ShiftingBloomFilter(m=4096, k=8), id="shbf_m"),
+    pytest.param(lambda: ShiftingBloomFilter(
+        m=4096, k=8, memory=MemoryModel(word_bits=8)), id="shbf_m_mem8"),
+    pytest.param(lambda: ShiftingBloomFilter(
+        m=4096, k=8, word_bits=32, memory=MemoryModel(word_bits=16)),
+        id="shbf_m_w32_mem16"),
+    pytest.param(lambda: CountingShiftingBloomFilter(
+        m=4096, k=8, sram=MemoryModel(word_bits=8)), id="cshbf_m_mem8"),
+    pytest.param(lambda: BloomFilter(
+        m=4096, k=7, memory=MemoryModel(word_bits=8)), id="bf_mem8"),
+]
+
+
+def probes_per_query(structure):
+    return structure.k if isinstance(structure, BloomFilter) \
+        else structure.k // 2
+
+
+@pytest.mark.parametrize("make", EARLY_EXIT_FACTORIES)
+def test_early_exit_edge_batches(make):
+    batch, scalar = make(), make()
+    # All absent against an empty filter: every element dies in round
+    # one, so the batch bills exactly one probe per element.
+    assert not batch.query_batch(ABSENT).any()
+    assert batch.memory.stats.read_ops == len(ABSENT)
+    assert not any(scalar.query(e) for e in ABSENT)
+    assert_same_stats(batch, scalar)
+
+    # All members: every element survives every round.
+    batch.add_batch(MEMBERS)
+    for element in MEMBERS:
+        scalar.add(element)
+    before = batch.memory.snapshot()
+    assert batch.query_batch(MEMBERS).all()
+    spent = batch.memory.stats.diff(before)
+    assert spent.read_ops == len(MEMBERS) * probes_per_query(batch)
+    if batch.memory.word_bits == 8 and not isinstance(batch, BloomFilter):
+        assert spent.read_words > spent.read_ops   # multi-word pair reads
+    assert all(scalar.query(e) for e in MEMBERS)
+    assert_same_stats(batch, scalar)
+
+    # Empty batches, list or generator, bill nothing.
+    before = batch.memory.snapshot()
+    assert batch.query_batch([]).shape == (0,)
+    assert batch.query_batch(e for e in ()).shape == (0,)
+    assert batch.memory.stats == before
+
+    # Generator input answers and bills like a list.
+    verdicts = batch.query_batch(e for e in MIXED)
+    assert verdicts.tolist() == [scalar.query(e) for e in MIXED]
     assert_same_stats(batch, scalar)
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro import persistence
 from repro.baselines import BloomFilter, OneMemoryBloomFilter
+from repro.bitarray import AccessStats, MemoryModel
 from repro.core import ShiftingBloomFilter
 from repro.errors import ConfigurationError
 from repro.hashing import Blake2Family, FNV1aFamily
@@ -99,6 +100,40 @@ class TestUnion:
         b.update(right)
         direct.update(left + right)
         assert a.union(b).bits.to_bytes() == direct.bits.to_bytes()
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda fam: ShiftingBloomFilter(
+            m=4096, k=8, word_bits=32, family=fam), id="shbf_m_w32"),
+        pytest.param(lambda fam: ShiftingBloomFilter(
+            m=4096, k=8, family=fam,
+            memory=MemoryModel(word_bits=16, tier="dram")),
+            id="shbf_m_mem16_dram"),
+        pytest.param(lambda fam: BloomFilter(
+            m=4096, k=6, family=fam,
+            memory=MemoryModel(word_bits=32, tier="dram")),
+            id="bf_mem32_dram"),
+    ])
+    def test_union_keeps_the_memory_model(self, make):
+        """The union bills in the sources' word size and tier, exactly
+        like a filter built from both sets directly."""
+        family = Blake2Family(seed=5)
+        a, b, direct = make(family), make(family), make(family)
+        left = make_elements(80, "left")
+        right = make_elements(80, "right")
+        a.add_batch(left)
+        b.add_batch(right)
+        direct.add_batch(left + right)
+        merged = a.union(b)
+        assert merged.memory.word_bits == a.memory.word_bits
+        assert merged.memory.tier == a.memory.tier
+        assert merged.memory.stats == AccessStats()
+        assert merged.bits.to_bytes() == direct.bits.to_bytes()
+        assert merged.n_items == direct.n_items
+        probes = left + make_elements(200, "probe")
+        direct.memory.reset()
+        assert merged.query_batch(probes).tolist() \
+            == direct.query_batch(probes).tolist()
+        assert merged.memory.stats == direct.memory.stats
 
     def test_incompatible_geometry_rejected(self):
         with pytest.raises(ConfigurationError):
