@@ -28,6 +28,7 @@ import sys
 from repro.chaos.drill import DrillConfig, run_drill
 from repro.chaos.faults import FaultSchedule
 from repro.chaos.proxy import ChaosProxy
+from repro.cli import add_store_args, add_timeout_args, from_args, run
 from repro.replication.failover import parse_endpoint
 
 
@@ -52,14 +53,7 @@ async def _serve(args: argparse.Namespace) -> int:
 async def _drill(args: argparse.Namespace) -> int:
     faults = (FaultSchedule.parse(args.fault, seed=args.seed)
               if args.fault else None)
-    config = DrillConfig(
-        n=args.n, per_batch=args.per_batch, seed=args.seed,
-        op_timeout=args.op_timeout,
-        connect_timeout=args.connect_timeout,
-        failover_budget=args.failover_budget,
-        shards=args.shards, m=args.m, k=args.k,
-        max_passes=args.max_passes, faults=faults)
-    report = await run_drill(config)
+    report = await run_drill(from_args(DrillConfig, args, faults=faults))
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -112,18 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="members written over the drill")
     drill.add_argument("--per-batch", type=int, default=40)
     drill.add_argument("--seed", type=int, default=7)
-    drill.add_argument("--op-timeout", type=float, default=0.75,
-                       help="per-attempt client deadline in seconds")
-    drill.add_argument("--connect-timeout", type=float, default=0.5)
+    add_timeout_args(drill)
     drill.add_argument("--failover-budget", type=float, default=3.0,
                        help="extra seconds an op may spend failing "
                             "over before the hang invariant trips")
     drill.add_argument("--max-passes", type=int, default=3,
                        help="client endpoint walks per op")
-    drill.add_argument("--shards", type=int, default=4)
-    drill.add_argument("--m", type=int, default=16384,
-                       help="bits per shard filter")
-    drill.add_argument("--k", type=int, default=8)
+    add_store_args(drill, family=False)
+    drill.set_defaults(op_timeout=0.75, connect_timeout=0.5, m=16384)
     drill.add_argument("--fault", action="append", default=[],
                        metavar="KIND:K=V,...",
                        help="override the default schedule "
@@ -134,12 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    runner = {"serve": _serve, "drill": _drill}[args.command]
-    try:
-        return asyncio.run(runner(args))
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 130
+    return run(build_parser().parse_args(argv),
+               {"serve": _serve, "drill": _drill})
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ injects the scripted faults.  After the run, three invariants are
 checked mechanically:
 
 * **zero wrong verdicts** — every query answer matches a fault-free
-  reference replay of the same seeded sequence on an identically
-  constructed local store (bit-identical by construction, so even
-  false positives must agree);
+  reference replay of the same seeded sequence on a local store built
+  from the same :class:`~repro.store.StoreSpec` (bit-identical by
+  construction, so even false positives must agree);
 * **zero duplicate-applied writes** — the primary's ``n_items`` equals
   the reference store's, proving that every write retried across a
   reset or failover was applied exactly once by the idempotency
@@ -28,7 +28,6 @@ smoke job dump it verbatim).
 
 from __future__ import annotations
 
-import asyncio
 import random
 import time
 from dataclasses import dataclass, field
@@ -38,7 +37,6 @@ import numpy as np
 
 from repro.chaos.faults import FaultSchedule, default_drill_schedule
 from repro.chaos.proxy import ChaosProxy
-from repro.core.membership import ShiftingBloomFilter
 from repro.obs.metrics import Histogram
 from repro.replication.failover import FailoverClient
 from repro.replication.replicator import (
@@ -47,7 +45,7 @@ from repro.replication.replicator import (
 )
 from repro.retry import BackoffPolicy
 from repro.service.server import FilterService
-from repro.store.sharded import ShardedFilterStore
+from repro.store.spec import StoreSpec
 from repro.workloads.chaos import build_chaos_workload
 
 __all__ = ["DrillConfig", "run_drill"]
@@ -92,10 +90,11 @@ class DrillConfig:
         return (self.faults if self.faults is not None
                 else default_drill_schedule(seed=self.seed))
 
-    def make_store(self) -> ShardedFilterStore:
-        return ShardedFilterStore(
-            lambda shard: ShiftingBloomFilter(m=self.m, k=self.k),
-            n_shards=self.shards)
+    @property
+    def store(self) -> StoreSpec:
+        """The spec the primary, standby and reference are built from
+        (the serving default family, like every other serving path)."""
+        return StoreSpec(shards=self.shards, m=self.m, k=self.k)
 
     def as_dict(self) -> dict:
         return {
@@ -123,13 +122,13 @@ async def run_drill(config: DrillConfig = DrillConfig()) -> dict:
     # the same seeded sequence locally.  Bit-identical to the primary
     # (and, after each ship, the standby), so verdicts must agree
     # exactly — false positives included.
-    reference = config.make_store()
+    reference = config.store.build()
 
-    standby_service = FilterService(config.make_store())
+    standby_service = FilterService(config.store.build())
     standby_server = await standby_service.start(port=0)
     standby_port = standby_server.sockets[0].getsockname()[1]
 
-    primary_service = FilterService(config.make_store())
+    primary_service = FilterService(config.store.build())
     repl = ReplicatedFilterService(
         primary_service, ReplicationConfig(interval_ms=3_600_000))
     primary_server = await repl.start(port=0)
@@ -219,8 +218,3 @@ async def run_drill(config: DrillConfig = DrillConfig()) -> dict:
         },
         "proxy": proxy.report(),
     }
-
-
-def run_drill_sync(config: DrillConfig = DrillConfig()) -> dict:
-    """:func:`run_drill` from synchronous code (CLI, benchmarks)."""
-    return asyncio.run(run_drill(config))

@@ -28,10 +28,22 @@ does exactly that across real processes).
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 
+from repro.cli import (
+    add_coalescer_args,
+    add_family_arg,
+    add_preload_args,
+    add_store_args,
+    add_timeout_args,
+    add_trace_log_arg,
+    coalescer_from_args,
+    from_args,
+    run,
+    spec_from_args,
+    tracer_from_args,
+)
 from repro.cluster.coordinator import (
     cluster_status,
     fetch_live_map,
@@ -40,15 +52,12 @@ from repro.cluster.coordinator import (
 from repro.cluster.drill import ClusterDrillConfig, run_cluster_drill
 from repro.cluster.node import ClusterState
 from repro.cluster.shardmap import ShardMap, bootstrap_map
-from repro.core import ShiftingAssociationFilter, ShiftingBloomFilter
 from repro.errors import ReproError
-from repro.hashing.family import FAMILY_KINDS, make_family
-from repro.obs.tracing import Tracer
 from repro.replication.failover import parse_endpoint
-from repro.service.__main__ import open_trace_log
-from repro.service.server import CoalescerConfig, FilterService
+from repro.service.server import FilterService
 from repro.store.router import DEFAULT_ROUTER_SEED
 from repro.store.sharded import ShardedFilterStore
+from repro.store.spec import STRUCTURES
 from repro.workloads.service import build_service_workload
 from repro.workloads.sharded import partition_by_shard
 
@@ -77,37 +86,22 @@ def _bootstrap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_node_store(args: argparse.Namespace,
-                      shard_map: ShardMap) -> ShardedFilterStore:
-    """A full-width store for one node, preloaded on owned shards only."""
-    probe_family = make_family(args.family, seed=0)
-    if args.structure == "association":
-        factory = lambda shard: ShiftingAssociationFilter(  # noqa: E731
-            m=args.m, k=args.k, family=probe_family)
-    else:
-        factory = lambda shard: ShiftingBloomFilter(  # noqa: E731
-            m=args.m, k=args.k, family=probe_family)
-    store = ShardedFilterStore(
-        factory, n_shards=shard_map.n_shards,
-        router=shard_map.make_router())
-    if args.preload > 0:
-        owned = set(shard_map.shards_of(args.self))
-        workload = build_service_workload(args.preload, seed=args.seed)
-        members = list(workload.members)
-        parts = partition_by_shard(members, store.router)
+def _preload_owned(store: ShardedFilterStore, args: argparse.Namespace,
+                   owned) -> None:
+    """Insert the slice of the seeded catalog routing to *owned* shards."""
+    members = list(build_service_workload(
+        args.preload, seed=args.seed).members)
+    parts = partition_by_shard(members, store.router)
+    # Association shards alternate members between the two sets so
+    # QUERY_MULTI exercises every answer region.
+    in_second = set(members[::2])
+    for shard_id in owned:
+        part = parts[shard_id]
         if args.structure == "association":
-            # Alternate members between the two sets so QUERY_MULTI
-            # exercises every answer region.
-            in_second = set(members[::2])
-            for shard_id in owned:
-                part = parts[shard_id]
-                store.shards[shard_id].build_batch(
-                    part, [e for e in part if e in in_second])
-        else:
-            for shard_id in owned:
-                if parts[shard_id]:
-                    store.shards[shard_id].add_batch(parts[shard_id])
-    return store
+            store.shards[shard_id].build_batch(
+                part, [e for e in part if e in in_second])
+        elif part:
+            store.shards[shard_id].add_batch(part)
 
 
 async def _serve(args: argparse.Namespace) -> int:
@@ -118,19 +112,17 @@ async def _serve(args: argparse.Namespace) -> int:
               "an empty node awaiting its first migration"
               % (args.self, args.map), file=sys.stderr)
         return 2
-    if args.family != shard_map.router_family:
-        # One spec rules the fleet: the map's. A mismatched flag here
-        # would build shards the cluster cannot migrate onto.
-        args.family = shard_map.router_family
-    store = _build_node_store(args, shard_map)
-    trace_sink = open_trace_log(args.trace_log)
-    tracer = (Tracer(component="node:%s" % args.self, sink=trace_sink)
-              if trace_sink is not None else None)
-    service = FilterService(store, CoalescerConfig(
-        max_batch=args.max_batch,
-        max_delay_us=args.max_delay_us,
-        max_inflight=args.max_inflight,
-    ), tracer=tracer)
+    # One spec rules the fleet: every node takes its shard count and
+    # probe family from the map, so shards migrate between nodes as-is.
+    store = spec_from_args(
+        args, shards=shard_map.n_shards,
+        family=shard_map.router_family,
+    ).build(router=shard_map.make_router())
+    if args.preload > 0:
+        _preload_owned(store, args, shard_map.shards_of(args.self))
+    service = FilterService(
+        store, coalescer_from_args(args),
+        tracer=tracer_from_args(args, "node:%s" % args.self))
     ClusterState(shard_map, args.self).attach(service)
     host, port = parse_endpoint(args.self)
     server = await service.start(host, port)
@@ -181,21 +173,11 @@ def _drill(args: argparse.Namespace) -> int:
     endpoints = None
     if args.external:
         endpoints = _read_map(args.map).nodes()
-    config = ClusterDrillConfig(
-        n_nodes=args.nodes,
-        n_shards=args.shards,
-        m=args.m,
-        k=args.k,
-        family=args.family,
-        n_members=args.members,
-        n_ops=args.ops,
-        per_request=args.per_request,
-        write_fraction=args.write_fraction,
+    config = from_args(
+        ClusterDrillConfig, args, n_nodes=args.nodes, n_shards=args.shards,
+        n_members=args.members, n_ops=args.ops,
         migrate_after_ops=args.migrate_after,
-        stall_budget_s=args.stall_budget,
-        seed=args.seed,
-        endpoints=endpoints,
-    )
+        stall_budget_s=args.stall_budget, endpoints=endpoints)
     report = run_cluster_drill(config)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
@@ -213,13 +195,6 @@ def _drill(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-def _add_timeout_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--op-timeout", type=float, default=30.0,
-                        help="per-request deadline in seconds")
-    parser.add_argument("--connect-timeout", type=float, default=5.0,
-                        help="TCP connect bound in seconds")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster", description=__doc__,
@@ -235,9 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     boot.add_argument("--router-seed", type=int,
                       default=DEFAULT_ROUTER_SEED,
                       help="cluster-wide routing seed pinned in the map")
-    boot.add_argument("--family", default="vector64",
-                      choices=sorted(FAMILY_KINDS),
-                      help="routing hash-family kind pinned in the map")
+    add_family_arg(boot, help="hash-family kind pinned in the map: the "
+                              "routing hash and every node's probe hash")
     boot.add_argument("--output", default="",
                       help="map file path (prints to stdout if omitted)")
 
@@ -250,33 +224,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="allow serving with zero owned shards "
                             "(a fresh node awaiting a migration)")
     serve.add_argument("--structure", default="membership",
-                       choices=("membership", "association"),
+                       choices=tuple(STRUCTURES),
                        help="shard filter type: ShBF_M membership or "
                             "ShBF_A association (QUERY_MULTI)")
-    serve.add_argument("--m", type=int, default=262144,
-                       help="bits per shard filter")
-    serve.add_argument("--k", type=int, default=8)
-    serve.add_argument("--family", default="vector64",
-                       choices=sorted(FAMILY_KINDS),
-                       help="probe-hash family for the shard filters "
-                            "(overridden by the map's routing family)")
-    serve.add_argument("--preload", type=int, default=0,
-                       help="seeded catalog size; this node inserts "
-                            "only the slice routing to its owned shards")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--max-batch", type=int, default=512,
-                       help="coalescer flush threshold; 1 = uncoalesced")
-    serve.add_argument("--max-delay-us", type=int, default=200)
-    serve.add_argument("--max-inflight", type=int, default=1024)
-    serve.add_argument("--trace-log", default="",
-                       help="append JSON span records of traced "
-                            "requests to this file (read back with "
-                            "python -m repro.obs tail)")
+    # Shard count and family come from the map.
+    add_store_args(serve, shards=False, family=False)
+    add_preload_args(serve)
+    add_coalescer_args(serve)
+    add_trace_log_arg(serve)
 
     status = sub.add_parser(
         "status", help="per-node STATS across the map")
     status.add_argument("--map", required=True)
-    _add_timeout_args(status)
+    add_timeout_args(status)
 
     reshard = sub.add_parser(
         "reshard", help="migrate one shard live to a new owner")
@@ -290,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     reshard.add_argument("--catchup-rounds", type=int, default=8,
                          help="pre-flip journal drain rounds before "
                               "flipping ownership regardless")
-    _add_timeout_args(reshard)
+    add_timeout_args(reshard)
 
     drill = sub.add_parser(
         "drill", help="seeded migration drill with invariant checks")
@@ -301,12 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="map file naming the external nodes")
     drill.add_argument("--nodes", type=int, default=3,
                        help="in-process node count")
-    drill.add_argument("--shards", type=int, default=8)
-    drill.add_argument("--m", type=int, default=1 << 15,
-                       help="bits per shard filter")
-    drill.add_argument("--k", type=int, default=4)
-    drill.add_argument("--family", default="vector64",
-                       choices=sorted(FAMILY_KINDS))
+    add_store_args(drill)
+    drill.set_defaults(shards=8, m=1 << 15, k=4)
     drill.add_argument("--members", type=int, default=3000,
                        help="catalog size (half preloaded, half "
                             "written live during the drill)")
@@ -330,15 +286,9 @@ def main(argv=None) -> int:
     if args.command == "drill" and args.external and not args.map:
         build_parser().error("--external requires --map")
     try:
-        if args.command == "bootstrap":
-            return _bootstrap(args)
-        if args.command == "drill":
-            return _drill(args)
-        runner = {"serve": _serve, "status": _status,
-                  "reshard": _reshard}[args.command]
-        return asyncio.run(runner(args))
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 130
+        return run(args, {
+            "bootstrap": _bootstrap, "serve": _serve, "status": _status,
+            "reshard": _reshard, "drill": _drill})
     except ReproError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -5,8 +5,10 @@ cluster (in-process nodes on ephemeral ports, or external processes via
 ``endpoints``), drives a continuous read+write stream through a
 :class:`~repro.cluster.client.ClusterClient`, migrates a hot shard
 *while the stream runs*, and replays every applied write into a
-fault-free single-node reference store built from the same routing spec
-and filter geometry.  Because cluster and reference hash identically,
+fault-free single-node reference store built from the same
+:class:`~repro.store.StoreSpec` as the nodes: the map's shard count,
+router and family, and the filter geometry one node's SNAPSHOT header
+declares.  Because cluster and reference hash identically,
 every verdict — false positives included — must match **bit for bit**;
 any divergence is a real protocol bug, not noise.
 
@@ -31,18 +33,18 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import persistence
 from repro.cluster.client import ClusterClient
 from repro.cluster.coordinator import fetch_live_map, migrate_shard
 from repro.cluster.node import ClusterState
 from repro.cluster.shardmap import ShardMap, bootstrap_map
-from repro.core import ShiftingBloomFilter
 from repro.errors import ConfigurationError
-from repro.hashing.family import make_family
+from repro.hashing.family import SERVING_FAMILY
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
@@ -50,7 +52,7 @@ from repro.replication.failover import parse_endpoint
 from repro.service.client import ServiceClient
 from repro.service.server import CoalescerConfig, FilterService
 from repro.store.router import DEFAULT_ROUTER_SEED
-from repro.store.sharded import ShardedFilterStore
+from repro.store.spec import StoreSpec
 from repro.workloads.service import build_service_workload, chop_requests
 
 __all__ = [
@@ -67,11 +69,10 @@ class ClusterDrillConfig:
     """Everything a drill run depends on, seeded and explicit.
 
     Attributes:
-        n_nodes / n_shards: cluster geometry (ignored when external
-            ``endpoints`` are given — the live map decides).
-        m / k: per-shard ShBF_M geometry; the reference store reuses it.
-        family: probe-hash family kind for the shard filters *and* the
-            router (the map pins the router side).
+        n_nodes / n_shards / m / k / family: the in-process cluster's
+            shape, per-shard ShBF_M geometry and hash family (router and
+            probe side).  Ignored when external ``endpoints`` are given:
+            the reference store then takes them from the live fleet.
         n_members: catalog size; half is preloaded, half written live.
         n_ops: request batches driven during the drill.
         per_request: elements per batch.
@@ -88,7 +89,7 @@ class ClusterDrillConfig:
     n_shards: int = 8
     m: int = 1 << 15
     k: int = 4
-    family: str = "vector64"
+    family: str = SERVING_FAMILY
     router_seed: int = DEFAULT_ROUTER_SEED
     n_members: int = 3000
     n_ops: int = 80
@@ -135,18 +136,6 @@ class LocalCluster:
             service.abort_connections()
 
 
-def _make_store(config: ClusterDrillConfig,
-                shard_map: ShardMap) -> ShardedFilterStore:
-    """A full-width store matching the drill geometry and map routing."""
-    probe_family = make_family(config.family, seed=0)
-    return ShardedFilterStore(
-        lambda shard: ShiftingBloomFilter(
-            m=config.m, k=config.k, family=probe_family),
-        n_shards=shard_map.n_shards,
-        router=shard_map.make_router(),
-    )
-
-
 async def start_local_cluster(
     config: ClusterDrillConfig,
     coalescer: Optional[CoalescerConfig] = None,
@@ -168,8 +157,10 @@ async def start_local_cluster(
     prototype = bootstrap_map(
         config.n_shards, ["127.0.0.1:1"],
         router_seed=config.router_seed, router_family=config.family)
+    spec = StoreSpec(shards=config.n_shards, m=config.m, k=config.k,
+                     family=config.family)
     for _ in range(config.n_nodes):
-        store = _make_store(config, prototype)
+        store = spec.build(router=prototype.make_router())
         service = FilterService(target=store, config=coalescer)
         server = await service.start("127.0.0.1", 0)
         services.append(service)
@@ -213,6 +204,31 @@ async def _fetch_map(endpoints: Sequence[str]) -> ShardMap:
         "no external endpoints given")
 
 
+async def _fleet_spec(shard_map: ShardMap) -> StoreSpec:
+    """The spec the nodes were built from: shard count and family from
+    the map, ``m`` and ``k`` from the first node's SNAPSHOT header.
+
+    Raises:
+        ConfigurationError: when no spec rebuilds that node's filters
+            (another ``w_bar``, say), so no reference could agree.
+    """
+    host, port = parse_endpoint(shard_map.nodes()[0])
+    conn = await ServiceClient.connect(host, port)
+    try:
+        node = persistence.load_target(await conn.snapshot()).shards[0]
+    finally:
+        await conn.close()
+    spec = StoreSpec(shards=shard_map.n_shards, m=node.m, k=node.k,
+                     family=shard_map.router_family)
+    header = {**persistence.filter_header(node), "n_items": 0}
+    if persistence.filter_header(
+            replace(spec, shards=0).build()) != header:
+        raise ConfigurationError(
+            "no StoreSpec builds the filters of node %s: %r"
+            % (shard_map.nodes()[0], header))
+    return spec
+
+
 def _pick_migration(shard_map: ShardMap,
                     members: Sequence[bytes]) -> Tuple[int, str]:
     """The hottest shard (by member load) and its destination node.
@@ -252,7 +268,8 @@ async def run_cluster_drill_async(
         shard_map = await _fetch_map(config.endpoints)
         mode = "external"
 
-    reference = _make_store(config, shard_map)
+    spec = await _fleet_spec(shard_map)
+    reference = spec.build(router=shard_map.make_router())
     workload = build_service_workload(config.n_members, seed=config.seed)
     members = list(workload.members)
     absent = list(workload.absent)
@@ -400,9 +417,9 @@ async def run_cluster_drill_async(
             "mode": mode,
             "n_nodes": (len(shard_map.nodes())),
             "n_shards": shard_map.n_shards,
-            "m": config.m,
-            "k": config.k,
-            "family": config.family,
+            "m": spec.m,
+            "k": spec.k,
+            "family": spec.family,
             "n_members": config.n_members,
             "n_ops": config.n_ops,
             "per_request": config.per_request,

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.hashing.family import SERVING_FAMILY
 from repro.replication.failover import parse_endpoint
 from repro.store.router import DEFAULT_ROUTER_SEED, ShardRouter
 
@@ -64,7 +65,7 @@ class ShardMap:
     epoch: int
     assignments: Tuple[str, ...]
     router_seed: int = DEFAULT_ROUTER_SEED
-    router_family: str = "vector64"
+    router_family: str = SERVING_FAMILY
 
     def __post_init__(self) -> None:
         if self.epoch < 1:
@@ -206,7 +207,7 @@ def bootstrap_map(
     n_shards: int,
     endpoints: Sequence[str],
     router_seed: int = DEFAULT_ROUTER_SEED,
-    router_family: str = "vector64",
+    router_family: str = SERVING_FAMILY,
 ) -> ShardMap:
     """An epoch-1 map distributing *n_shards* round-robin over nodes.
 

@@ -35,6 +35,7 @@ from repro.hashing.blake import Blake2Family
 from repro.hashing.double_hashing import DoubleHashingFamily
 from repro.hashing.family import (
     FAMILY_KINDS,
+    SERVING_FAMILY,
     HashFamily,
     default_family,
     family_spec,
@@ -74,6 +75,7 @@ __all__ = [
     "HashFamily",
     "IndependenceReport",
     "Murmur3Family",
+    "SERVING_FAMILY",
     "UniformityReport",
     "VectorizedFamily",
     "XXHash64Family",

@@ -27,6 +27,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "FAMILY_KINDS",
     "HashFamily",
+    "SERVING_FAMILY",
     "default_family",
     "family_spec",
     "make_family",
@@ -160,6 +161,12 @@ FAMILY_KINDS = (
     "fnv1a-64",
     "xxh64",
 )
+
+#: The family every serving path defaults to: the store spec, the shard
+#: router and map, the drills and every serving CLI.  The vetted
+#: vectorised mixers; the library's :func:`default_family` stays BLAKE2b
+#: for the paper-figure experiments.
+SERVING_FAMILY = "vector64"
 
 
 def _builders():

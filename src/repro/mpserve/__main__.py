@@ -20,6 +20,15 @@ import asyncio
 import signal
 import sys
 
+from repro.cli import (
+    add_coalescer_args,
+    add_endpoint_args,
+    add_preload_args,
+    add_store_args,
+    coalescer_from_args,
+    from_args,
+    spec_from_args,
+)
 from repro.mpserve.segments import purge_segments
 from repro.mpserve.supervisor import (
     MultiWorkerSupervisor,
@@ -27,27 +36,6 @@ from repro.mpserve.supervisor import (
 )
 
 __all__ = ["build_parser", "main", "run_supervisor"]
-
-
-def config_from_args(args: argparse.Namespace) -> SupervisorConfig:
-    return SupervisorConfig(
-        workers=args.workers,
-        host=args.host,
-        port=args.port,
-        control_port=args.control_port,
-        writer_port=args.writer_port,
-        shards=args.shards,
-        m=args.m,
-        k=args.k,
-        family=args.family,
-        max_batch=args.max_batch,
-        max_delay_us=args.max_delay_us,
-        max_inflight=args.max_inflight,
-        publish_interval_ms=args.publish_interval_ms,
-        preload=args.preload,
-        seed=args.seed,
-        fd_passing=args.fd_passing,
-    )
 
 
 async def run_supervisor(config: SupervisorConfig) -> int:
@@ -88,30 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", help="run a supervisor + writer + N read workers")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="shared serve port (0 picks a free one)")
+    add_endpoint_args(serve)
+    serve.set_defaults(port=0)
     serve.add_argument("--control-port", type=int, default=0,
                        help="supervisor PING/STATS/METRICS port")
     serve.add_argument("--writer-port", type=int, default=0,
                        help="stable writer port (0 picks a free one)")
     serve.add_argument("--workers", type=int, default=2,
                        help="number of read worker processes")
-    serve.add_argument("--shards", type=int, default=4,
-                       help="hosted store shards (0: one plain filter)")
-    serve.add_argument("--m", type=int, default=262144,
-                       help="bits per shard filter")
-    serve.add_argument("--k", type=int, default=8)
-    serve.add_argument("--family", default="vector64",
-                       help="probe hash family kind")
-    serve.add_argument("--max-batch", type=int, default=512)
-    serve.add_argument("--max-delay-us", type=int, default=200)
-    serve.add_argument("--max-inflight", type=int, default=1024)
+    add_store_args(serve)
+    add_coalescer_args(serve)
     serve.add_argument("--publish-interval-ms", type=float, default=25.0,
                        help="min spacing between generation publishes")
-    serve.add_argument("--preload", type=int, default=0,
-                       help="preload N workload members into the store")
-    serve.add_argument("--seed", type=int, default=0)
+    add_preload_args(serve)
     serve.add_argument("--fd-passing", action="store_true",
                        help="parent-acceptor fallback instead of "
                             "SO_REUSEPORT (the supervisor binds the "
@@ -128,7 +105,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "serve":
         try:
-            return asyncio.run(run_supervisor(config_from_args(args)))
+            return asyncio.run(run_supervisor(from_args(
+                SupervisorConfig, args, store=spec_from_args(args),
+                coalescer=coalescer_from_args(args))))
         except KeyboardInterrupt:
             return 0
     if args.command == "purge":

@@ -35,10 +35,14 @@ import json
 import multiprocessing
 import secrets
 import socket
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.errors import ProtocolError, UnsupportedOperationError
+from repro.errors import (
+    ConfigurationError,
+    ProtocolError,
+    UnsupportedOperationError,
+)
 from repro.obs import MetricsRegistry
 from repro.obs import names as metric_names
 from repro.mpserve.segments import GenerationReader, purge_segments
@@ -46,6 +50,8 @@ from repro.mpserve.worker import worker_main
 from repro.mpserve.writer import writer_main
 from repro.service import protocol
 from repro.service.client import ServiceClient
+from repro.service.server import CoalescerConfig
+from repro.store.spec import StoreSpec
 
 __all__ = ["SupervisorConfig", "MultiWorkerSupervisor"]
 
@@ -63,7 +69,9 @@ class SupervisorConfig:
 
     ``port``/``writer_port``/``control_port`` of 0 mean "pick a free
     one" — read the resolved values back from the supervisor after
-    :meth:`MultiWorkerSupervisor.start`.
+    :meth:`MultiWorkerSupervisor.start`.  The writer builds its store
+    from ``store``; the writer and every worker serve with the whole
+    ``coalescer`` config.
     """
 
     workers: int = 2
@@ -71,13 +79,8 @@ class SupervisorConfig:
     port: int = 0
     control_port: int = 0
     writer_port: int = 0
-    shards: int = 4
-    m: int = 262144
-    k: int = 8
-    family: str = "vector64"
-    max_batch: int = 512
-    max_delay_us: int = 200
-    max_inflight: int = 1024
+    store: StoreSpec = StoreSpec()
+    coalescer: CoalescerConfig = CoalescerConfig()
     publish_interval_ms: float = 25.0
     preload: int = 0
     seed: int = 0
@@ -90,17 +93,13 @@ class SupervisorConfig:
             raise ProtocolError(
                 "a fleet needs at least one read worker, got %d"
                 % self.workers)
-
-    def coalescer_dict(self) -> dict:
-        return {
-            "max_batch": self.max_batch,
-            "max_delay_us": self.max_delay_us,
-            "max_inflight": self.max_inflight,
-        }
-
-    def store_dict(self) -> dict:
-        return {"shards": self.shards, "m": self.m, "k": self.k,
-                "family_kind": self.family}
+        if (self.store.generations > 0
+                or self.store.structure != "membership"):
+            # Published generations hold ShBF_M bits in shared memory;
+            # a TTL ring or ShBF_A shards have no such image.
+            raise ConfigurationError(
+                "mpserve hosts ShBF_M shards without generations, got %r"
+                % (self.store,))
 
 
 class _Child:
@@ -202,10 +201,7 @@ class MultiWorkerSupervisor:
         self._writer.conn = parent_conn
         self._writer.process = self._ctx.Process(
             target=writer_main,
-            args=(self.base_name, config.host, self.writer_port,
-                  config.store_dict(), config.coalescer_dict(),
-                  config.publish_interval_ms, config.preload,
-                  config.seed, child_conn),
+            args=(self.base_name, self.writer_port, config, child_conn),
             daemon=True)
         self._writer.process.start()
         child_conn.close()
@@ -218,10 +214,8 @@ class MultiWorkerSupervisor:
         child.conn = parent_conn
         child.process = self._ctx.Process(
             target=worker_main,
-            args=(child.worker_id, self.base_name, config.host,
-                  self.serve_port, config.host, self.writer_port,
-                  config.coalescer_dict(), child_conn,
-                  config.fd_passing),
+            args=(child.worker_id, self.base_name, config,
+                  self.serve_port, self.writer_port, child_conn),
             daemon=True)
         child.process.start()
         child_conn.close()

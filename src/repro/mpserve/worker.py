@@ -223,18 +223,17 @@ def _bind_reuseport(host: str, port: int) -> socket.socket:
     return sock
 
 
-async def _worker_async(worker_id: int, base_name: str, host: str,
-                        port: int, writer_host: str, writer_port: int,
-                        coalescer: dict, conn, fd_passing: bool) -> None:
+async def _worker_async(worker_id: int, base_name: str, config,
+                        port: int, writer_port: int, conn) -> None:
     registry = MetricsRegistry()
     reader = GenerationReader(base_name, metrics=registry)
     reader.connect(timeout_s=30.0)
     attached = reader.attach()
     service = ReadWorkerService(
-        attached, reader, writer_host, writer_port,
-        config=CoalescerConfig(**coalescer), metrics=registry,
+        attached, reader, config.host, writer_port,
+        config=config.coalescer, metrics=registry,
         worker_id=worker_id)
-    if fd_passing:
+    if config.fd_passing:
         from multiprocessing.reduction import recv_handle
 
         listen_sock = socket.socket(fileno=recv_handle(conn))
@@ -242,25 +241,26 @@ async def _worker_async(worker_id: int, base_name: str, host: str,
         server = await asyncio.start_server(
             service.handle_connection, sock=listen_sock)
     else:
-        sock = _bind_reuseport(host, port)
+        sock = _bind_reuseport(config.host, port)
         sock.setblocking(False)
         server = await asyncio.start_server(
             service.handle_connection, sock=sock)
     admin_server = await asyncio.start_server(
-        service.handle_connection, host=host, port=0)
+        service.handle_connection, host=config.host, port=0)
     admin_port = admin_server.sockets[0].getsockname()[1]
     conn.send(("ready", worker_id, admin_port))
     async with server, admin_server:
         await server.serve_forever()
 
 
-def worker_main(worker_id: int, base_name: str, host: str, port: int,
-                writer_host: str, writer_port: int, coalescer: dict,
-                conn, fd_passing: bool = False) -> None:
-    """Spawn entry point for one read worker (blocks until killed)."""
+def worker_main(worker_id: int, base_name: str, config, port: int,
+                writer_port: int, conn) -> None:
+    """Spawn entry point for one read worker (blocks until killed):
+    serve *port* under the fleet's
+    :class:`~repro.mpserve.SupervisorConfig`, relaying writes to the
+    writer on *writer_port*."""
     try:
         asyncio.run(_worker_async(
-            worker_id, base_name, host, port, writer_host, writer_port,
-            coalescer, conn, fd_passing))
+            worker_id, base_name, config, port, writer_port, conn))
     except KeyboardInterrupt:  # pragma: no cover - operator stop
         pass

@@ -21,27 +21,13 @@ from __future__ import annotations
 import asyncio
 from typing import Optional
 
-from repro.core.membership import ShiftingBloomFilter
-from repro.hashing.family import make_family
 from repro.obs import MetricsRegistry
 from repro.obs import names as metric_names
 from repro.mpserve.segments import GenerationPublisher, recover_target
 from repro.service.server import CoalescerConfig, FilterService
-from repro.store import ShardedFilterStore
 from repro.workloads.service import build_service_workload
 
-__all__ = ["WriterService", "build_target", "writer_main"]
-
-
-def build_target(shards: int, m: int, k: int,
-                 family_kind: str = "vector64"):
-    """The hosted structure (mirrors ``repro.service`` CLI semantics)."""
-    family = make_family(family_kind, seed=0)
-    if shards <= 0:
-        return ShiftingBloomFilter(m=m, k=k, family=family)
-    return ShardedFilterStore(
-        lambda shard: ShiftingBloomFilter(m=m, k=k, family=family),
-        n_shards=shards)
+__all__ = ["WriterService", "writer_main"]
 
 
 class WriterService(FilterService):
@@ -106,29 +92,27 @@ class WriterService(FilterService):
         return out
 
 
-async def _writer_async(base_name: str, host: str, port: int,
-                        store: dict, coalescer: dict,
-                        publish_interval_ms: float, preload: int,
-                        seed: int, conn) -> None:
+async def _writer_async(base_name: str, port: int, config, conn) -> None:
     registry = MetricsRegistry()
     recovered = recover_target(base_name)
     if recovered is not None:
         start_generation, target = recovered
     else:
         start_generation = 0
-        target = build_target(**store)
-        if preload > 0:
-            workload = build_service_workload(preload, seed=seed)
+        target = config.store.build()
+        if config.preload > 0:
+            workload = build_service_workload(
+                config.preload, seed=config.seed)
             target.add_batch(list(workload.members))
     publisher = GenerationPublisher(
         base_name, metrics=registry, start_generation=start_generation)
     service = WriterService(
-        target, publisher, publish_interval_ms,
-        config=CoalescerConfig(**coalescer), metrics=registry)
+        target, publisher, config.publish_interval_ms,
+        config=config.coalescer, metrics=registry)
     # Generation start+1 exists before any worker is told to serve —
     # workers block in GenerationReader.connect/attach until it does.
     service.publish_now()
-    server = await service.start(host, port)
+    server = await service.start(config.host, port)
     bound_port = server.sockets[0].getsockname()[1]
     publish_task = asyncio.ensure_future(service.publish_loop())
     conn.send(("ready", -1, bound_port))
@@ -140,13 +124,10 @@ async def _writer_async(base_name: str, host: str, port: int,
         publisher.close(unlink=False)
 
 
-def writer_main(base_name: str, host: str, port: int, store: dict,
-                coalescer: dict, publish_interval_ms: float,
-                preload: int, seed: int, conn) -> None:
-    """Spawn entry point for the writer (blocks until killed)."""
+def writer_main(base_name: str, port: int, config, conn) -> None:
+    """Spawn entry point for the writer (blocks until killed): serve
+    the fleet's :class:`~repro.mpserve.SupervisorConfig` on *port*."""
     try:
-        asyncio.run(_writer_async(
-            base_name, host, port, store, coalescer,
-            publish_interval_ms, preload, seed, conn))
+        asyncio.run(_writer_async(base_name, port, config, conn))
     except KeyboardInterrupt:  # pragma: no cover - operator stop
         pass

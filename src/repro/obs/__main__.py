@@ -23,31 +23,18 @@ import argparse
 import asyncio
 import json
 import sys
-import time
 
+from repro.cli import add_endpoint_args, add_timeout_args, connect, run
 from repro.errors import ReproError
 from repro.obs.tracing import (
-    format_trace_id,
     load_span_records,
     parse_trace_id,
     render_trace,
 )
-from repro.service.client import ServiceClient
-
-
-def _add_endpoint_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=4000)
-    parser.add_argument("--op-timeout", type=float, default=30.0,
-                        help="per-request deadline in seconds")
-    parser.add_argument("--connect-timeout", type=float, default=5.0,
-                        help="TCP connect bound in seconds")
 
 
 async def _fetch(args: argparse.Namespace, fmt: str):
-    client = await ServiceClient.connect(
-        args.host, args.port, connect_timeout=args.connect_timeout,
-        op_timeout=args.op_timeout)
+    client = await connect(args)
     try:
         return await client.metrics(fmt)
     finally:
@@ -149,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     scrape = sub.add_parser(
         "scrape", help="fetch one METRICS exposition from a server")
-    _add_endpoint_args(scrape)
+    add_endpoint_args(scrape)
+    add_timeout_args(scrape)
     scrape.add_argument("--json", action="store_true",
                         help="fetch the JSON snapshot instead of the "
                              "Prometheus text format")
@@ -169,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top", help="live counter rates and latency percentiles")
-    _add_endpoint_args(top)
+    add_endpoint_args(top)
+    add_timeout_args(top)
     top.add_argument("--interval", type=float, default=1.0,
                      help="seconds between the two scrapes of a round")
     top.add_argument("--rounds", type=int, default=1)
@@ -181,18 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "tail":
-            return _tail(args)
-        runner = {"scrape": _scrape, "top": _top}[args.command]
-        return asyncio.run(runner(args))
+        return run(args, {"scrape": _scrape, "tail": _tail, "top": _top})
     except BrokenPipeError:  # stdout consumer (head, less) went away
         return 0
     except (ConnectionError, OSError, ReproError) as exc:
         print("repro.obs %s failed: %s" % (args.command, exc),
               file=sys.stderr)
         return 1
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 130
 
 
 if __name__ == "__main__":

@@ -35,34 +35,28 @@ import json
 import sys
 import time
 
-from repro.core.membership import ShiftingBloomFilter
+from repro.cli import (
+    add_coalescer_args,
+    add_endpoint_args,
+    add_preload_args,
+    add_store_args,
+    add_timeout_args,
+    coalescer_from_args,
+    connect,
+    from_args,
+    run,
+    spec_from_args,
+)
 from repro.errors import FailoverExhaustedError, ReproError
 from repro.replication.failover import FailoverClient, parse_endpoint
 from repro.replication.replicator import (
     ReplicatedFilterService,
     ReplicationConfig,
 )
-from repro.hashing.family import FAMILY_KINDS, make_family
 from repro.service.client import ServiceClient
-from repro.service.server import CoalescerConfig, FilterService
-from repro.store.sharded import ShardedFilterStore
+from repro.service.server import FilterService
 from repro.workloads.replication import build_replication_workload
 from repro.workloads.service import build_service_workload
-
-
-def _add_geometry_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shards", type=int, default=4,
-                        help="shard count; 0 hosts a single filter")
-    parser.add_argument("--m", type=int, default=262144,
-                        help="bits per shard filter")
-    parser.add_argument("--k", type=int, default=8)
-    parser.add_argument("--family", default="vector64",
-                        choices=sorted(FAMILY_KINDS),
-                        help="probe-hash family kind; shipped snapshots "
-                             "carry it, so standbys hash identically")
-    parser.add_argument("--max-batch", type=int, default=512)
-    parser.add_argument("--max-delay-us", type=int, default=200)
-    parser.add_argument("--max-inflight", type=int, default=1024)
 
 
 def _add_replication_args(parser: argparse.ArgumentParser) -> None:
@@ -86,30 +80,9 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _build_target(args: argparse.Namespace):
-    family = make_family(getattr(args, "family", "vector64"), seed=0)
-    if args.shards <= 0:
-        return ShiftingBloomFilter(m=args.m, k=args.k, family=family)
-    return ShardedFilterStore(
-        lambda shard: ShiftingBloomFilter(
-            m=args.m, k=args.k, family=family),
-        n_shards=args.shards)
-
-
 def _build_service(args: argparse.Namespace) -> FilterService:
-    return FilterService(_build_target(args), CoalescerConfig(
-        max_batch=args.max_batch,
-        max_delay_us=args.max_delay_us,
-        max_inflight=args.max_inflight,
-    ))
-
-
-def _replication_config(args: argparse.Namespace) -> ReplicationConfig:
-    return ReplicationConfig(
-        interval_ms=args.interval_ms,
-        max_staleness_batches=args.max_staleness_batches,
-        full_snapshot_every=args.full_snapshot_every,
-    )
+    return FilterService(spec_from_args(args).build(),
+                         coalescer_from_args(args))
 
 
 async def _attach_with_retries(repl: ReplicatedFilterService,
@@ -143,7 +116,8 @@ async def _serve(args: argparse.Namespace) -> int:
         async with server:
             await server.serve_forever()
         return 0
-    repl = ReplicatedFilterService(service, _replication_config(args))
+    repl = ReplicatedFilterService(
+        service, from_args(ReplicationConfig, args))
     server = await repl.start(args.host, args.port)
     port = server.sockets[0].getsockname()[1]
     for spec in args.standby:
@@ -176,7 +150,7 @@ async def _serve_pair(args: argparse.Namespace) -> int:
         workload = build_service_workload(args.preload, seed=args.seed)
         primary_service.target.add_batch(list(workload.members))
     repl = ReplicatedFilterService(
-        primary_service, _replication_config(args))
+        primary_service, from_args(ReplicationConfig, args))
     primary_server = await repl.start(args.host, args.primary_port)
     primary_port = primary_server.sockets[0].getsockname()[1]
     await repl.attach_standby(args.host, standby_port)
@@ -243,9 +217,7 @@ async def _wait_synced(primary: ServiceClient, standby_spec: str,
 async def _probe(args: argparse.Namespace) -> int:
     workload = build_replication_workload(
         args.n, failover_at=args.failover_at, seed=args.seed)
-    client = await ServiceClient.connect(
-        args.host, args.port, connect_timeout=args.connect_timeout,
-        op_timeout=args.op_timeout)
+    client = await connect(args)
     try:
         if args.write:
             pre, _ = workload.write_batches(args.per_batch)
@@ -341,7 +313,7 @@ async def _drill(args: argparse.Namespace) -> int:
     standby_port = standby_server.sockets[0].getsockname()[1]
     primary_service = _build_service(args)
     repl = ReplicatedFilterService(
-        primary_service, _replication_config(args))
+        primary_service, from_args(ReplicationConfig, args))
     primary_server = await repl.start(args.host, port=0)
     primary_port = primary_server.sockets[0].getsockname()[1]
     await repl.attach_standby(args.host, standby_port)
@@ -415,41 +387,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser("serve", help="host one node of a pair")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=4000)
+    add_endpoint_args(serve)
     serve.add_argument("--role", choices=("primary", "standby"),
                        default="primary")
     serve.add_argument("--standby", action="append", default=[],
                        metavar="HOST:PORT",
                        help="standby endpoint to attach (repeatable)")
-    serve.add_argument("--preload", type=int, default=0,
-                       help="insert this many seeded catalog items")
-    serve.add_argument("--seed", type=int, default=0)
+    add_preload_args(serve)
     serve.add_argument("--attach-retries", type=int, default=20)
     serve.add_argument("--attach-delay", type=float, default=0.25)
-    _add_geometry_args(serve)
+    add_store_args(serve)
+    add_coalescer_args(serve)
     _add_replication_args(serve)
 
     pair = sub.add_parser(
         "serve-pair", help="host primary and standby in one process")
-    pair.add_argument("--host", default="127.0.0.1")
+    add_endpoint_args(pair, port=False)
     pair.add_argument("--primary-port", type=int, default=4000)
     pair.add_argument("--standby-port", type=int, default=4001)
-    pair.add_argument("--preload", type=int, default=0)
-    pair.add_argument("--seed", type=int, default=0)
+    add_preload_args(pair)
     pair.add_argument("--kill-primary-after", type=float, default=0,
                       help="seconds until the primary is killed "
                            "(0 = never); the standby keeps serving")
-    _add_geometry_args(pair)
+    add_store_args(pair)
+    add_coalescer_args(pair)
     _add_replication_args(pair)
 
     probe = sub.add_parser(
         "probe", help="write the acknowledged stream, record verdicts")
-    probe.add_argument("--host", default="127.0.0.1")
-    probe.add_argument("--port", type=int, default=4000)
-    probe.add_argument("--op-timeout", type=float, default=30.0,
-                       help="per-request deadline in seconds")
-    probe.add_argument("--connect-timeout", type=float, default=5.0)
+    add_endpoint_args(probe)
+    add_timeout_args(probe)
     probe.add_argument("--write", action="store_true",
                        help="write the pre-failover stream first")
     probe.add_argument("--sync", metavar="HOST:PORT", default=None,
@@ -470,35 +437,26 @@ def build_parser() -> argparse.ArgumentParser:
                              "bit-for-bit")
     verify.add_argument("--promote", action="store_true",
                         help="promote a standby if no primary is alive")
-    verify.add_argument("--op-timeout", type=float, default=5.0)
-    verify.add_argument("--connect-timeout", type=float, default=5.0)
+    add_timeout_args(verify)
+    verify.set_defaults(op_timeout=5.0)
     _add_workload_args(verify)
 
     drill = sub.add_parser(
         "drill", help="full kill-primary failover drill in one process")
-    drill.add_argument("--host", default="127.0.0.1")
-    drill.add_argument("--op-timeout", type=float, default=5.0,
-                       help="per-request deadline in seconds")
-    drill.add_argument("--connect-timeout", type=float, default=2.0)
+    add_endpoint_args(drill, port=False)
+    add_timeout_args(drill)
+    drill.set_defaults(op_timeout=5.0, connect_timeout=2.0)
     _add_workload_args(drill)
-    _add_geometry_args(drill)
+    add_store_args(drill)
+    add_coalescer_args(drill)
     _add_replication_args(drill)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    runner = {
-        "serve": _serve,
-        "serve-pair": _serve_pair,
-        "probe": _probe,
-        "verify": _verify,
-        "drill": _drill,
-    }[args.command]
-    try:
-        return asyncio.run(runner(args))
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 130
+    return run(build_parser().parse_args(argv), {
+        "serve": _serve, "serve-pair": _serve_pair, "probe": _probe,
+        "verify": _verify, "drill": _drill})
 
 
 if __name__ == "__main__":

@@ -24,62 +24,26 @@ import random
 import sys
 import time
 
-from repro.core.membership import ShiftingBloomFilter
+from repro.cli import (
+    add_coalescer_args,
+    add_endpoint_args,
+    add_generation_args,
+    add_preload_args,
+    add_store_args,
+    add_timeout_args,
+    add_trace_log_arg,
+    coalescer_from_args,
+    connect,
+    from_args,
+    run,
+    spec_from_args,
+    tracer_from_args,
+)
 from repro.errors import ReproError
-from repro.hashing.family import FAMILY_KINDS, make_family
-from repro.obs.tracing import Tracer
 from repro.retry import BackoffPolicy
-from repro.service.client import ServiceClient
-from repro.service.server import CoalescerConfig, FilterService
+from repro.service.server import FilterService
 from repro.store.generational import GenerationalStore
-from repro.store.sharded import ShardedFilterStore
 from repro.workloads.service import build_service_workload
-
-
-def _add_endpoint_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=4000)
-
-
-def _add_timeout_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--op-timeout", type=float, default=30.0,
-                        help="per-request deadline in seconds")
-    parser.add_argument("--connect-timeout", type=float, default=5.0,
-                        help="TCP connect bound in seconds")
-
-
-def _build_target(shards: int, m: int, k: int, family_kind: str = "vector64",
-                  generations: int = 0, rotate_items: int = 0,
-                  rotate_seconds: float = 0.0):
-    """The hosted structure: a generational ring, an N-shard ShBF_M
-    store, or one filter.
-
-    The probe-hash family is resolved from the registry once and shared
-    by every shard/generation; snapshots persist its ``(kind, seed)``
-    so standbys and restores hash identically.  ``generations > 0``
-    hosts a :class:`~repro.store.GenerationalStore` of single ShBF_M
-    filters (``m`` bits each) — time-decaying membership with the given
-    rotation triggers.
-    """
-    family = make_family(family_kind, seed=0)
-    if generations > 0:
-        return GenerationalStore(
-            lambda seq: ShiftingBloomFilter(m=m, k=k, family=family),
-            generations=generations,
-            rotate_after_items=rotate_items,
-            rotate_after_s=rotate_seconds)
-    if shards <= 0:
-        return ShiftingBloomFilter(m=m, k=k, family=family)
-    return ShardedFilterStore(
-        lambda shard: ShiftingBloomFilter(m=m, k=k, family=family),
-        n_shards=shards)
-
-
-def open_trace_log(path: str):
-    """A line-buffered span sink, or ``None`` when *path* is empty."""
-    if not path:
-        return None
-    return open(path, "a", buffering=1)
 
 
 async def _rotation_poker(service: FilterService,
@@ -101,50 +65,29 @@ async def _rotation_poker(service: FilterService,
 
 
 async def _serve(args: argparse.Namespace) -> int:
-    if args.generations > 0 and args.workers > 0:
-        print("--generations is not supported with --workers "
-              "(the mpserve writer owns its own generation protocol)",
-              file=sys.stderr)
-        return 2
     if args.workers > 0:
         # Multi-process mode: delegate to the mpserve supervisor — one
         # writer owning the mutable store, N read workers answering
         # queries from shared read-only generation snapshots.
+        for flag, value in (("--generations", args.generations > 0),
+                            ("--trace-log", args.trace_log)):
+            if value:
+                print("%s is not supported with --workers (the mpserve "
+                      "fleet hosts no TTL ring and writes no span log)"
+                      % flag, file=sys.stderr)
+                return 2
         from repro.mpserve.__main__ import run_supervisor
         from repro.mpserve.supervisor import SupervisorConfig
 
-        return await run_supervisor(SupervisorConfig(
-            workers=args.workers,
-            host=args.host,
-            port=args.port,
-            shards=args.shards,
-            m=args.m,
-            k=args.k,
-            family=args.family,
-            max_batch=args.max_batch,
-            max_delay_us=args.max_delay_us,
-            max_inflight=args.max_inflight,
-            preload=args.preload,
-            seed=args.seed,
-        ))
-    target = _build_target(args.shards, args.m, args.k, args.family,
-                           generations=args.generations,
-                           rotate_items=args.rotate_items,
-                           rotate_seconds=args.rotate_seconds)
+        return await run_supervisor(from_args(
+            SupervisorConfig, args, store=spec_from_args(args),
+            coalescer=coalescer_from_args(args)))
+    target = spec_from_args(args).build()
     if args.preload > 0:
         workload = build_service_workload(args.preload, seed=args.seed)
         target.add_batch(list(workload.members))
-    trace_sink = open_trace_log(args.trace_log)
-    tracer = (Tracer(component="service:%s:%d" % (args.host, args.port),
-                     sink=trace_sink)
-              if trace_sink is not None else None)
-    service = FilterService(target, CoalescerConfig(
-        max_batch=args.max_batch,
-        max_delay_us=args.max_delay_us,
-        max_inflight=args.max_inflight,
-        adaptive_shed=args.adaptive_shed,
-        shed_ratio=args.shed_ratio,
-    ), tracer=tracer)
+    tracer = tracer_from_args(args, "service:%s:%d" % (args.host, args.port))
+    service = FilterService(target, coalescer_from_args(args), tracer=tracer)
     server = await service.start(args.host, args.port)
     port = server.sockets[0].getsockname()[1]
     print("repro.service listening on %s:%d (%s, n_items=%d, "
@@ -172,10 +115,7 @@ async def _ping(args: argparse.Namespace) -> int:
     for attempt in range(args.retries):
         try:
             start = time.perf_counter()
-            client = await ServiceClient.connect(
-                args.host, args.port,
-                connect_timeout=args.connect_timeout,
-                op_timeout=args.op_timeout)
+            client = await connect(args)
             try:
                 banner = await client.ping()
             finally:
@@ -194,9 +134,7 @@ async def _ping(args: argparse.Namespace) -> int:
 
 async def _bench(args: argparse.Namespace) -> int:
     workload = build_service_workload(args.n, seed=args.seed)
-    loader = await ServiceClient.connect(
-        args.host, args.port, connect_timeout=args.connect_timeout,
-        op_timeout=args.op_timeout)
+    loader = await connect(args)
     try:
         members = list(workload.members)
         acked = await loader.add(members)
@@ -221,10 +159,7 @@ async def _bench(args: argparse.Namespace) -> int:
         async def run_client(client_id: int) -> int:
             """Each client owns its slice of the request stream."""
             mismatches = 0
-            client = await ServiceClient.connect(
-                args.host, args.port,
-                connect_timeout=args.connect_timeout,
-                op_timeout=args.op_timeout)
+            client = await connect(args)
             try:
                 for i in range(client_id, len(requests), args.clients):
                     batch = requests[i]
@@ -273,57 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser("serve", help="host a filter store")
-    _add_endpoint_args(serve)
-    serve.add_argument("--shards", type=int, default=4,
-                       help="shard count; 0 hosts a single filter")
-    serve.add_argument("--m", type=int, default=262144,
-                       help="bits per shard filter")
-    serve.add_argument("--k", type=int, default=8)
-    serve.add_argument("--max-batch", type=int, default=512,
-                       help="coalescer flush threshold; 1 = uncoalesced")
-    serve.add_argument("--max-delay-us", type=int, default=200)
-    serve.add_argument("--max-inflight", type=int, default=1024)
-    serve.add_argument("--adaptive-shed", action="store_true",
-                       help="shed reads early (at --shed-ratio of "
-                            "--max-inflight) so writes and health "
-                            "probes survive overload")
-    serve.add_argument("--shed-ratio", type=float, default=0.75,
-                       help="fraction of --max-inflight where adaptive "
-                            "read shedding begins")
-    serve.add_argument("--preload", type=int, default=0,
-                       help="insert this many seeded catalog items")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--family", default="vector64",
-                       choices=sorted(FAMILY_KINDS),
-                       help="probe-hash family kind for the hosted "
-                            "filters (vector64 = vetted vectorised "
-                            "mixers; blake2b = cryptographic lanes)")
+    add_endpoint_args(serve)
+    add_store_args(serve)
+    add_coalescer_args(serve, shedding=True)
+    add_preload_args(serve)
     serve.add_argument("--workers", type=int, default=0,
                        help="serve multi-process: N read workers + one "
                             "writer via repro.mpserve (0: classic "
                             "single-process server)")
-    serve.add_argument("--generations", type=int, default=0,
-                       help="host a generational TTL ring of this many "
-                            "filters instead of a sharded store (0: "
-                            "off); writes land in the head generation "
-                            "and queries OR the live window")
-    serve.add_argument("--rotate-items", type=int, default=0,
-                       help="cardinality trigger: rotate once the head "
-                            "generation holds this many elements "
-                            "(0: off)")
-    serve.add_argument("--rotate-seconds", type=float, default=0.0,
-                       help="time trigger: rotate once the head "
-                            "generation is this old (0: off); a "
-                            "background poker fires it even with no "
-                            "writes arriving")
-    serve.add_argument("--trace-log", default="",
-                       help="append JSON span records of traced "
-                            "requests to this file (read back with "
-                            "python -m repro.obs tail)")
+    add_generation_args(serve)
+    add_trace_log_arg(serve)
 
     ping = sub.add_parser("ping", help="liveness probe with retries")
-    _add_endpoint_args(ping)
-    _add_timeout_args(ping)
+    add_endpoint_args(ping)
+    add_timeout_args(ping)
     ping.add_argument("--retries", type=int, default=1)
     ping.add_argument("--retry-delay", type=float, default=0.25,
                       help="base delay of the capped-exponential "
@@ -336,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench", help="drive a verified query mix through N clients")
-    _add_endpoint_args(bench)
-    _add_timeout_args(bench)
+    add_endpoint_args(bench)
+    add_timeout_args(bench)
     bench.add_argument("--clients", type=int, default=8)
     bench.add_argument("--n", type=int, default=2000,
                        help="member count (query mix is 2n)")
@@ -347,12 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    runner = {"serve": _serve, "ping": _ping, "bench": _bench}[args.command]
-    try:
-        return asyncio.run(runner(args))
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 130
+    return run(build_parser().parse_args(argv),
+               {"serve": _serve, "ping": _ping, "bench": _bench})
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ horizontally partitioned store:
   membership: a ring of G generation filters rotated on a time or
   cardinality trigger, writes into the head, queries OR'd across the
   live window, with atomic rotation publication and the ``SHBG``
-  snapshot container.
+  snapshot container;
+* :class:`~repro.store.spec.StoreSpec` — the one recipe every serving
+  entry point builds its hosted structure from.
 """
 
 from repro.store.generational import (
@@ -29,6 +31,7 @@ from repro.store.sharded import (
     ShardedFilterStore,
     StoreAccessReport,
 )
+from repro.store.spec import StoreSpec
 
 __all__ = [
     "GenerationStats",
@@ -38,4 +41,5 @@ __all__ = [
     "ShardRouter",
     "ShardedFilterStore",
     "StoreAccessReport",
+    "StoreSpec",
 ]

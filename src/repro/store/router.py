@@ -24,7 +24,7 @@ import numpy as np
 
 from repro._util import ElementLike, require_non_negative, require_positive
 from repro._vector import group_indices
-from repro.hashing.family import make_family
+from repro.hashing.family import SERVING_FAMILY, make_family
 
 __all__ = ["ShardRouter"]
 
@@ -55,7 +55,7 @@ class ShardRouter:
     """
 
     def __init__(self, n_shards: int, seed: int = DEFAULT_ROUTER_SEED,
-                 family_kind: str = "vector64"):
+                 family_kind: str = SERVING_FAMILY):
         require_positive("n_shards", n_shards)
         require_non_negative("seed", seed)
         self._n_shards = n_shards

@@ -18,7 +18,6 @@ from repro.cluster.client import ClusterClient
 from repro.cluster.coordinator import fetch_live_map, migrate_shard
 from repro.cluster.drill import (
     ClusterDrillConfig,
-    _make_store,
     _pick_migration,
     start_local_cluster,
 )
@@ -29,6 +28,7 @@ from repro.errors import WrongOwnerError
 from repro.hashing.family import make_family
 from repro.service.server import FilterService
 from repro.store.sharded import ShardedFilterStore
+from repro.store.spec import StoreSpec
 from repro.workloads.service import build_service_workload
 from repro.workloads.sharded import partition_by_shard
 
@@ -54,7 +54,10 @@ def run(scenario):
 class TestEquivalence:
     def test_add_then_query_matches_reference_bit_for_bit(self):
         async def scenario(cluster, client):
-            reference = _make_store(CONFIG, cluster.shard_map)
+            reference = StoreSpec(
+                shards=CONFIG.n_shards, m=CONFIG.m, k=CONFIG.k,
+                family=CONFIG.family,
+            ).build(router=cluster.shard_map.make_router())
             workload = build_service_workload(CONFIG.n_members, seed=1)
             members = list(workload.members)
             await client.add(members)

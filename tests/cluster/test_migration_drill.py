@@ -9,10 +9,19 @@ a failure names the broken guarantee, not just ``ok == False``.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
-from repro.cluster.drill import ClusterDrillConfig, run_cluster_drill
+from repro.cluster.drill import (
+    ClusterDrillConfig,
+    run_cluster_drill,
+    run_cluster_drill_async,
+    start_local_cluster,
+)
 from repro.errors import ConfigurationError
+from repro.store.spec import StoreSpec
+from repro.workloads.service import build_service_workload
 
 SMALL = dict(n_nodes=3, n_shards=8, m=16384, k=4, n_members=900,
              n_ops=36, per_request=48, migrate_after_ops=8)
@@ -54,6 +63,46 @@ class TestDrillInvariants:
         assert accounting["cluster_n_items"] \
             == accounting["reference_n_items"] \
             == report["config"]["n_members"]
+
+
+class TestExternalDrill:
+    """``--external`` drills a fleet built at someone else's geometry.
+
+    The live nodes run m, k and family unlike the drill config's
+    defaults, at a load where absent elements hit false positives; the
+    reference must still agree with them bit for bit.
+    """
+
+    FLEET = ClusterDrillConfig(n_nodes=3, n_shards=8, m=2048, k=6,
+                               family="blake2b")
+
+    def test_fleet_geometry_produces_false_positives(self):
+        # Guards the test below: at this load a reference of the wrong
+        # geometry or family would disagree on absent elements.
+        default = ClusterDrillConfig()
+        workload = build_service_workload(default.n_members,
+                                          seed=default.seed)
+        store = StoreSpec(shards=8, m=self.FLEET.m, k=self.FLEET.k,
+                          family=self.FLEET.family).build()
+        store.add_batch(list(workload.members))
+        assert store.query_batch(list(workload.absent)).sum() > 50
+
+    def test_default_config_drills_a_foreign_fleet_exactly(self):
+        async def main():
+            fleet = await start_local_cluster(self.FLEET)
+            try:
+                return await run_cluster_drill_async(
+                    ClusterDrillConfig(endpoints=fleet.endpoints))
+            finally:
+                await fleet.close()
+
+        report = asyncio.run(main())
+        assert report["mode"] == "external"
+        assert (report["config"]["m"], report["config"]["k"],
+                report["config"]["family"]) == (2048, 6, "blake2b")
+        assert report["ops"]["wrong_verdicts_live"] == 0
+        assert report["ops"]["wrong_verdicts_sweep"] == 0
+        assert report["ok"], report["invariants"]
 
 
 class TestDrillConfig:

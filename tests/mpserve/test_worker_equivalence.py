@@ -25,27 +25,25 @@ import signal
 import pytest
 
 from repro.mpserve.supervisor import MultiWorkerSupervisor, SupervisorConfig
-from repro.mpserve.writer import build_target
 from repro.service.client import ServiceClient
+from repro.store.spec import StoreSpec
 
 from tests.conftest import make_elements
 
 HOST = "127.0.0.1"
-STORE = dict(shards=4, m=65536, k=8, family="vector64")
+STORE = StoreSpec(shards=4, m=65536, k=8, family="vector64")
 
 
 def fleet_config(**overrides) -> SupervisorConfig:
     params = dict(
-        workers=4, host=HOST, shards=STORE["shards"], m=STORE["m"],
-        k=STORE["k"], family=STORE["family"], publish_interval_ms=5.0,
+        workers=4, host=HOST, store=STORE, publish_interval_ms=5.0,
         restart_backoff_s=0.1)
     params.update(overrides)
     return SupervisorConfig(**params)
 
 
 def reference_target():
-    return build_target(STORE["shards"], STORE["m"], STORE["k"],
-                        STORE["family"])
+    return STORE.build()
 
 
 async def wait_published(sup: MultiWorkerSupervisor,

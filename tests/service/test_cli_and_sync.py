@@ -3,7 +3,7 @@
 The CLI's ``ping`` and ``bench`` are CI gates (exit codes matter), so
 they are tested in-process against a live ephemeral server rather than
 mocked; ``serve`` is exercised down to the server-start boundary via
-its target builder and parser defaults.
+the store spec its flags build and its parser defaults.
 """
 
 from __future__ import annotations
@@ -15,15 +15,16 @@ import numpy as np
 import pytest
 
 from repro.core.membership import ShiftingBloomFilter
+from repro.cli import spec_from_args
 from repro.service.__main__ import (
     _bench,
-    _build_target,
     _ping,
     build_parser,
 )
 from repro.service.client import SyncServiceClient
 from repro.service.server import CoalescerConfig, FilterService
 from repro.store.sharded import ShardedFilterStore
+from repro.store.spec import StoreSpec
 
 
 def start_background_server(target, config=None):
@@ -69,12 +70,23 @@ class TestParserAndTargets:
         assert args.elements_per_request == 16
 
     def test_build_target_shapes(self):
-        store = _build_target(shards=3, m=4096, k=6)
+        store = StoreSpec(shards=3, m=4096, k=6).build()
         assert isinstance(store, ShardedFilterStore)
         assert store.n_shards == 3
-        solo = _build_target(shards=0, m=4096, k=6)
+        solo = StoreSpec(shards=0, m=4096, k=6).build()
         assert isinstance(solo, ShiftingBloomFilter)
         assert solo.m == 4096
+
+    def test_serve_flags_build_the_spec(self):
+        args = build_parser().parse_args(
+            ["serve", "--shards", "3", "--m", "4096", "--k", "6",
+             "--family", "blake2b", "--generations", "2",
+             "--rotate-items", "50"])
+        assert spec_from_args(args) == StoreSpec(
+            shards=3, m=4096, k=6, family="blake2b", generations=2,
+            rotate_items=50)
+        assert spec_from_args(
+            build_parser().parse_args(["serve"])) == StoreSpec()
 
 
 class TestServe:
@@ -110,10 +122,55 @@ class TestServe:
         assert stats["n_shards"] == 2
 
 
+class TestServeWorkers:
+    """``serve --workers N`` hands the fleet every serving flag."""
+
+    def run_serve(self, argv, monkeypatch):
+        import repro.mpserve.__main__ as mpserve_main
+        from repro.service.__main__ import _serve
+
+        launched = []
+
+        async def fake_run_supervisor(config):
+            launched.append(config)
+            return 0
+
+        monkeypatch.setattr(mpserve_main, "run_supervisor",
+                            fake_run_supervisor)
+        code = asyncio.run(_serve(build_parser().parse_args(
+            ["serve", "--workers", "2"] + argv)))
+        return code, launched
+
+    def test_shedding_flags_reach_the_fleet(self, monkeypatch):
+        code, launched = self.run_serve(
+            ["--adaptive-shed", "--shed-ratio", "0.5", "--max-batch", "64",
+             "--shards", "2", "--m", "8192", "--family", "blake2b"],
+            monkeypatch)
+        assert code == 0
+        config = launched[0]
+        assert config.workers == 2
+        assert config.coalescer == CoalescerConfig(
+            max_batch=64, adaptive_shed=True, shed_ratio=0.5)
+        assert config.store == StoreSpec(shards=2, m=8192,
+                                         family="blake2b")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--trace-log", "spans.jsonl"], "--trace-log"),
+        (["--generations", "3"], "--generations"),
+    ])
+    def test_unsupported_flags_are_refused(self, argv, flag, monkeypatch,
+                                           capsys):
+        code, launched = self.run_serve(argv, monkeypatch)
+        assert code == 2
+        assert launched == []
+        assert "%s is not supported with --workers" % flag in (
+            capsys.readouterr().err)
+
+
 class TestPingAndBench:
     def test_ping_success(self, capsys):
         port, stop = start_background_server(
-            _build_target(shards=2, m=8192, k=6))
+            StoreSpec(shards=2, m=8192, k=6).build())
         try:
             args = build_parser().parse_args(
                 ["ping", "--port", str(port), "--retries", "5"])
@@ -131,7 +188,7 @@ class TestPingAndBench:
 
     def test_bench_verifies_members_and_exits_zero(self, capsys):
         port, stop = start_background_server(
-            _build_target(shards=2, m=65536, k=8),
+            StoreSpec(shards=2, m=65536, k=8).build(),
             CoalescerConfig(max_batch=128, max_delay_us=200))
         try:
             args = build_parser().parse_args(
@@ -149,7 +206,7 @@ class TestPingAndBench:
         # global offsets; the member check must track the stream index,
         # not the batch-local one, or healthy servers report FAIL.
         port, stop = start_background_server(
-            _build_target(shards=2, m=65536, k=8),
+            StoreSpec(shards=2, m=65536, k=8).build(),
             CoalescerConfig(max_batch=128, max_delay_us=200))
         try:
             args = build_parser().parse_args(
@@ -171,7 +228,7 @@ class TestPingAndBench:
 
         monkeypatch.setattr(ServiceClient, "add", dropped_add)
         port, stop = start_background_server(
-            _build_target(shards=2, m=65536, k=8))
+            StoreSpec(shards=2, m=65536, k=8).build())
         try:
             args = build_parser().parse_args(
                 ["bench", "--port", str(port), "--clients", "2",
@@ -185,7 +242,7 @@ class TestPingAndBench:
 class TestSyncClient:
     def test_sync_round_trip(self):
         port, stop = start_background_server(
-            _build_target(shards=2, m=16384, k=8),
+            StoreSpec(shards=2, m=16384, k=8).build(),
             CoalescerConfig(max_batch=64, max_delay_us=100))
         try:
             with SyncServiceClient(port=port) as client:
@@ -207,7 +264,7 @@ class TestSyncClient:
         from repro.errors import ProtocolError
 
         port, stop = start_background_server(
-            _build_target(shards=2, m=16384, k=8))
+            StoreSpec(shards=2, m=16384, k=8).build())
         try:
             with SyncServiceClient(port=port) as client:
                 with pytest.raises(ProtocolError):
@@ -219,7 +276,7 @@ class TestSyncClient:
 
     def test_sync_client_close_is_idempotent(self):
         port, stop = start_background_server(
-            _build_target(shards=1, m=8192, k=6))
+            StoreSpec(shards=1, m=8192, k=6).build())
         try:
             client = SyncServiceClient(port=port)
             client.ping()
