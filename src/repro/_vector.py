@@ -20,6 +20,7 @@ __all__ = [
     "bit_length_u64",
     "group_indices",
     "prefix_cost_sum",
+    "row_spans",
 ]
 
 
@@ -43,6 +44,22 @@ def billed_prefix(ok: np.ndarray) -> np.ndarray:
     fail = ~ok
     any_fail = fail.any(axis=1)
     return np.where(any_fail, fail.argmax(axis=1) + 1, r).astype(np.int64)
+
+
+def row_spans(offsets: np.ndarray, n: int) -> np.ndarray:
+    """Per-row ``max(offsets[row]) + 1``, broadcast to ``(n,)``.
+
+    ``offsets`` is a non-empty ``(1, g)`` or ``(n, g)`` offset group
+    matrix.  This is the span a windowed write or read bills from each
+    base.  It is computed one column at a time with ``np.maximum``: a
+    row-wise ``max(axis=-1)`` over narrow rows costs several times
+    more.
+    """
+    span = offsets[:, 0].copy()
+    for j in range(1, offsets.shape[1]):
+        np.maximum(span, offsets[:, j], out=span)
+    span += 1
+    return np.broadcast_to(span, (n,))
 
 
 def prefix_cost_sum(costs: np.ndarray, billed: np.ndarray) -> int:

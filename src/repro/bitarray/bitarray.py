@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro._util import require_positive
-from repro._vector import as_batch_int64
+from repro._vector import as_batch_int64, row_spans
 from repro.bitarray.memory import MemoryModel
 from repro.errors import ConfigurationError
 
@@ -372,17 +372,19 @@ class BitArray:
         ``bases`` has shape ``(n,)`` and ``offsets`` ``(n, g)`` or
         ``(g,)``; returns an ``(n, g)`` boolean matrix.  Each row is
         billed as one read spanning its largest offset, like the scalar
-        windowed fetch.
+        windowed fetch.  An empty group (``g == 0``) reads nothing and
+        bills nothing, like ``test_offsets(base, ())``.
         """
         bases = as_batch_int64(bases)
         offsets = np.atleast_2d(as_batch_int64(offsets))
+        if offsets.shape[-1] == 0:
+            return np.zeros((bases.size, 0), dtype=bool)
         positions = bases[:, None] + offsets
         self._check_batch(bases)
         self._check_batch(positions)
         if record and bases.size:
-            spans = offsets.max(axis=-1) + 1
             costs = self.memory.read_cost_batch(
-                bases, np.broadcast_to(spans, bases.shape))
+                bases, row_spans(offsets, bases.size))
             self.memory.record_reads(bases.size, int(costs.sum()))
         view = self.as_numpy()
         return ((view[positions >> 3] >> (positions & 7)) & 1).astype(bool)
@@ -415,21 +417,49 @@ class BitArray:
         ``offsets`` is ``(n, g)`` or ``(g,)``; sets the bits
         ``base + o`` for every offset of the row, billing one write per
         base spanning the row's largest offset — the construction-phase
-        accounting of the shifting framework.
+        accounting of the shifting framework.  An empty group
+        (``g == 0``) writes and bills nothing, like the scalar twin.
         """
         self._check_writable()
         bases = as_batch_int64(bases)
         offsets = np.atleast_2d(as_batch_int64(offsets))
-        if bases.size == 0:
+        if bases.size == 0 or offsets.shape[-1] == 0:
             return
         positions = (bases[:, None] + offsets).ravel()
         self._check_batch(bases)
         self._check_batch(positions)
         if record:
-            spans = np.broadcast_to(offsets.max(axis=-1) + 1, bases.shape)
-            costs = self.memory.read_cost_batch(bases, spans)
+            costs = self.memory.read_cost_batch(
+                bases, row_spans(offsets, bases.size))
             self.memory.record_writes(bases.size, int(costs.sum()))
         _or_bits(self.as_numpy(), positions)
+
+    def set_pairs_batch(self, bases, offsets, record: bool = True) -> None:
+        """Vectorised pair write: the write twin of :meth:`test_pairs_batch`.
+
+        Sets bits ``base`` and ``base + offset`` of every pair.
+        ``bases`` and ``offsets`` broadcast together.  When recording,
+        each pair is billed as one write spanning ``offset + 1`` bits
+        from its base, exactly like ``set_offsets(base, (0, offset))``.
+        Unlike :meth:`set_offsets_batch` it never builds a per-pair
+        offset matrix.
+        """
+        self._check_writable()
+        bases, offsets = np.broadcast_arrays(as_batch_int64(bases),
+                                             as_batch_int64(offsets))
+        if bases.size == 0:
+            return
+        if int(offsets.min()) < 0:
+            raise IndexError("pair offsets must be non-negative")
+        ends = bases + offsets
+        self._check_batch(bases)
+        self._check_batch(ends)
+        if record:
+            costs = self.memory.read_cost_batch(bases, offsets + 1)
+            self.memory.record_writes(bases.size, int(costs.sum()))
+        view = self.as_numpy()
+        _or_bits(view, bases.ravel())
+        _or_bits(view, ends.ravel())
 
     def read_windows_batch(self, starts, nbits: int,
                            record: bool = True) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro._util import require_positive
-from repro._vector import as_batch_int64
+from repro._vector import as_batch_int64, row_spans
 from repro.bitarray.memory import MemoryModel
 from repro.errors import (
     ConfigurationError,
@@ -309,11 +309,13 @@ class CounterArray:
         row's update raises (overflow/underflow), only the rows the
         scalar loop would have billed — every completed row plus the
         failing one — are recorded before the exception propagates, so
-        accounting matches the scalar path on exception paths too.
+        accounting matches the scalar path on exception paths too.  An
+        empty offset group updates and bills nothing, like the scalar
+        twins.
         """
         bases = as_batch_int64(bases)
         offsets = np.atleast_2d(as_batch_int64(offsets))
-        if bases.size == 0:
+        if bases.size == 0 or offsets.shape[-1] == 0:
             return
         positions = bases[:, None] + offsets
         if (int(bases.min()) < 0 or int(bases.max()) >= self._size
@@ -321,7 +323,7 @@ class CounterArray:
                 or int(positions.max()) >= self._size):
             raise IndexError(
                 "counter index out of range for %d counters" % self._size)
-        spans = np.broadcast_to(offsets.max(axis=-1) + 1, bases.shape)
+        spans = row_spans(offsets, bases.size)
         row_costs = self.memory.read_cost_batch(
             bases * self._bits, spans * self._bits)
         row = 0

@@ -142,8 +142,12 @@ class MemoryModel:
         scalar path access for access.
         """
         start_bits = np.asarray(start_bits, dtype=np.int64)
-        span = (start_bits % 8) + np.asarray(nbits, dtype=np.int64)
-        return -(-span // self.word_bits)
+        # ``& 7`` is ``% 8`` and ``(span + w - 1) // w`` is the ceiling,
+        # both exact on int64; the in-place forms skip two temporaries.
+        span = (start_bits & 7) + np.asarray(nbits, dtype=np.int64)
+        span += self.word_bits - 1
+        span //= self.word_bits
+        return span
 
     def max_single_read_offset(self) -> int:
         """Largest offset ``o`` such that bits ``i`` and ``i+o`` always share

@@ -49,20 +49,6 @@ def _bases_and_offsets_batch(filt, elements):
     return bases, offsets
 
 
-def _flat_pairs_batch(filt, elements):
-    """Per-pair ``(flat_bases, (0, offset) columns)`` for a batch insert.
-
-    Flattens the ``(n, k/2)`` base matrix row-major and repeats each
-    element's offset across its ``k/2`` pairs, so the bit/counter batch
-    kernels bill one write per pair exactly like the scalar loops.
-    """
-    bases, offsets = _bases_and_offsets_batch(filt, elements)
-    flat_bases = bases.ravel()
-    flat_offsets = np.repeat(offsets, filt._half)
-    pair = np.stack([np.zeros_like(flat_offsets), flat_offsets], axis=1)
-    return flat_bases, pair
-
-
 def _query_pairs_batch(filt, bits, elements) -> np.ndarray:
     """Shared ShBF_M batch query against *bits* (§3.2, vectorised).
 
@@ -238,13 +224,14 @@ class ShiftingBloomFilter:
 
         Produces bit-identical filter state and the same logical access
         totals as calling :meth:`add` per element — ``k/2`` one-word pair
-        writes each — in a handful of NumPy calls for the whole batch.
+        writes each — in a handful of NumPy calls for the whole batch,
+        the pairs written by :meth:`BitArray.set_pairs_batch`.
         """
         elements = list(elements)
         if not elements:
             return
-        flat_bases, pair = _flat_pairs_batch(self, elements)
-        self._bits.set_offsets_batch(flat_bases, pair)
+        bases, offsets = _bases_and_offsets_batch(self, elements)
+        self._bits.set_pairs_batch(bases, offsets[:, None])
         self._n_items += len(elements)
 
     def query_batch(self, elements: Sequence[ElementLike]) -> np.ndarray:
@@ -496,9 +483,15 @@ class CountingShiftingBloomFilter:
         elements = list(elements)
         if not elements:
             return
-        flat_bases, pair = _flat_pairs_batch(self, elements)
-        self._counters.increment_offsets_batch(flat_bases, pair)
-        self._bits.set_offsets_batch(flat_bases, pair)
+        bases, offsets = _bases_and_offsets_batch(self, elements)
+        # The counter kernel takes one (0, offset) row per pair, row-
+        # major over the (n, k/2) bases; the bit array writes the pairs
+        # directly.
+        pairs = np.repeat(offsets, self._half)
+        self._counters.increment_offsets_batch(
+            bases.ravel(),
+            np.stack([np.zeros_like(pairs), pairs], axis=1))
+        self._bits.set_pairs_batch(bases, offsets[:, None])
         self._n_items += len(elements)
 
     def query_batch(self, elements: Sequence[ElementLike]) -> np.ndarray:

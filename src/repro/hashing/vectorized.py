@@ -73,13 +73,17 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """The same finaliser on a ``uint64`` ndarray (wraps like the ints)."""
-    z = z ^ (z >> _NP_30)
-    z = z * _NP_MIX_1
-    z ^= z >> _NP_27
+def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The same finaliser on a ``uint64`` ndarray (wraps like the ints).
+
+    Runs in place on *z*, with *tmp* (same shape) as the only scratch
+    array, and returns *z*.
+    """
+    z ^= np.right_shift(z, _NP_30, out=tmp)
+    z *= _NP_MIX_1
+    z ^= np.right_shift(z, _NP_27, out=tmp)
     z *= _NP_MIX_2
-    z ^= z >> _NP_31
+    z ^= np.right_shift(z, _NP_31, out=tmp)
     return z
 
 
@@ -168,17 +172,22 @@ class VectorizedFamily(HashFamily):
     # ------------------------------------------------------------------
     def _lane_array(self, start: int, count: int) -> np.ndarray:
         indices = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        return _mix64_np(np.uint64(self._seed_mixed) + indices * _NP_GOLDEN)
+        lanes = np.uint64(self._seed_mixed) + indices * _NP_GOLDEN
+        return _mix64_np(lanes, np.empty_like(lanes))
 
     def _ingest_batch(self, elements: Sequence[ElementLike]) -> np.ndarray:
         """Vectorised ingest: one ``uint64`` base value per element.
 
         All-bytes batches (the serving path after
         :func:`repro._util.to_bytes` canonicalisation on the wire) are
-        joined into one buffer and scattered into a zero-padded
-        ``(n, 32)`` byte matrix with pure NumPy indexing — no
-        per-element Python.  Long keys (> 32 bytes) take the seeded
-        BLAKE2b fallback individually, exactly like the scalar path.
+        joined into one buffer with pure NumPy indexing — no
+        per-element Python beyond one ``join`` and one ``len`` pass.
+        Keys of one width (flow IDs, fixed-format records) read the
+        join as a dense ``(n, width)`` matrix padded only to whole
+        words; other batches are scattered into a zero-padded
+        ``(n, 32)`` byte matrix.  Long keys (> 32 bytes) take the
+        seeded BLAKE2b fallback individually, exactly like the scalar
+        path.
         """
         n = len(elements)
         try:
@@ -188,16 +197,19 @@ class VectorizedFamily(HashFamily):
             # (e.g. a cast memoryview), which must take the canonical
             # slow path to match the scalar entry points.
             blob = b"".join(elements)
-            lengths = np.fromiter(map(len, elements), dtype=np.int64,
-                                  count=n)
-            if len(blob) != int(lengths.sum()):
+            lens = list(map(len, elements))
+            uniform = lens.count(lens[0]) == n
+            if len(blob) != (n * lens[0] if uniform else sum(lens)):
                 raise TypeError
             datas = elements
         except TypeError:
             datas = [to_bytes(e) for e in elements]
             blob = b"".join(datas)
-            lengths = np.fromiter(map(len, datas), dtype=np.int64,
-                                  count=n)
+            lens = list(map(len, datas))
+            uniform = lens.count(lens[0]) == n
+        if uniform and lens[0] <= _SHORT_MAX:
+            return self._ingest_uniform(blob, n, lens[0])
+        lengths = np.array(lens, dtype=np.int64)
         ends = np.cumsum(lengths)
         starts = ends - lengths
         short = lengths <= _SHORT_MAX
@@ -209,21 +221,17 @@ class VectorizedFamily(HashFamily):
         total_short = int(short_lengths.sum())
         if total_short:
             flat = np.frombuffer(blob, dtype=np.uint8)
-            width = int(lengths[0])
-            if short_lengths[0] and (lengths == width).all():
-                # Uniform-width keys (flow IDs, fixed-format records):
-                # the join is already a dense (n, width) matrix.
-                buf[:, :width] = flat.reshape(n, width)
-            else:
-                row = np.repeat(np.arange(n), short_lengths)
-                cum = np.cumsum(short_lengths) - short_lengths
-                col = np.arange(total_short) - np.repeat(cum, short_lengths)
-                buf[row, col] = flat[np.repeat(starts, short_lengths) + col]
+            row = np.repeat(np.arange(n), short_lengths)
+            cum = np.cumsum(short_lengths) - short_lengths
+            col = np.arange(total_short) - np.repeat(cum, short_lengths)
+            buf[row, col] = flat[np.repeat(starts, short_lengths) + col]
         words = buf.view("<u8")
         base = np.uint64(self._seed_mixed) \
             + lengths.astype(np.uint64) * _NP_LEN_MULT
+        tmp = np.empty_like(base)
         for j in range(_WORDS):
-            base = _mix64_np(base ^ words[:, j])
+            base ^= words[:, j]
+            _mix64_np(base, tmp)
 
         # Long keys: one seeded digest each (rare on filter workloads).
         for i in np.nonzero(~short)[0]:
@@ -232,21 +240,49 @@ class VectorizedFamily(HashFamily):
             base[i] = int.from_bytes(digest, "little")
         return base
 
+    def _ingest_uniform(self, blob: bytes, n: int,
+                        width: int) -> np.ndarray:
+        """Ingest *n* keys of one *width* <= 32 joined into *blob*.
+
+        The join is already a dense ``(n, width)`` matrix; it is padded
+        to ``ceil(width / 8)`` words (a copy only when *width* is not a
+        multiple of 8).  All four fold rounds run, as in the scalar
+        path; for the zero words past the key only the XOR is skipped.
+        """
+        nwords = -(-width // 8)
+        flat = np.frombuffer(blob, dtype=np.uint8).reshape(n, width)
+        if width % 8:
+            padded = np.zeros((n, 8 * nwords), dtype=np.uint8)
+            padded[:, :width] = flat
+            flat = padded
+        words = flat.view("<u8")
+        base = np.full(n, (self._seed_mixed + width * _LEN_MULT) & _M64,
+                       dtype=np.uint64)
+        tmp = np.empty_like(base)
+        for j in range(_WORDS):
+            if j < nwords:
+                base ^= words[:, j]
+            _mix64_np(base, tmp)
+        return base
+
     def values_batch(
         self, elements: Sequence[ElementLike], count: int, start: int = 0
     ) -> np.ndarray:
         """Whole-batch hashing as one ``(n, count)`` NumPy kernel.
 
         Values are bit-identical to :meth:`values` row for row; the
-        only per-element Python on the fast path is the type check and
-        the C-level ``bytes.join``.
+        only per-element Python on the fast path is the C-level
+        ``bytes.join`` and one ``len`` pass.  A list is used as given,
+        any other iterable is materialised once.
         """
         require_non_negative("count", count)
         require_non_negative("start", start)
-        elements = list(elements)
+        if not isinstance(elements, list):
+            elements = list(elements)
         n = len(elements)
         if count == 0 or n == 0:
             return np.empty((n, count), dtype=np.uint64)
         base = self._ingest_batch(elements)
         lanes = self._lane_array(start, count)
-        return _mix64_np(base[:, None] + lanes[None, :])
+        values = base[:, None] + lanes[None, :]
+        return _mix64_np(values, np.empty_like(values))

@@ -60,6 +60,87 @@ def test_set_offsets_batch_matches_scalar(rng):
     assert batch.memory.stats == scalar.memory.stats
 
 
+@pytest.mark.parametrize("word_bits", [64, 32, 16])
+def test_set_pairs_batch_matches_scalar(rng, word_bits):
+    """Pair writes bill one write over ``offset + 1`` bits per pair; on
+    narrow memory models a pair can straddle two or more words."""
+    batch, scalar = make_pair(word_bits=word_bits)
+    bases = rng.integers(0, 640, (30, 4))
+    offsets = rng.integers(0, 57, (30, 1))
+    batch.set_pairs_batch(bases, offsets)
+    for row, o in zip(bases, offsets[:, 0]):
+        for b in row:
+            scalar.set_offsets(int(b), (0, int(o)))
+    assert batch.to_bytes() == scalar.to_bytes()
+    assert batch.memory.stats == scalar.memory.stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(
+    st.tuples(st.integers(min_value=0, max_value=30),
+              st.integers(min_value=0, max_value=17)),
+    min_size=1, max_size=40))
+def test_property_set_pairs_batch_duplicate_heavy(pairs):
+    batch, scalar = make_pair(nbits=48, word_bits=16)
+    batch.set_pairs_batch([b for b, _ in pairs], [o for _, o in pairs])
+    for base, offset in pairs:
+        scalar.set_offsets(base, (0, offset))
+    assert batch.to_bytes() == scalar.to_bytes()
+    assert batch.memory.stats == scalar.memory.stats
+
+
+def test_set_pairs_batch_bounds_empty_and_readonly():
+    bits = BitArray(64)
+    for bases, offsets in (([60], [4]), ([-5], [10]), ([10], [-1]),
+                           ([64], [0])):
+        with pytest.raises(IndexError):
+            bits.set_pairs_batch(bases, offsets)
+    bits.set_pairs_batch(np.empty((0, 4), dtype=np.int64), [[3]])
+    assert bits.memory.stats == AccessStats()
+    assert bits.to_bytes() == bytes(8)
+    frozen = BitArray.attach_readonly(bytes(8), 64)
+    with pytest.raises(TypeError):
+        frozen.set_pairs_batch([0], [1])
+    assert frozen.memory.stats == AccessStats()
+
+
+@pytest.mark.parametrize("group", [(), np.empty((3, 0), dtype=np.int64)],
+                         ids=["empty_tuple", "n_by_0"])
+def test_empty_offset_group_is_a_no_op(group):
+    """Like their scalar twins, the batch offset kernels write, read and
+    bill nothing for an empty offset group."""
+    bits = BitArray(64)
+    bits.set(5, record=False)
+    bits.set_offsets_batch([1, 2, 3], group)
+    got = bits.test_offsets_batch([1, 2, 3], group)
+    assert got.shape == (3, 0) and got.dtype == bool
+    assert bits.test_offsets(1, ()) == ()
+    bits.set_offsets(1, ())
+    assert bits.memory.stats == AccessStats()
+    assert bits.to_bytes() == BitArray.from_bytes(
+        b"\x20" + bytes(7), 64).to_bytes()
+    counters = CounterArray(16, bits_per_counter=4)
+    counters.increment_offsets_batch([1, 2, 3], group)
+    counters.decrement_offsets_batch([1, 2, 3], group)
+    counters.increment_offsets(1, ())
+    assert counters.memory.stats == AccessStats()
+    assert counters.to_list() == [0] * 16
+
+
+def test_offsets_batch_shared_group_matches_scalar(rng):
+    """A ``(g,)`` group broadcasts over every base: one span per row."""
+    batch, scalar = make_pair(word_bits=32)
+    bases = rng.integers(0, 600, 40)
+    group = (0, 9, 30)
+    batch.set_offsets_batch(bases, group)
+    for b in bases:
+        scalar.set_offsets(int(b), group)
+    got = batch.test_offsets_batch(bases, group)
+    want = [scalar.test_offsets(int(b), group) for b in bases]
+    assert [tuple(r) for r in got] == want
+    assert batch.memory.stats == scalar.memory.stats
+
+
 # ----------------------------------------------------------------------
 # The scatter-OR under both write kernels groups positions by in-byte
 # bit and writes each group with one fancy-indexed ``|=``.  Positions

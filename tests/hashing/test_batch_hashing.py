@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hashing import (
     Blake2Family,
@@ -84,3 +86,78 @@ def test_batch_lanes_modes_disagree_like_scalar():
     a = lanes.values_batch(ELEMENTS, 4)
     b = per_index.values_batch(ELEMENTS, 4)
     assert (a != b).any()
+
+
+# ----------------------------------------------------------------------
+# VectorizedFamily reads a batch of byte keys that all have one width
+# <= 32 as a dense matrix padded only to whole words.  Every width from
+# empty to past the long-key cut-off, and every bytes-like key type,
+# must hash exactly like the scalar path.  A cast memoryview (len() is
+# its item count, not its byte count) must be caught by the length
+# cross-check and canonicalised on the slow path.
+# ----------------------------------------------------------------------
+KEY_TYPES = {"bytes": bytes, "bytearray": bytearray,
+             "memoryview": memoryview}
+
+
+def _assert_rows_match(family, batch, count=5, start=0):
+    got = family.values_batch(batch, count, start=start)
+    assert got.shape == (len(batch), count)
+    for row, element in zip(got, batch):
+        assert [int(v) for v in row] == family.values(element, count,
+                                                      start=start)
+
+
+@pytest.mark.parametrize("width", range(41))
+@pytest.mark.parametrize("kind", sorted(KEY_TYPES))
+def test_uniform_width_batch_matches_scalar(width, kind):
+    rng = np.random.default_rng(width)
+    raw = [bytes(rng.integers(0, 256, width, dtype=np.uint8))
+           for _ in range(7)]
+    _assert_rows_match(VectorizedFamily(seed=3),
+                       [KEY_TYPES[kind](r) for r in raw])
+
+
+@st.composite
+def uniform_batches(draw):
+    width = draw(st.one_of(st.sampled_from([0, 8, 16, 24, 32, 33]),
+                           st.integers(min_value=0, max_value=40)))
+    n = draw(st.integers(min_value=1, max_value=12))
+    raw = draw(st.lists(st.binary(min_size=width, max_size=width),
+                        min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from(sorted(KEY_TYPES)),
+                          min_size=n, max_size=n))
+    batch = [KEY_TYPES[k](r) for k, r in zip(kinds, raw)]
+    if width % 4 == 0 and width and draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=n - 1))
+        batch[at] = memoryview(raw[at]).cast("I")
+    return batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=uniform_batches(),
+       seed=st.integers(min_value=0, max_value=2 ** 32),
+       count=st.integers(min_value=1, max_value=9),
+       start=st.integers(min_value=0, max_value=5))
+def test_property_uniform_width_batch_matches_scalar(batch, seed, count,
+                                                     start):
+    _assert_rows_match(VectorizedFamily(seed=seed), batch, count, start)
+
+
+def test_cast_memoryview_takes_the_canonical_path():
+    """Every key is a 4-item cast memoryview: ``len()`` agrees across
+    the batch but is a quarter of each key's byte count."""
+    raw = [bytes(range(i, i + 16)) for i in range(5)]
+    batch = [memoryview(r).cast("I") for r in raw]
+    family = VectorizedFamily(seed=1)
+    _assert_rows_match(family, batch)
+    assert (family.values_batch(batch, 3)
+            == family.values_batch(raw, 3)).all()
+
+
+def test_values_batch_accepts_any_iterable():
+    family = VectorizedFamily(seed=0)
+    keys = [b"flow-%08d" % i for i in range(6)]
+    want = family.values_batch(keys, 4)
+    assert (family.values_batch(tuple(keys), 4) == want).all()
+    assert (family.values_batch(iter(keys), 4) == want).all()
