@@ -434,13 +434,13 @@ class BitArray:
             self.memory.record_writes(bases.size, int(costs.sum()))
         _or_bits(self.as_numpy(), positions)
 
-    def set_pairs_batch(self, bases, offsets, record: bool = True) -> None:
+    def set_pairs_batch(self, bases, offsets) -> None:
         """Vectorised pair write: the write twin of :meth:`test_pairs_batch`.
 
         Sets bits ``base`` and ``base + offset`` of every pair.
-        ``bases`` and ``offsets`` broadcast together.  When recording,
-        each pair is billed as one write spanning ``offset + 1`` bits
-        from its base, exactly like ``set_offsets(base, (0, offset))``.
+        ``bases`` and ``offsets`` broadcast together.  Each pair is
+        billed as one write spanning ``offset + 1`` bits from its base,
+        exactly like ``set_offsets(base, (0, offset))``.
         Unlike :meth:`set_offsets_batch` it never builds a per-pair
         offset matrix.
         """
@@ -454,9 +454,8 @@ class BitArray:
         ends = bases + offsets
         self._check_batch(bases)
         self._check_batch(ends)
-        if record:
-            costs = self.memory.read_cost_batch(bases, offsets + 1)
-            self.memory.record_writes(bases.size, int(costs.sum()))
+        costs = self.memory.read_cost_batch(bases, offsets + 1)
+        self.memory.record_writes(bases.size, int(costs.sum()))
         view = self.as_numpy()
         _or_bits(view, bases.ravel())
         _or_bits(view, ends.ravel())

@@ -182,87 +182,80 @@ class VectorizedFamily(HashFamily):
         :func:`repro._util.to_bytes` canonicalisation on the wire) are
         joined into one buffer with pure NumPy indexing — no
         per-element Python beyond one ``join`` and one ``len`` pass.
-        Keys of one width (flow IDs, fixed-format records) read the
-        join as a dense ``(n, width)`` matrix padded only to whole
+        Keys of one width <= 32 (flow IDs, fixed-format records) read
+        the join as a dense ``(n, width)`` matrix padded only to whole
         words; other batches are scattered into a zero-padded
         ``(n, 32)`` byte matrix.  Long keys (> 32 bytes) take the
         seeded BLAKE2b fallback individually, exactly like the scalar
-        path.
+        path.  Non-bytes elements are canonicalised once and re-enter.
         """
         n = len(elements)
         try:
             # Fast path: all elements already bytes-like — one C-level
-            # join, no per-element Python.  The length cross-check
-            # catches bytes-likes whose len() is not their byte count
-            # (e.g. a cast memoryview), which must take the canonical
-            # slow path to match the scalar entry points.
+            # join, no per-element Python.
             blob = b"".join(elements)
-            lens = list(map(len, elements))
-            uniform = lens.count(lens[0]) == n
-            if len(blob) != (n * lens[0] if uniform else sum(lens)):
-                raise TypeError
-            datas = elements
         except TypeError:
-            datas = [to_bytes(e) for e in elements]
-            blob = b"".join(datas)
-            lens = list(map(len, datas))
-            uniform = lens.count(lens[0]) == n
-        if uniform and lens[0] <= _SHORT_MAX:
-            return self._ingest_uniform(blob, n, lens[0])
-        lengths = np.array(lens, dtype=np.int64)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        short = lengths <= _SHORT_MAX
+            return self._ingest_batch([to_bytes(e) for e in elements])
+        lens = list(map(len, elements))
+        # One width <= 32?  The O(1) size test fails for almost every
+        # mixed-width batch, which then skips the ``count`` pass.
+        uniform = (lens[0] <= _SHORT_MAX and len(blob) == n * lens[0]
+                   and lens.count(lens[0]) == n)
+        if not uniform:
+            lengths = np.array(lens, dtype=np.int64)
+            if len(blob) != int(lengths.sum()):
+                # A bytes-like whose len() is not its byte count (e.g. a
+                # cast memoryview) takes the canonical path, matching
+                # the scalar entry points.
+                return self._ingest_batch([to_bytes(e) for e in elements])
+        long_rows = ()
+        if uniform:
+            # One width: the join is already a dense (n, width) matrix;
+            # pad it to whole words only (a copy only when width is not
+            # a multiple of 8).
+            width = lens[0]
+            nwords = -(-width // 8)
+            flat = np.frombuffer(blob, dtype=np.uint8).reshape(n, width)
+            if width % 8:
+                padded = np.zeros((n, 8 * nwords), dtype=np.uint8)
+                padded[:, :width] = flat
+                flat = padded
+            words = flat.view("<u8")
+            base = np.full(n, (self._seed_mixed + width * _LEN_MULT) & _M64,
+                           dtype=np.uint64)
+        else:
+            # Mixed widths: scatter short keys into a (n, 32) zero-padded
+            # byte matrix — all array ops.
+            ends = np.cumsum(lengths)
+            starts = ends - lengths
+            short = lengths <= _SHORT_MAX
+            short_lengths = np.where(short, lengths, 0)
+            buf = np.zeros((n, _SHORT_MAX), dtype=np.uint8)
+            total_short = int(short_lengths.sum())
+            if total_short:
+                flat = np.frombuffer(blob, dtype=np.uint8)
+                row = np.repeat(np.arange(n), short_lengths)
+                cum = np.cumsum(short_lengths) - short_lengths
+                col = np.arange(total_short) - np.repeat(cum, short_lengths)
+                buf[row, col] = flat[np.repeat(starts, short_lengths) + col]
+            words = buf.view("<u8")
+            base = np.uint64(self._seed_mixed) \
+                + lengths.astype(np.uint64) * _NP_LEN_MULT
+            long_rows = np.nonzero(~short)[0]
 
-        # Short keys: scatter into a (n, 32) zero-padded byte matrix,
-        # view as little-endian words, fold — all array ops.
-        short_lengths = np.where(short, lengths, 0)
-        buf = np.zeros((n, _SHORT_MAX), dtype=np.uint8)
-        total_short = int(short_lengths.sum())
-        if total_short:
-            flat = np.frombuffer(blob, dtype=np.uint8)
-            row = np.repeat(np.arange(n), short_lengths)
-            cum = np.cumsum(short_lengths) - short_lengths
-            col = np.arange(total_short) - np.repeat(cum, short_lengths)
-            buf[row, col] = flat[np.repeat(starts, short_lengths) + col]
-        words = buf.view("<u8")
-        base = np.uint64(self._seed_mixed) \
-            + lengths.astype(np.uint64) * _NP_LEN_MULT
+        # The fold of the scalar path: all four rounds run; the XOR with
+        # a zero word past a uniform key's last word is skipped.
         tmp = np.empty_like(base)
         for j in range(_WORDS):
-            base ^= words[:, j]
+            if j < words.shape[1]:
+                base ^= words[:, j]
             _mix64_np(base, tmp)
 
         # Long keys: one seeded digest each (rare on filter workloads).
-        for i in np.nonzero(~short)[0]:
+        for i in long_rows:
             digest = hashlib.blake2b(
-                datas[i], digest_size=8, key=self._long_key).digest()
+                elements[i], digest_size=8, key=self._long_key).digest()
             base[i] = int.from_bytes(digest, "little")
-        return base
-
-    def _ingest_uniform(self, blob: bytes, n: int,
-                        width: int) -> np.ndarray:
-        """Ingest *n* keys of one *width* <= 32 joined into *blob*.
-
-        The join is already a dense ``(n, width)`` matrix; it is padded
-        to ``ceil(width / 8)`` words (a copy only when *width* is not a
-        multiple of 8).  All four fold rounds run, as in the scalar
-        path; for the zero words past the key only the XOR is skipped.
-        """
-        nwords = -(-width // 8)
-        flat = np.frombuffer(blob, dtype=np.uint8).reshape(n, width)
-        if width % 8:
-            padded = np.zeros((n, 8 * nwords), dtype=np.uint8)
-            padded[:, :width] = flat
-            flat = padded
-        words = flat.view("<u8")
-        base = np.full(n, (self._seed_mixed + width * _LEN_MULT) & _M64,
-                       dtype=np.uint64)
-        tmp = np.empty_like(base)
-        for j in range(_WORDS):
-            if j < nwords:
-                base ^= words[:, j]
-            _mix64_np(base, tmp)
         return base
 
     def values_batch(
