@@ -35,11 +35,10 @@ import sys
 import time
 
 from repro.chaos.drill import DrillConfig, run_drill
-from repro.core.membership import ShiftingBloomFilter
 from repro.replication.failover import FailoverClient
 from repro.service.client import ServiceClient
 from repro.service.server import CoalescerConfig, FilterService
-from repro.store.sharded import ShardedFilterStore
+from repro.store.spec import StoreSpec
 from repro.workloads.service import build_service_workload
 
 DEFAULT_N = 4000
@@ -71,9 +70,8 @@ async def _drive(call, requests, pipeline: int) -> float:
 
 async def _bench_overhead(args) -> dict:
     workload = build_service_workload(args.n, seed=args.seed)
-    store = ShardedFilterStore(
-        lambda s: ShiftingBloomFilter(m=args.m_per_shard, k=args.k),
-        n_shards=args.shards)
+    store = StoreSpec(shards=args.shards, m=args.m_per_shard, k=args.k,
+                      family="blake2b").build()
     store.add_batch(list(workload.members))
     service = FilterService(store, CoalescerConfig())
     server = await service.start(port=0)

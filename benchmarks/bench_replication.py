@@ -2,7 +2,8 @@
 
 Three questions, answered in one process (loopback TCP, one event
 loop), all over the same seeded
-:func:`~repro.workloads.replication.build_replication_workload`:
+:func:`~repro.workloads.service.build_service_workload` stream and its
+default kill point (three quarters of the writes acknowledged):
 
 1. **What does replication cost the primary?**  The acknowledged write
    stream plus the read mix is driven through a primary with no
@@ -39,17 +40,14 @@ import pathlib
 import sys
 import time
 
-from repro.core.membership import ShiftingBloomFilter
+from repro.replication.__main__ import kill_point, split_writes
 from repro.replication.failover import FailoverClient
-from repro.replication.replicator import (
-    ReplicatedFilterService,
-    ReplicationConfig,
-)
+from repro.replication.pair import start_pair
+from repro.replication.replicator import ReplicationConfig
 from repro.service.client import ServiceClient
 from repro.service.server import CoalescerConfig, FilterService
-from repro.store.sharded import ShardedFilterStore
-from repro.workloads.replication import build_replication_workload
-from repro.workloads.service import chop_requests
+from repro.store.spec import StoreSpec
+from repro.workloads.service import build_service_workload, chop_requests
 
 DEFAULT_N = 6000
 DEFAULT_SHARDS = 4
@@ -60,12 +58,13 @@ DEFAULT_CLIENTS = 4
 DEFAULT_INTERVAL_MS = 50
 
 
-def _make_service(args) -> FilterService:
-    store = ShardedFilterStore(
-        lambda s: ShiftingBloomFilter(m=args.m_per_shard, k=args.k),
-        n_shards=args.shards)
-    return FilterService(store, CoalescerConfig(
-        max_batch=512, max_delay_us=200, max_inflight=4096))
+COALESCER = CoalescerConfig(max_batch=512, max_delay_us=200,
+                            max_inflight=4096)
+
+
+def _store(args):
+    return StoreSpec(shards=args.shards, m=args.m_per_shard, k=args.k,
+                     family="blake2b").build()
 
 
 async def _drive(port: int, write_batches, read_batches,
@@ -89,14 +88,15 @@ async def _drive(port: int, write_batches, read_batches,
 
 
 async def bench(args) -> dict:
-    workload = build_replication_workload(args.n, seed=args.seed)
-    pre, _ = workload.write_batches(args.per_batch)
-    read_batches = chop_requests(workload.read_mix(), args.per_batch)
-    n_elements = sum(len(b) for b in pre) + sum(
-        len(b) for b in read_batches)
+    workload = build_service_workload(args.n, seed=args.seed)
+    at = kill_point(args.n, -1)
+    pre, _ = split_writes(workload.members, at, args.per_batch)
+    mix = workload.mixed_stream()[: 2 * at]
+    read_batches = chop_requests(mix, args.per_batch)
+    n_elements = sum(len(b) for b in pre) + len(mix)
 
     # --- 1. baseline: identical load, no replication ------------------
-    solo = _make_service(args)
+    solo = FilterService(_store(args), COALESCER)
     solo_server = await solo.start(port=0)
     solo_port = solo_server.sockets[0].getsockname()[1]
     solo_s = await _drive(solo_port, pre, read_batches, args.clients)
@@ -104,53 +104,45 @@ async def bench(args) -> dict:
     await solo_server.wait_closed()
 
     # --- 2. replicated primary, same load ------------------------------
-    standby = _make_service(args)
-    standby_server = await standby.start(port=0)
-    standby_port = standby_server.sockets[0].getsockname()[1]
-    primary = _make_service(args)
-    repl = ReplicatedFilterService(primary, ReplicationConfig(
-        interval_ms=args.interval_ms, max_staleness_batches=32))
-    primary_server = await repl.start(port=0)
-    primary_port = primary_server.sockets[0].getsockname()[1]
-    await repl.attach_standby("127.0.0.1", standby_port)
+    pair = await start_pair(
+        _store(args), _store(args), coalescer=COALESCER,
+        config=ReplicationConfig(interval_ms=args.interval_ms,
+                                 max_staleness_batches=32))
+    try:
+        repl_s = await _drive(pair.primary_port, pre, read_batches,
+                              args.clients)
+        quiesce_start = time.perf_counter()
+        await pair.repl.ship()
+        quiesce_ms = (time.perf_counter() - quiesce_start) * 1e3
+        link = pair.repl.standbys[0]
+        ship_stats = link.stats_dict()
 
-    repl_s = await _drive(primary_port, pre, read_batches, args.clients)
-    quiesce_start = time.perf_counter()
-    await repl.ship()
-    quiesce_ms = (time.perf_counter() - quiesce_start) * 1e3
-    link = repl.standbys[0]
-    ship_stats = link.stats_dict()
+        # --- standby equivalence after quiesce --------------------------
+        probe = await ServiceClient.connect(port=pair.standby_port)
+        primary_probe = await ServiceClient.connect(port=pair.primary_port)
+        standby_blob = await probe.snapshot()
+        primary_blob = await primary_probe.snapshot()
+        snapshots_identical = standby_blob == primary_blob
+        await probe.close()
+        await primary_probe.close()
 
-    # --- standby equivalence after quiesce ------------------------------
-    probe = await ServiceClient.connect(port=standby_port)
-    primary_probe = await ServiceClient.connect(port=primary_port)
-    standby_blob = await probe.snapshot()
-    primary_blob = await primary_probe.snapshot()
-    snapshots_identical = standby_blob == primary_blob
-    await probe.close()
-
-    # --- 3. failover: kill the primary under a warm client -------------
-    client = FailoverClient([("127.0.0.1", primary_port),
-                             ("127.0.0.1", standby_port)])
-    mix = workload.read_mix()
-    primary_verdicts = await client.query(mix)  # warm, lands on primary
-    await repl.close()
-    await primary_probe.close()
-    primary_server.close()
-    await primary_server.wait_closed()
-    primary.abort_connections()
-    killed_at = time.perf_counter()
-    standby_verdicts = await client.query(mix)
-    failover_ms = (time.perf_counter() - killed_at) * 1e3
-    promote_start = time.perf_counter()
-    await client.promote()
-    promote_ms = (time.perf_counter() - promote_start) * 1e3
-    consistent = bool((standby_verdicts == primary_verdicts).all())
-    false_negatives = int(
-        sum(1 for v in standby_verdicts[0::2] if not v))
-    await client.close()
-    standby_server.close()
-    await standby_server.wait_closed()
+        # --- 3. failover: kill the primary under a warm client ---------
+        client = FailoverClient([("127.0.0.1", pair.primary_port),
+                                 ("127.0.0.1", pair.standby_port)])
+        primary_verdicts = await client.query(mix)  # warm, on primary
+        await pair.kill_primary()
+        killed_at = time.perf_counter()
+        standby_verdicts = await client.query(mix)
+        failover_ms = (time.perf_counter() - killed_at) * 1e3
+        promote_start = time.perf_counter()
+        await client.promote()
+        promote_ms = (time.perf_counter() - promote_start) * 1e3
+        consistent = bool((standby_verdicts == primary_verdicts).all())
+        false_negatives = int(
+            sum(1 for v in standby_verdicts[0::2] if not v))
+        await client.close()
+    finally:
+        await pair.close()
 
     return {
         "throughput": {

@@ -46,11 +46,9 @@ import sys
 import time
 
 from repro.analysis.ttl import generational_fpr
-from repro.core.membership import ShiftingBloomFilter
-from repro.hashing.family import make_family
 from repro.service.client import ServiceClient
 from repro.service.server import CoalescerConfig, FilterService
-from repro.store.generational import GenerationalStore
+from repro.store.spec import StoreSpec
 from repro.workloads.service import chop_requests
 from repro.workloads.ttl import build_ttl_workload
 
@@ -65,14 +63,12 @@ DEFAULT_PER_BATCH = 256
 DEFAULT_STALL_BUDGET_MS = 100.0
 
 
-def _reference_store(args) -> GenerationalStore:
+def _reference_store(args):
     """The fault-free mirror, built exactly like the serve CLI's target
     (one shared family instance across generations)."""
-    family = make_family(args.family, seed=0)
-    return GenerationalStore(
-        lambda seq: ShiftingBloomFilter(m=args.m, k=args.k, family=family),
-        generations=args.generations,
-        rotate_after_items=args.arrivals + args.tracers)
+    return StoreSpec(m=args.m, k=args.k, family=args.family,
+                     generations=args.generations,
+                     rotate_items=args.arrivals + args.tracers).build()
 
 
 def _scrape_ttl_metrics(snapshot: dict) -> dict:

@@ -4,10 +4,11 @@
 full serving stack the paper's deployment story implies — a sharded
 primary behind a :class:`~repro.replication.ReplicatedFilterService`,
 a warm standby, and a :class:`~repro.chaos.proxy.ChaosProxy` in front
-of the primary — then drives a seeded write/read workload through a
-hardened :class:`~repro.replication.FailoverClient` while the proxy
-injects the scripted faults.  After the run, three invariants are
-checked mechanically:
+of the primary — then drives a seeded write/read sequence
+(:func:`op_sequence`) through a hardened
+:class:`~repro.replication.FailoverClient` while the proxy injects the
+scripted faults.  After the run, three invariants are checked
+mechanically:
 
 * **zero wrong verdicts** — every query answer matches a fault-free
   reference replay of the same seeded sequence on a local store built
@@ -31,7 +32,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,16 +40,13 @@ from repro.chaos.faults import FaultSchedule, default_drill_schedule
 from repro.chaos.proxy import ChaosProxy
 from repro.obs.metrics import Histogram
 from repro.replication.failover import FailoverClient
-from repro.replication.replicator import (
-    ReplicatedFilterService,
-    ReplicationConfig,
-)
+from repro.replication.pair import start_pair
+from repro.replication.replicator import ReplicationConfig
 from repro.retry import BackoffPolicy
-from repro.service.server import FilterService
 from repro.store.spec import StoreSpec
-from repro.workloads.chaos import build_chaos_workload
+from repro.workloads.service import ServiceWorkload, build_service_workload
 
-__all__ = ["DrillConfig", "run_drill"]
+__all__ = ["DrillConfig", "op_sequence", "run_drill"]
 
 
 @dataclass(frozen=True)
@@ -107,6 +105,22 @@ class DrillConfig:
         }
 
 
+def op_sequence(workload: ServiceWorkload, per_batch: int,
+                ) -> Iterator[Tuple[str, List[bytes]]]:
+    """The drill's ops: ``("add", batch)`` then ``("query", mix)``.
+
+    Each write batch is followed by one read burst interleaving the
+    just-written members with as many absent elements, so every
+    queried member was acknowledged before the query is issued: a
+    ``False`` under faults is a real violation, not a race.
+    """
+    mixed = workload.mixed_stream()
+    for start in range(0, len(workload.members), per_batch):
+        batch = list(workload.members[start : start + per_batch])
+        yield "add", batch
+        yield "query", mixed[2 * start : 2 * (start + len(batch))]
+
+
 async def run_drill(config: DrillConfig = DrillConfig()) -> dict:
     """Run one seeded chaos drill; see the module docstring.
 
@@ -115,38 +129,18 @@ async def run_drill(config: DrillConfig = DrillConfig()) -> dict:
     """
     schedule = config.schedule()
     schedule.reset()
-    workload = build_chaos_workload(
-        config.n, per_batch=config.per_batch, seed=config.seed)
+    workload = build_service_workload(config.n, seed=config.seed)
 
     # Fault-free reference: an identically constructed store replaying
     # the same seeded sequence locally.  Bit-identical to the primary
     # (and, after each ship, the standby), so verdicts must agree
     # exactly — false positives included.
     reference = config.store.build()
-
-    standby_service = FilterService(config.store.build())
-    standby_server = await standby_service.start(port=0)
-    standby_port = standby_server.sockets[0].getsockname()[1]
-
-    primary_service = FilterService(config.store.build())
-    repl = ReplicatedFilterService(
-        primary_service, ReplicationConfig(interval_ms=3_600_000))
-    primary_server = await repl.start(port=0)
-    primary_port = primary_server.sockets[0].getsockname()[1]
-    await repl.attach_standby("127.0.0.1", standby_port)
-
-    proxy = ChaosProxy("127.0.0.1", primary_port, schedule)
-    await proxy.start()
-
-    client = FailoverClient(
-        [("127.0.0.1", proxy.port), ("127.0.0.1", standby_port)],
-        op_timeout=config.op_timeout,
-        connect_timeout=config.connect_timeout,
-        max_passes=config.max_passes,
-        backoff=BackoffPolicy(base=0.05, cap=0.5),
-        client_id=config.seed + 1,
-        rng=random.Random(config.seed),
-    )
+    pair = await start_pair(
+        config.store.build(), config.store.build(),
+        config=ReplicationConfig(interval_ms=3_600_000))
+    proxy = ChaosProxy("127.0.0.1", pair.primary_port, schedule)
+    client = None
 
     wrong_verdicts = 0
     ops_run = 0
@@ -158,13 +152,23 @@ async def run_drill(config: DrillConfig = DrillConfig()) -> dict:
     op_latency = Histogram()
     op_budget = config.op_timeout + config.failover_budget
     try:
-        for kind, batch in workload.op_sequence():
+        await proxy.start()
+        client = FailoverClient(
+            [("127.0.0.1", proxy.port), ("127.0.0.1", pair.standby_port)],
+            op_timeout=config.op_timeout,
+            connect_timeout=config.connect_timeout,
+            max_passes=config.max_passes,
+            backoff=BackoffPolicy(base=0.05, cap=0.5),
+            client_id=config.seed + 1,
+            rng=random.Random(config.seed),
+        )
+        for kind, batch in op_sequence(workload, config.per_batch):
             start = time.monotonic()
             if kind == "add":
                 await client.add(batch)
                 reference.add_batch(batch)
                 # Ship the delta so standby reads stay verdict-exact.
-                await repl.ship()
+                await pair.repl.ship()
             else:
                 verdicts = np.asarray(await client.query(batch))
                 expected = np.asarray(reference.query_batch(batch))
@@ -177,20 +181,15 @@ async def run_drill(config: DrillConfig = DrillConfig()) -> dict:
             # of what the op budget must absorb under faults.
             if elapsed > op_budget:
                 deadline_violations += 1
-        duplicate_writes = (primary_service.target.n_items
+        duplicate_writes = (pair.primary_service.target.n_items
                             - reference.n_items)
-        server_counters = primary_service.counters.as_dict()
-        standby_counters = standby_service.counters.as_dict()
+        server_counters = pair.primary_service.counters.as_dict()
+        standby_counters = pair.standby_service.counters.as_dict()
     finally:
-        await client.close()
+        if client is not None:
+            await client.close()
         await proxy.close()
-        await repl.close()
-        for server in (primary_server, standby_server):
-            server.close()
-            try:
-                await server.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+        await pair.close()
 
     invariants = {
         "zero_wrong_verdicts": wrong_verdicts == 0,

@@ -129,11 +129,12 @@ class LocalCluster:
         return self.shard_map.nodes()
 
     async def close(self) -> None:
-        for server in self.servers:
+        # Abort before waiting: from Python 3.12.1 on, wait_closed()
+        # also waits for every open connection.
+        for server, service in zip(self.servers, self.services):
             server.close()
-            await server.wait_closed()
-        for service in self.services:
             service.abort_connections()
+            await server.wait_closed()
 
 
 async def start_local_cluster(

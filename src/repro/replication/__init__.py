@@ -11,6 +11,8 @@ availability — built entirely on the serving layer's wire protocol:
 * :mod:`repro.replication.failover` — :class:`FailoverClient` retries
   reads on a standby when the primary sheds or dies, routes writes
   only to the primary role, and drives PROMOTE after a failover;
+* :mod:`repro.replication.pair` — ``start_pair`` boots the in-process
+  primary/standby pair of the drills, the benchmark and the tests;
 * ``python -m repro.replication`` — ``serve`` / ``serve-pair`` /
   ``probe`` / ``verify`` / ``drill``, the operator entry points for
   the kill-primary failover drill (see ``docs/OPERATIONS.md``).

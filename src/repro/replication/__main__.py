@@ -16,13 +16,14 @@ Five subcommands::
 ``serve`` hosts one node of a replicated pair (a primary that attaches
 and ships to its standbys, or a bare standby awaiting SUBSCRIBE);
 ``serve-pair`` hosts both in one process for local experiments and can
-script the primary's death; ``probe`` writes the acknowledged half of a
-seeded :func:`~repro.workloads.replication.build_replication_workload`
-through the primary, waits until the standby has caught up, and records
-the primary's verdicts; ``verify`` replays the same seeded read mix
-through a :class:`~repro.replication.FailoverClient` — surviving a dead
-primary, optionally promoting a standby — and exits non-zero unless
-every verdict is bit-identical to the recorded ones; ``drill`` runs the
+script the primary's death; ``probe`` writes a seeded
+:func:`~repro.workloads.service.build_service_workload` stream up to
+its kill point through the primary, waits until the standby has caught
+up, and records the primary's verdicts; ``verify`` checks that the
+record names the same script, then replays its read mix through a
+:class:`~repro.replication.FailoverClient` — surviving a dead primary,
+optionally promoting a standby — and exits non-zero unless every
+verdict is bit-identical to the recorded ones; ``drill`` runs the
 whole kill-primary exercise end-to-end in one process and reports the
 measured failover latency.
 """
@@ -34,6 +35,7 @@ import asyncio
 import json
 import sys
 import time
+from typing import List, Sequence, Tuple
 
 from repro.cli import (
     add_coalescer_args,
@@ -47,16 +49,16 @@ from repro.cli import (
     run,
     spec_from_args,
 )
-from repro.errors import FailoverExhaustedError, ReproError
+from repro.errors import ConfigurationError, FailoverExhaustedError
 from repro.replication.failover import FailoverClient, parse_endpoint
+from repro.replication.pair import attach_with_retries, start_pair
 from repro.replication.replicator import (
     ReplicatedFilterService,
     ReplicationConfig,
 )
 from repro.service.client import ServiceClient
 from repro.service.server import FilterService
-from repro.workloads.replication import build_replication_workload
-from repro.workloads.service import build_service_workload
+from repro.workloads.service import build_service_workload, chop_requests
 
 
 def _add_replication_args(parser: argparse.ArgumentParser) -> None:
@@ -80,34 +82,45 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _build_service(args: argparse.Namespace) -> FilterService:
-    return FilterService(spec_from_args(args).build(),
-                         coalescer_from_args(args))
+def kill_point(n: int, failover_at: int) -> int:
+    """Index into the *n*-element write stream where the primary dies:
+    *failover_at*, or three quarters of the stream when negative.  The
+    read mix is ``workload.mixed_stream()[: 2 * at]``: the writes
+    acknowledged before the kill, interleaved with absent elements."""
+    if failover_at < 0:
+        return (3 * n) // 4
+    if failover_at > n:
+        raise ConfigurationError(
+            "failover_at %d beyond the %d-element write stream"
+            % (failover_at, n))
+    return failover_at
 
 
-async def _attach_with_retries(repl: ReplicatedFilterService,
-                               host: str, port: int,
-                               retries: int, delay: float) -> None:
-    last: Exception = ConnectionError("no attempt made")
-    for attempt in range(retries):
-        try:
-            await repl.attach_standby(host, port)
-            return
-        except (ConnectionError, OSError, ReproError) as exc:
-            last = exc
-            if attempt + 1 < retries:
-                await asyncio.sleep(delay)
-    raise last
+def split_writes(members: Sequence[bytes], at: int, per_batch: int,
+                 ) -> Tuple[List[List[bytes]], List[List[bytes]]]:
+    """The write stream as request batches, split exactly at *at*: no
+    batch straddles the kill, so the first list is precisely the
+    acknowledged writes and the second the in-flight ones."""
+    return (chop_requests(members[:at], per_batch),
+            chop_requests(members[at:], per_batch))
+
+
+def _preloaded_target(args: argparse.Namespace):
+    """A fresh store from the flags, holding ``--preload`` members."""
+    target = spec_from_args(args).build()
+    if args.preload > 0:
+        workload = build_service_workload(args.preload, seed=args.seed)
+        target.add_batch(list(workload.members))
+    return target
 
 
 # ----------------------------------------------------------------------
 # serve / serve-pair
 # ----------------------------------------------------------------------
 async def _serve(args: argparse.Namespace) -> int:
-    service = _build_service(args)
-    if args.role == "primary" and args.preload > 0:
-        workload = build_service_workload(args.preload, seed=args.seed)
-        service.target.add_batch(list(workload.members))
+    service = FilterService(
+        _preloaded_target(args) if args.role == "primary"
+        else spec_from_args(args).build(), coalescer_from_args(args))
     if args.role == "standby":
         server = await service.start(args.host, args.port)
         port = server.sockets[0].getsockname()[1]
@@ -122,7 +135,7 @@ async def _serve(args: argparse.Namespace) -> int:
     port = server.sockets[0].getsockname()[1]
     for spec in args.standby:
         host, standby_port = parse_endpoint(spec)
-        await _attach_with_retries(
+        await attach_with_retries(
             repl, host, standby_port,
             args.attach_retries, args.attach_delay)
         print("attached standby %s:%d (full snapshot shipped)"
@@ -140,48 +153,36 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 async def _serve_pair(args: argparse.Namespace) -> int:
-    standby_service = _build_service(args)
-    standby_server = await standby_service.start(
-        args.host, args.standby_port)
-    standby_port = standby_server.sockets[0].getsockname()[1]
-
-    primary_service = _build_service(args)
-    if args.preload > 0:
-        workload = build_service_workload(args.preload, seed=args.seed)
-        primary_service.target.add_batch(list(workload.members))
-    repl = ReplicatedFilterService(
-        primary_service, from_args(ReplicationConfig, args))
-    primary_server = await repl.start(args.host, args.primary_port)
-    primary_port = primary_server.sockets[0].getsockname()[1]
-    await repl.attach_standby(args.host, standby_port)
+    pair = await start_pair(
+        _preloaded_target(args), spec_from_args(args).build(),
+        host=args.host, primary_port=args.primary_port,
+        standby_port=args.standby_port,
+        config=from_args(ReplicationConfig, args),
+        coalescer=coalescer_from_args(args))
     print("repro.replication pair: primary %s:%d -> standby %s:%d "
           "(n_items=%d, interval_ms=%d)"
-          % (args.host, primary_port, args.host, standby_port,
-             primary_service.target.n_items, args.interval_ms),
+          % (args.host, pair.primary_port, args.host, pair.standby_port,
+             pair.primary_service.target.n_items, args.interval_ms),
           flush=True)
 
     async def kill_primary_later() -> None:
         await asyncio.sleep(args.kill_primary_after)
-        await repl.ship()  # last delta: everything acknowledged so far
-        await repl.close()
-        primary_server.close()
-        await primary_server.wait_closed()
-        primary_service.abort_connections()
+        await pair.repl.ship()  # last delta: everything acknowledged
+        await pair.kill_primary()
         print("primary killed after %.1f s; standby %s:%d still "
               "serving (PROMOTE it to accept writes)"
-              % (args.kill_primary_after, args.host, standby_port),
+              % (args.kill_primary_after, args.host, pair.standby_port),
               flush=True)
 
     killer = None
     if args.kill_primary_after > 0:
         killer = asyncio.ensure_future(kill_primary_later())
     try:
-        async with standby_server:
-            await standby_server.serve_forever()
+        await pair.standby_server.serve_forever()
     finally:
         if killer is not None:
             killer.cancel()
-        await repl.close()
+        await pair.close()
     return 0
 
 
@@ -214,29 +215,33 @@ async def _wait_synced(primary: ServiceClient, standby_spec: str,
         await standby.close()
 
 
+async def _query_all(client, mix: List[bytes], per_batch: int) -> list:
+    verdicts: list = []
+    for i in range(0, len(mix), per_batch):
+        chunk = await client.query(mix[i : i + per_batch])
+        verdicts.extend(int(v) for v in chunk)
+    return verdicts
+
+
 async def _probe(args: argparse.Namespace) -> int:
-    workload = build_replication_workload(
-        args.n, failover_at=args.failover_at, seed=args.seed)
+    workload = build_service_workload(args.n, seed=args.seed)
+    at = kill_point(args.n, args.failover_at)
     client = await connect(args)
     try:
         if args.write:
-            pre, _ = workload.write_batches(args.per_batch)
+            pre, _ = split_writes(workload.members, at, args.per_batch)
             for batch in pre:
                 await client.add(batch)
             print("wrote %d acknowledged elements in %d batches"
-                  % (len(workload.acknowledged), len(pre)))
+                  % (at, len(pre)))
         if args.sync:
             await _wait_synced(client, args.sync, args.sync_timeout)
             print("standby %s synced" % args.sync)
-        mix = workload.read_mix()
-        verdicts = []
-        for i in range(0, len(mix), args.per_batch):
-            chunk = await client.query(mix[i : i + args.per_batch])
-            verdicts.extend(int(v) for v in chunk)
+        verdicts = await _query_all(
+            client, workload.mixed_stream()[: 2 * at], args.per_batch)
     finally:
         await client.close()
-    record = {"n": args.n, "seed": args.seed,
-              "failover_at": workload.failover_at,
+    record = {"n": args.n, "seed": args.seed, "failover_at": at,
               "verdicts": verdicts}
     if args.out:
         with open(args.out, "w") as fh:
@@ -246,8 +251,21 @@ async def _probe(args: argparse.Namespace) -> int:
 
 
 async def _verify(args: argparse.Namespace) -> int:
-    workload = build_replication_workload(
-        args.n, failover_at=args.failover_at, seed=args.seed)
+    at = kill_point(args.n, args.failover_at)
+    recorded = None
+    if args.expected:
+        with open(args.expected) as fh:
+            recorded = json.load(fh)
+        # Another script's record would "lose" never-written members.
+        for field, mine in (("n", args.n), ("seed", args.seed),
+                            ("failover_at", at)):
+            if recorded.get(field) != mine:
+                print("FAIL: %s records %s=%s, verify resolved %s=%d "
+                      "(pass the probe's --n/--seed/--failover-at)"
+                      % (args.expected, field, recorded.get(field),
+                         field, mine), file=sys.stderr)
+                return 1
+    workload = build_service_workload(args.n, seed=args.seed)
     endpoints = [spec for spec in args.endpoints.split(",") if spec]
     client = FailoverClient(endpoints, op_timeout=args.op_timeout,
                             connect_timeout=args.connect_timeout)
@@ -263,11 +281,8 @@ async def _verify(args: argparse.Namespace) -> int:
                 e["alive"] and e["role"] == "primary" for e in health):
             banner = await client.promote()
             print("promoted: %s" % banner)
-        mix = workload.read_mix()
-        verdicts = []
-        for i in range(0, len(mix), args.per_batch):
-            chunk = await client.query(mix[i : i + args.per_batch])
-            verdicts.extend(int(v) for v in chunk)
+        verdicts = await _query_all(
+            client, workload.mixed_stream()[: 2 * at], args.per_batch)
         print("queried %d elements (%d failovers)"
               % (len(verdicts), client.failovers))
     finally:
@@ -278,15 +293,7 @@ async def _verify(args: argparse.Namespace) -> int:
         print("FAIL: %d acknowledged members answered False"
               % false_negatives, file=sys.stderr)
         return 1
-    if args.expected:
-        with open(args.expected) as fh:
-            recorded = json.load(fh)
-        if recorded["seed"] != args.seed or recorded["n"] != args.n:
-            print("FAIL: %s records seed=%d n=%d, drill uses seed=%d "
-                  "n=%d" % (args.expected, recorded["seed"],
-                            recorded["n"], args.seed, args.n),
-                  file=sys.stderr)
-            return 1
+    if recorded is not None:
         mismatches = sum(
             1 for mine, theirs in zip(verdicts, recorded["verdicts"])
             if mine != theirs)
@@ -305,41 +312,34 @@ async def _verify(args: argparse.Namespace) -> int:
 # drill: the whole exercise in one process
 # ----------------------------------------------------------------------
 async def _drill(args: argparse.Namespace) -> int:
-    workload = build_replication_workload(
-        args.n, failover_at=args.failover_at, seed=args.seed)
+    workload = build_service_workload(args.n, seed=args.seed)
+    at = kill_point(args.n, args.failover_at)
+    pre, post = split_writes(workload.members, at, args.per_batch)
+    in_flight = list(workload.members[at:])
+    mix = workload.mixed_stream()[: 2 * at]
 
-    standby_service = _build_service(args)
-    standby_server = await standby_service.start(args.host, port=0)
-    standby_port = standby_server.sockets[0].getsockname()[1]
-    primary_service = _build_service(args)
-    repl = ReplicatedFilterService(
-        primary_service, from_args(ReplicationConfig, args))
-    primary_server = await repl.start(args.host, port=0)
-    primary_port = primary_server.sockets[0].getsockname()[1]
-    await repl.attach_standby(args.host, standby_port)
+    spec = spec_from_args(args)
+    pair = await start_pair(
+        spec.build(), spec.build(), host=args.host,
+        config=from_args(ReplicationConfig, args),
+        coalescer=coalescer_from_args(args))
     print("pair up: primary :%d -> standby :%d"
-          % (primary_port, standby_port))
-
-    client = FailoverClient([(args.host, primary_port),
-                             (args.host, standby_port)],
+          % (pair.primary_port, pair.standby_port))
+    client = FailoverClient([(args.host, pair.primary_port),
+                             (args.host, pair.standby_port)],
                             op_timeout=args.op_timeout,
                             connect_timeout=args.connect_timeout)
-    mix = workload.read_mix()
     try:
         # --- acknowledged phase: write, replicate, record verdicts ----
-        pre, post = workload.write_batches(args.per_batch)
         for batch in pre:
             await client.add(batch)
-        await repl.ship()
+        await pair.repl.ship()
         primary_verdicts = await client.query(mix)
         print("acknowledged %d writes; primary verdicts recorded "
-              "(epoch %d)" % (len(workload.acknowledged), repl.epoch))
+              "(epoch %d)" % (at, pair.repl.epoch))
 
         # --- kill the primary -----------------------------------------
-        await repl.close()
-        primary_server.close()
-        await primary_server.wait_closed()
-        primary_service.abort_connections()
+        await pair.kill_primary()
         killed_at = time.perf_counter()
         print("primary killed")
 
@@ -354,7 +354,7 @@ async def _drill(args: argparse.Namespace) -> int:
 
         # --- writes must be refused until a PROMOTE --------------------
         try:
-            await client.add(list(workload.in_flight[:1]))
+            await client.add(in_flight[:1])
             print("FAIL: un-promoted standby accepted a write",
                   file=sys.stderr)
             return 1
@@ -364,14 +364,13 @@ async def _drill(args: argparse.Namespace) -> int:
         print("promoted: %s" % banner)
         for batch in post:
             await client.add(batch)
-        late = await client.query(list(workload.in_flight))
+        late = await client.query(in_flight)
         all_late = bool(late.all()) if len(late) else True
         print("replayed %d in-flight writes on the new primary; all "
-              "queryable: %s" % (len(workload.in_flight), all_late))
+              "queryable: %s" % (len(in_flight), all_late))
     finally:
         await client.close()
-        standby_server.close()
-        await standby_server.wait_closed()
+        await pair.close()
     if not identical or not all_late:
         return 1
     print("DRILL OK (failover read latency %.1f ms)" % failover_ms)

@@ -149,6 +149,9 @@ class ServiceClient:
                        trace_id: Optional[int] = None) -> bytes:
         if self._closed:
             raise ProtocolError("client is closed")
+        if self._reader_task.done():
+            # The server hung up: no reply can arrive for a new request.
+            raise ConnectionResetError("connection closed by server")
         deadline = self._op_timeout if timeout is _UNSET else timeout
         request_id = self._next_id
         self._next_id = (self._next_id + 1) & 0xFFFFFFFF

@@ -19,7 +19,6 @@ from repro.workloads.association import (
     AssociationWorkload,
     build_association_workload,
 )
-from repro.workloads.chaos import ChaosWorkload, build_chaos_workload
 from repro.workloads.membership import (
     MembershipWorkload,
     build_membership_workload,
@@ -28,10 +27,6 @@ from repro.workloads.membership import (
 from repro.workloads.multiplicity import (
     MultiplicityWorkload,
     build_multiplicity_workload,
-)
-from repro.workloads.replication import (
-    ReplicationWorkload,
-    build_replication_workload,
 )
 from repro.workloads.service import (
     ServiceWorkload,
@@ -43,17 +38,13 @@ from repro.workloads.ttl import TTLWorkload, build_ttl_workload
 
 __all__ = [
     "AssociationWorkload",
-    "ChaosWorkload",
     "MembershipWorkload",
     "MultiplicityWorkload",
-    "ReplicationWorkload",
     "ServiceWorkload",
     "TTLWorkload",
     "build_association_workload",
-    "build_chaos_workload",
     "build_membership_workload",
     "build_multiplicity_workload",
-    "build_replication_workload",
     "build_service_workload",
     "build_ttl_workload",
     "chop_requests",

@@ -24,6 +24,7 @@ import signal
 
 import pytest
 
+from repro.mpserve.fleet import query_riding, wait_published
 from repro.mpserve.supervisor import MultiWorkerSupervisor, SupervisorConfig
 from repro.service.client import ServiceClient
 from repro.store.spec import StoreSpec
@@ -42,61 +43,11 @@ def fleet_config(**overrides) -> SupervisorConfig:
     return SupervisorConfig(**params)
 
 
-def reference_target():
-    return STORE.build()
-
-
-async def wait_published(sup: MultiWorkerSupervisor,
-                         timeout_s: float = 10.0) -> None:
-    """Barrier: every acknowledged write is in a published generation.
-
-    ``WriterService.publish_now`` clears ``pending_writes`` in the same
-    synchronous step that publishes, so "pending_writes == 0" read off
-    the writer's own STATS is an exact statement, not a heuristic.
-    """
-    deadline = asyncio.get_running_loop().time() + timeout_s
-    while True:
-        try:
-            client = await ServiceClient.connect(
-                HOST, sup.writer_port, connect_timeout=2.0,
-                op_timeout=5.0)
-            try:
-                stats = await client.stats()
-            finally:
-                await client.close()
-            if stats["mpserve"]["pending_writes"] == 0:
-                return
-        except (ConnectionError, OSError):
-            pass  # writer mid-restart; retry until the deadline
-        if asyncio.get_running_loop().time() > deadline:
-            raise AssertionError("writes never drained into a publish")
-        await asyncio.sleep(0.02)
-
-
-async def query_riding_over_crashes(sup, client, batch):
-    """Query, reconnecting if the serving worker just died."""
-    for _attempt in range(20):
-        if client is None:
-            try:
-                client = await ServiceClient.connect(
-                    HOST, sup.serve_port, connect_timeout=2.0,
-                    op_timeout=5.0)
-            except (ConnectionError, OSError):
-                await asyncio.sleep(0.1)
-                continue
-        try:
-            return await client.query(batch), client
-        except (ConnectionError, OSError):
-            await client.close()
-            client = None
-    raise AssertionError("no worker answered within 20 reconnects")
-
-
 class TestFleetEquivalence:
     def test_mixed_stream_is_bit_identical_to_reference(self):
         async def drill():
             sup = MultiWorkerSupervisor(fleet_config())
-            reference = reference_target()
+            reference = STORE.build()
             wrong = 0
             try:
                 await sup.start()
@@ -112,7 +63,7 @@ class TestFleetEquivalence:
                     assert acked == len(batch)
                     reference.add_batch(batch)
                     written.extend(batch)
-                    await wait_published(sup)
+                    await wait_published(HOST, sup.writer_port)
                     # Mixed read-back: everything written so far, a
                     # slice of never-written probes (FP-sensitive), and
                     # a preview of *future* writes which must not leak.
@@ -145,7 +96,7 @@ class TestFleetEquivalence:
     def test_worker_kill9_mid_stream_recovers_without_wrong_answers(self):
         async def drill():
             sup = MultiWorkerSupervisor(fleet_config())
-            reference = reference_target()
+            reference = STORE.build()
             try:
                 await sup.start()
                 members = make_elements(150, "survivor")
@@ -154,7 +105,7 @@ class TestFleetEquivalence:
                     HOST, sup.serve_port)
                 assert await client.add(members) == len(members)
                 reference.add_batch(members)
-                await wait_published(sup)
+                await wait_published(HOST, sup.writer_port)
                 probe = members + absent
                 expected = list(reference.query_batch(probe))
 
@@ -164,8 +115,8 @@ class TestFleetEquivalence:
                 # Mid-crash stream: every answered query must still be
                 # bit-identical; connection failures are ridden over.
                 for _ in range(20):
-                    verdicts, client = await query_riding_over_crashes(
-                        sup, client, probe)
+                    verdicts, client = await query_riding(
+                        HOST, sup.serve_port, probe, client)
                     assert list(verdicts) == expected
                     await asyncio.sleep(0.05)
 
@@ -178,8 +129,8 @@ class TestFleetEquivalence:
                 assert stats["workers"][0]["restarts"] >= 1
                 assert stats["workers"][0]["pid"] != victim["pid"]
                 # The replacement answers identically too.
-                verdicts, client = await query_riding_over_crashes(
-                    sup, client, probe)
+                verdicts, client = await query_riding(
+                    HOST, sup.serve_port, probe, client)
                 assert list(verdicts) == expected
                 if client is not None:
                     await client.close()

@@ -1,11 +1,9 @@
 """Shared plumbing for the replication tests.
 
 Same single-``asyncio.run`` style as ``tests/service``: the
-:func:`pair_run` fixture stands up a full primary→standby pair — a
-standby :class:`~repro.service.FilterService`, a primary wrapped in a
-:class:`~repro.replication.ReplicatedFilterService`, both on ephemeral
-loopback ports, with the standby attached (full snapshot shipped) —
-hands a context object to the test's async scenario, and tears
+:func:`pair_run` fixture boots a live attached pair with
+:func:`~repro.replication.pair.start_pair` on ephemeral loopback
+ports, hands a context object to the test's async scenario, and tears
 everything down inside the same event loop.
 
 The default :class:`~repro.replication.ReplicationConfig` uses a very
@@ -21,14 +19,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.membership import ShiftingBloomFilter
-from repro.replication.replicator import (
-    ReplicatedFilterService,
-    ReplicationConfig,
-)
+from repro.replication.pair import start_pair
+from repro.replication.replicator import ReplicationConfig
 from repro.service.client import ServiceClient
-from repro.service.server import CoalescerConfig, FilterService
-from repro.store.sharded import ShardedFilterStore
+from repro.service.server import CoalescerConfig
+from repro.store.spec import StoreSpec
 
 N_SHARDS = 4
 M_PER_SHARD = 16384
@@ -38,10 +33,8 @@ K = 8
 MANUAL = ReplicationConfig(interval_ms=3_600_000)
 
 
-def make_store(n_shards: int = N_SHARDS,
-               m: int = M_PER_SHARD) -> ShardedFilterStore:
-    return ShardedFilterStore(
-        lambda shard: ShiftingBloomFilter(m=m, k=K), n_shards=n_shards)
+def make_store(n_shards: int = N_SHARDS, m: int = M_PER_SHARD):
+    return StoreSpec(shards=n_shards, m=m, k=K, family="blake2b").build()
 
 
 @pytest.fixture
@@ -62,63 +55,26 @@ def pair_run():
 
     def runner(scenario, *, repl_config: ReplicationConfig = None,
                primary_target=None, standby_target=None,
-               coalescer: CoalescerConfig = None, attach: bool = True):
+               coalescer: CoalescerConfig = None):
         async def main():
-            standby_service = FilterService(
-                standby_target if standby_target is not None
-                else make_store(), coalescer)
-            standby_server = await standby_service.start(port=0)
-            standby_port = standby_server.sockets[0].getsockname()[1]
-
-            primary_service = FilterService(
+            pair = await start_pair(
                 primary_target if primary_target is not None
-                else make_store(), coalescer)
-            repl = ReplicatedFilterService(
-                primary_service,
-                repl_config if repl_config is not None else MANUAL)
-            primary_server = await repl.start(port=0)
-            primary_port = primary_server.sockets[0].getsockname()[1]
-            if attach:
-                await repl.attach_standby("127.0.0.1", standby_port)
-
+                else make_store(),
+                standby_target if standby_target is not None
+                else make_store(),
+                config=repl_config if repl_config is not None else MANUAL,
+                coalescer=coalescer)
             ctx = SimpleNamespace(
-                repl=repl,
-                primary_service=primary_service,
-                standby_service=standby_service,
-                primary_server=primary_server,
-                standby_server=standby_server,
-                primary_port=primary_port,
-                standby_port=standby_port,
-            )
-
-            async def connect_primary():
-                return await ServiceClient.connect(port=primary_port)
-
-            async def connect_standby():
-                return await ServiceClient.connect(port=standby_port)
-
-            async def kill_primary():
-                """Listener closed + connections aborted: process death
-                as seen from any client."""
-                await repl.close()
-                primary_server.close()
-                await primary_server.wait_closed()
-                primary_service.abort_connections()
-
-            ctx.connect_primary = connect_primary
-            ctx.connect_standby = connect_standby
-            ctx.kill_primary = kill_primary
-
+                **vars(pair), primary_service=pair.primary_service,
+                kill_primary=pair.kill_primary,
+                connect_primary=lambda: ServiceClient.connect(
+                    port=pair.primary_port),
+                connect_standby=lambda: ServiceClient.connect(
+                    port=pair.standby_port))
             try:
                 return await scenario(ctx)
             finally:
-                await repl.close()
-                for server in (primary_server, standby_server):
-                    server.close()
-                    try:
-                        await server.wait_closed()
-                    except (ConnectionError, OSError):  # pragma: no cover
-                        pass
+                await pair.close()
 
         return asyncio.run(main())
 

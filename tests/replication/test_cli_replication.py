@@ -12,15 +12,14 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.replication.__main__ import _drill, build_parser, main
-from repro.replication.replicator import (
-    ReplicatedFilterService,
-    ReplicationConfig,
-)
-from repro.service.server import FilterService
+from repro.replication.pair import start_pair
+from repro.replication.replicator import ReplicationConfig
+from repro.store.spec import StoreSpec
 
 
 class TestParser:
@@ -59,104 +58,86 @@ class TestDrill:
         assert main(["drill", "--n", "200", "--m", "16384"]) == 0
 
 
-def _start_pair_in_background():
-    """A live attached pair on a daemon-thread event loop.
-
-    Returns ``(primary_port, standby_port, kill_primary, stop)`` for
-    blocking callers — the shape probe/verify meet in the field.
-    """
+@pytest.fixture
+def live_pair():
+    """A live attached pair on a daemon-thread event loop, for blocking
+    callers — the shape probe/verify meet in the field."""
     started = threading.Event()
     box = {}
 
-    async def pair():
-        from repro.core.membership import ShiftingBloomFilter
-        from repro.store.sharded import ShardedFilterStore
-
-        def store():
-            return ShardedFilterStore(
-                lambda s: ShiftingBloomFilter(m=16384, k=8), n_shards=4)
-
-        standby_service = FilterService(store())
-        standby_server = await standby_service.start(port=0)
-        primary_service = FilterService(store())
-        repl = ReplicatedFilterService(
-            primary_service, ReplicationConfig(interval_ms=50))
-        primary_server = await repl.start(port=0)
-        await repl.attach_standby(
-            "127.0.0.1", standby_server.sockets[0].getsockname()[1])
+    async def serve():
+        store = StoreSpec(shards=4, m=16384, k=8, family="blake2b")
+        box["pair"] = await start_pair(
+            store.build(), store.build(),
+            config=ReplicationConfig(interval_ms=50))
         box["loop"] = asyncio.get_running_loop()
-        box["primary_port"] = primary_server.sockets[0].getsockname()[1]
-        box["standby_port"] = standby_server.sockets[0].getsockname()[1]
         box["stopped"] = asyncio.Event()
-
-        async def kill_primary():
-            await repl.close()
-            primary_server.close()
-            await primary_server.wait_closed()
-            primary_service.abort_connections()
-
-        box["kill_primary"] = kill_primary
         started.set()
         await box["stopped"].wait()
-        standby_server.close()
-        await standby_server.wait_closed()
+        await box["pair"].close()
 
     thread = threading.Thread(
-        target=lambda: asyncio.run(pair()), daemon=True)
+        target=lambda: asyncio.run(serve()), daemon=True)
     thread.start()
     assert started.wait(10)
+    pair = box["pair"]
+    yield SimpleNamespace(
+        primary_port=pair.primary_port,
+        standby="127.0.0.1:%d" % pair.standby_port,
+        endpoints="127.0.0.1:%d,127.0.0.1:%d" % (
+            pair.primary_port, pair.standby_port),
+        kill_primary=lambda: asyncio.run_coroutine_threadsafe(
+            pair.kill_primary(), box["loop"]).result(10))
+    box["loop"].call_soon_threadsafe(box["stopped"].set)
+    thread.join(10)
 
-    def kill_primary():
-        asyncio.run_coroutine_threadsafe(
-            box["kill_primary"](), box["loop"]).result(10)
 
-    def stop():
-        box["loop"].call_soon_threadsafe(box["stopped"].set)
-        thread.join(10)
+def _probe(live, record, *args) -> int:
+    return main(["probe", "--port", str(live.primary_port), "--write",
+                 "--sync", live.standby, "--out", str(record), *args])
 
-    return box["primary_port"], box["standby_port"], kill_primary, stop
+
+def _verify(live, record, *args) -> int:
+    return main(["verify", "--endpoints", live.endpoints,
+                 "--expected", str(record), *args])
 
 
 class TestProbeVerify:
-    def test_probe_then_kill_then_verify(self, tmp_path):
-        primary_port, standby_port, kill_primary, stop = (
-            _start_pair_in_background())
+    def test_probe_then_kill_then_verify(self, live_pair, tmp_path):
         record = tmp_path / "verdicts.json"
-        try:
-            endpoints = "127.0.0.1:%d,127.0.0.1:%d" % (
-                primary_port, standby_port)
-            workload_args = ["--n", "600", "--seed", "11"]
-            assert main(["probe", "--port", str(primary_port),
-                         "--write", "--sync",
-                         "127.0.0.1:%d" % standby_port,
-                         "--out", str(record)] + workload_args) == 0
-            kill_primary()
-            assert main(["verify", "--endpoints", endpoints,
-                         "--expected", str(record), "--promote"]
-                        + workload_args) == 0
-        finally:
-            stop()
+        workload = ["--n", "600", "--seed", "11"]
+        assert _probe(live_pair, record, *workload) == 0
+        live_pair.kill_primary()
+        assert _verify(live_pair, record, "--promote", *workload) == 0
 
-    def test_verify_catches_tampered_record(self, tmp_path):
-        primary_port, standby_port, kill_primary, stop = (
-            _start_pair_in_background())
+    def test_verify_catches_tampered_record(self, live_pair, tmp_path):
         record = tmp_path / "verdicts.json"
-        try:
-            endpoints = "127.0.0.1:%d,127.0.0.1:%d" % (
-                primary_port, standby_port)
-            workload_args = ["--n", "300", "--seed", "23"]
-            assert main(["probe", "--port", str(primary_port),
-                         "--write", "--sync",
-                         "127.0.0.1:%d" % standby_port,
-                         "--out", str(record)] + workload_args) == 0
-            data = json.loads(record.read_text())
-            data["verdicts"][0] ^= 1  # flip one recorded verdict
-            record.write_text(json.dumps(data))
-            assert main(["verify", "--endpoints", endpoints,
-                         "--expected", str(record)]
-                        + workload_args) == 1
-        finally:
-            stop()
+        workload = ["--n", "300", "--seed", "23"]
+        assert _probe(live_pair, record, *workload) == 0
+        data = json.loads(record.read_text())
+        data["verdicts"][0] ^= 1  # flip one recorded verdict
+        record.write_text(json.dumps(data))
+        assert _verify(live_pair, record, *workload) == 1
+
+    def test_verify_refuses_a_record_of_another_kill_point(
+            self, live_pair, tmp_path, capsys):
+        """A record probed with ``--failover-at 300`` names a different
+        script than verify's default kill point (450 of 600): verify
+        must refuse it by name before querying, not report members
+        that were never written as lost."""
+        record = tmp_path / "verdicts.json"
+        workload = ["--n", "600", "--seed", "11"]
+        assert _probe(live_pair, record, "--failover-at", "300",
+                      *workload) == 0
+        live_pair.kill_primary()
+        capsys.readouterr()
+        assert _verify(live_pair, record, "--promote", *workload) == 1
+        out = capsys.readouterr()
+        assert "failover_at=300" in out.err
+        assert "answered False" not in out.err
+        assert "promoted" not in out.out  # refused before querying
+        assert _verify(live_pair, record, "--promote",
+                       "--failover-at", "300", *workload) == 0
 
 
 def _free_port() -> int:

@@ -14,11 +14,11 @@ import pytest
 from repro.errors import FailoverExhaustedError, ProtocolError
 from repro.replication.failover import FailoverClient, parse_endpoint
 from repro.service.server import CoalescerConfig
-from repro.workloads.replication import build_replication_workload
+from repro.workloads.service import build_service_workload
 
 
 def _workload(n=400, seed=5):
-    return build_replication_workload(n, seed=seed)
+    return build_service_workload(n, seed=seed)
 
 
 class TestParseEndpoint:
@@ -41,9 +41,9 @@ class TestReadFailover:
             client = FailoverClient([("127.0.0.1", ctx.primary_port),
                                      ("127.0.0.1", ctx.standby_port)])
             try:
-                await client.add(list(workload.acknowledged))
+                await client.add(list(workload.members))
                 await ctx.repl.ship()
-                mix = workload.read_mix()
+                mix = workload.mixed_stream()
                 before = await client.query(mix)  # warm, via primary
                 assert client.preferred == 0
                 await ctx.kill_primary()
@@ -78,7 +78,7 @@ class TestReadFailover:
             client = FailoverClient([("127.0.0.1", ctx.primary_port),
                                      ("127.0.0.1", ctx.standby_port)])
             try:
-                await raw.add(list(workload.acknowledged))
+                await raw.add(list(workload.members))
                 await ctx.repl.ship()
                 # Occupy the primary's single admission slot: this query
                 # parks in the coalescer (max_batch is huge, the delay
@@ -86,7 +86,7 @@ class TestReadFailover:
                 parked = asyncio.ensure_future(raw.query([b"parked"]))
                 await asyncio.sleep(0.01)
                 verdicts = await client.query(
-                    list(workload.acknowledged[:8]))
+                    list(workload.members[:8]))
                 assert verdicts.all()
                 assert client.preferred == 1  # standby served the read
                 await parked

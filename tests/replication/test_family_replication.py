@@ -13,7 +13,7 @@ from repro.core.membership import ShiftingBloomFilter
 from repro.hashing import VectorizedFamily, family_spec
 from repro.store.router import ShardRouter
 from repro.store.sharded import ShardedFilterStore
-from repro.workloads.replication import build_replication_workload
+from repro.workloads.service import build_service_workload
 
 N_SHARDS = 4
 M_PER_SHARD = 16384
@@ -45,15 +45,15 @@ def test_subscribe_adopts_primary_family(pair_run):
 
 
 def test_vectorized_pair_is_bit_identical_over_the_wire(pair_run):
-    workload = build_replication_workload(800, seed=7)
+    workload = build_service_workload(800, seed=7)
 
     async def scenario(ctx):
         primary = await ctx.connect_primary()
         standby = await ctx.connect_standby()
         try:
-            await primary.add(list(workload.acknowledged))
+            await primary.add(list(workload.members))
             await ctx.repl.ship()
-            mix = workload.read_mix()
+            mix = workload.mixed_stream()
             p = await primary.query(mix)
             s = await standby.query(mix)
             assert (p == s).all()
@@ -71,8 +71,8 @@ def test_vectorized_pair_is_bit_identical_over_the_wire(pair_run):
 def test_delta_stream_after_family_snapshot(pair_run):
     """Deltas built from vector64 ``empty_like`` clones merge into the
     standby and keep verdicts and n_items exact across several ships."""
-    workload = build_replication_workload(900, seed=11)
-    writes = list(workload.acknowledged)
+    workload = build_service_workload(900, seed=11)
+    writes = list(workload.members)
 
     async def scenario(ctx):
         primary = await ctx.connect_primary()
@@ -83,7 +83,7 @@ def test_delta_stream_after_family_snapshot(pair_run):
                 await ctx.repl.ship()
             stats = await standby.stats()
             assert stats["n_items"] == len(writes)
-            mix = workload.read_mix()
+            mix = workload.mixed_stream()
             p = await primary.query(mix)
             s = await standby.query(mix)
             assert (p == s).all()

@@ -22,9 +22,11 @@ from repro.errors import (
     ReplicationError,
     UnsupportedSnapshotError,
 )
+from repro.replication.replicator import ReplicatedFilterService
 from repro.service import protocol
+from repro.service.server import FilterService
 from repro.store.sharded import ShardedFilterStore
-from repro.workloads.replication import build_replication_workload
+from repro.workloads.service import build_service_workload
 from repro.workloads.sharded import partition_by_shard
 
 
@@ -40,13 +42,17 @@ class TestCountingVariants:
         with the dedicated error and leaves no half-attached link."""
 
         async def scenario(ctx):
-            with pytest.raises(UnsupportedSnapshotError):
-                await ctx.repl.attach_standby(
-                    "127.0.0.1", ctx.standby_port)
-            assert ctx.repl.standbys == ()
+            repl = ReplicatedFilterService(
+                FilterService(_counting_store()), ctx.repl.config)
+            try:
+                with pytest.raises(UnsupportedSnapshotError):
+                    await repl.attach_standby(
+                        "127.0.0.1", ctx.standby_port)
+                assert repl.standbys == ()
+            finally:
+                await repl.close()
 
-        pair_run(scenario, primary_target=_counting_store(),
-                 attach=False)
+        pair_run(scenario)
 
     def test_delta_build_propagates_unsupported_snapshot(self, pair_run):
         """A counting shard swapped in *after* attach poisons the next
@@ -60,7 +66,7 @@ class TestCountingVariants:
                 store.replace_shard(
                     0, CountingShiftingBloomFilter(m=4096, k=8))
                 # Enough writes that some land on shard 0.
-                workload = build_replication_workload(64, seed=9)
+                workload = build_service_workload(64, seed=9)
                 await primary.add(list(workload.members))
                 with pytest.raises(UnsupportedSnapshotError):
                     await ctx.repl.ship()
@@ -80,7 +86,7 @@ class TestCountingVariants:
                 store = ctx.primary_service.target
                 store.replace_shard(
                     0, CountingShiftingBloomFilter(m=4096, k=8))
-                workload = build_replication_workload(64, seed=9)
+                workload = build_service_workload(64, seed=9)
                 await primary.add(list(workload.members))
                 for _ in range(100):
                     if ctx.repl.last_ship_error:
@@ -102,9 +108,11 @@ class TestAttachMidWriteBurst:
         """Writers hammer the primary while the standby attaches; after
         a quiesce the pair must be byte-identical — nothing may fall
         between the attach snapshot and the journal."""
-        workload = build_replication_workload(800, seed=13)
+        workload = build_service_workload(800, seed=13)
 
         async def scenario(ctx):
+            # Start from an unattached standby: drop the boot's link.
+            await ctx.repl.detach_standby(ctx.repl.standbys[0])
             primary = await ctx.connect_primary()
             standby = await ctx.connect_standby()
             try:
@@ -131,7 +139,7 @@ class TestAttachMidWriteBurst:
                 await primary.close()
                 await standby.close()
 
-        pair_run(scenario, attach=False)
+        pair_run(scenario)
 
 
 class TestMissedRotation:
@@ -141,20 +149,20 @@ class TestMissedRotation:
         refused — a merge blob holds only the newest writes, so
         swapping it in would drop every earlier key.  The refusal is
         what drives the primary's full-snapshot resync."""
-        workload = build_replication_workload(400, seed=17)
+        workload = build_service_workload(400, seed=17)
 
         async def scenario(ctx):
             primary = await ctx.connect_primary()
             standby = await ctx.connect_standby()
             try:
-                await primary.add(list(workload.acknowledged))
+                await primary.add(list(workload.members))
                 await ctx.repl.ship()
                 # A delta clone in the primary's *post-rotation*
                 # geometry, as if the replace marker from the rotation
                 # epoch had been lost.
                 store = ctx.primary_service.target
                 slices = partition_by_shard(
-                    workload.acknowledged, store.router)
+                    workload.members, store.router)
                 stale = ShiftingBloomFilter(
                     m=2 * store.shards[0].m, k=8)
                 stale.add_batch([b"late-write"])
@@ -189,17 +197,17 @@ class TestWrongKindReplaceEntry:
         """A replace entry installs one filter into one slot; a whole
         ``SHBS`` store container there must be refused by the strict
         single-filter loader, not swapped in as a shard."""
-        workload = build_replication_workload(200, seed=23)
+        workload = build_service_workload(200, seed=23)
 
         async def scenario(ctx):
             primary = await ctx.connect_primary()
             standby = await ctx.connect_standby()
             try:
-                await primary.add(list(workload.acknowledged))
+                await primary.add(list(workload.members))
                 await ctx.repl.ship()
                 store = ctx.primary_service.target
                 slices = partition_by_shard(
-                    workload.acknowledged, store.router)
+                    workload.members, store.router)
                 before = ctx.standby_service.target.shards[0]
                 epoch = (await standby.stats())["replication"]["epoch"]
                 with pytest.raises(ConfigurationError, match="magic"):
@@ -220,20 +228,20 @@ class TestWrongKindReplaceEntry:
 
 class TestSingleFilterTargets:
     def test_single_filter_replicates_via_full_ships(self, pair_run):
-        workload = build_replication_workload(300, seed=21)
+        workload = build_service_workload(300, seed=21)
 
         async def scenario(ctx):
             primary = await ctx.connect_primary()
             standby = await ctx.connect_standby()
             try:
-                await primary.add(list(workload.acknowledged))
+                await primary.add(list(workload.members))
                 await ctx.repl.ship()
                 link = ctx.repl.standbys[0]
                 assert link.deltas_sent == 0
                 assert link.full_snapshots_sent == 2  # attach + ship
                 assert (await primary.snapshot()
                         == await standby.snapshot())
-                mix = workload.read_mix()
+                mix = workload.mixed_stream()
                 assert ((await primary.query(mix))
                         == (await standby.query(mix))).all()
             finally:

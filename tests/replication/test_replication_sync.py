@@ -17,7 +17,7 @@ import pytest
 from repro.core.membership import ShiftingBloomFilter
 from repro.errors import ReplicationError, StandbyReadOnlyError
 from repro.replication.replicator import ReplicationConfig
-from repro.workloads.replication import build_replication_workload
+from repro.workloads.service import build_service_workload
 from repro.workloads.sharded import partition_by_shard
 
 #: Must match the pair_run fixture's default geometry.
@@ -25,7 +25,7 @@ M_PER_SHARD = 16384
 
 
 def _workload(n=600, seed=3):
-    return build_replication_workload(n, seed=seed)
+    return build_service_workload(n, seed=seed)
 
 
 class TestAttachAndShip:
@@ -55,18 +55,18 @@ class TestAttachAndShip:
             primary = await ctx.connect_primary()
             standby = await ctx.connect_standby()
             try:
-                await primary.add(list(workload.acknowledged))
+                await primary.add(list(workload.members))
                 summary = await ctx.repl.ship()
                 assert summary == {
                     "epoch": 1, "shipped": 1, "standbys": 1}
-                mix = workload.read_mix()
+                mix = workload.mixed_stream()
                 p = await primary.query(mix)
                 s = await standby.query(mix)
                 assert (p == s).all()
                 # Exact-n_items deltas: the standby is a clone, not an
                 # approximation.
                 assert (await standby.stats())["n_items"] == len(
-                    workload.acknowledged)
+                    workload.members)
                 # Both sides publish the same epoch — the staleness
                 # probe the CLI's --sync flag polls.
                 assert (await primary.stats())[
@@ -87,10 +87,10 @@ class TestAttachAndShip:
             standby = await ctx.connect_standby()
             try:
                 # Several write rounds, shipped separately.
-                chunk = len(workload.acknowledged) // 3
+                chunk = len(workload.members) // 3
                 for start in range(0, 3 * chunk, chunk):
                     await primary.add(
-                        list(workload.acknowledged[start:start + chunk]))
+                        list(workload.members[start:start + chunk]))
                     await ctx.repl.ship()
                 assert (await primary.snapshot()
                         == await standby.snapshot())
@@ -194,18 +194,18 @@ class TestRotationAndRestore:
             primary = await ctx.connect_primary()
             standby = await ctx.connect_standby()
             try:
-                await primary.add(list(workload.acknowledged))
+                await primary.add(list(workload.members))
                 await ctx.repl.ship()
                 # Grow shard 0 on the primary: new geometry, new object.
                 store = ctx.primary_service.target
                 slices = partition_by_shard(
-                    workload.acknowledged, store.router)
+                    workload.members, store.router)
                 store.rotate_shard(
                     0, slices[0],
                     factory=lambda s: ShiftingBloomFilter(
                         m=2 * M_PER_SHARD, k=8))
                 await ctx.repl.ship()
-                mix = workload.read_mix()
+                mix = workload.mixed_stream()
                 assert ((await primary.query(mix))
                         == (await standby.query(mix))).all()
                 stats = await standby.stats()
@@ -227,7 +227,7 @@ class TestRotationAndRestore:
             standby = await ctx.connect_standby()
             try:
                 donor = store_factory()
-                donor.add_batch(list(workload.acknowledged))
+                donor.add_batch(list(workload.members))
                 await primary.restore(donor.snapshot())
                 await ctx.repl.ship()
                 link = ctx.repl.standbys[0]
@@ -293,7 +293,7 @@ class TestEpochDiscipline:
             finally:
                 await primary.close()
 
-        pair_run(scenario, attach=False)
+        pair_run(scenario)
 
 
 class TestRolesAndPromotion:

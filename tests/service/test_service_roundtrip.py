@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core.association import ShiftingAssociationFilter
-from repro.core.membership import ShiftingBloomFilter
 from repro.core.multiplicity import ShiftingMultiplicityFilter
 from repro.errors import (
     ProtocolError,
@@ -24,7 +23,7 @@ from repro.errors import (
 )
 from repro.service.client import ServiceClient
 from repro.service.server import CoalescerConfig, FilterService
-from repro.store.sharded import ShardedFilterStore
+from repro.store.spec import StoreSpec
 from repro.workloads.service import build_service_workload
 
 N_SHARDS = 3
@@ -32,10 +31,9 @@ M_PER_SHARD = 16384
 K = 8
 
 
-def make_store() -> ShardedFilterStore:
-    return ShardedFilterStore(
-        lambda s: ShiftingBloomFilter(m=M_PER_SHARD, k=K),
-        n_shards=N_SHARDS)
+def make_store():
+    return StoreSpec(shards=N_SHARDS, m=M_PER_SHARD, k=K,
+                     family="blake2b").build()
 
 
 def make_loaded_pair(workload):

@@ -110,6 +110,28 @@ class TestOpDeadline:
         assert issubclass(DeadlineExceededError, OSError)
 
 
+    def test_request_after_server_hangup_fails_at_once(self):
+        """Once the server has dropped the connection no reply can
+        come: a new request must fail now, not wait out its deadline."""
+        async def main():
+            server = await asyncio.start_server(
+                lambda reader, writer: writer.transport.abort(),
+                "127.0.0.1", 0)
+            client = await ServiceClient.connect(
+                port=server.sockets[0].getsockname()[1], op_timeout=5.0)
+            try:
+                await asyncio.wait_for(client._reader_task, 2.0)
+                start = time.monotonic()
+                with pytest.raises(ConnectionError):
+                    await client.ping()
+                return time.monotonic() - start
+            finally:
+                await client.close()
+                server.close()
+
+        assert run(main()) < 1.0
+
+
 class TestSyncClientLifecycle:
     def test_sync_timeout_raises_not_hangs(self):
         loop = asyncio.new_event_loop()

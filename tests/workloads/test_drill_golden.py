@@ -1,17 +1,12 @@
 """Golden pins for the element sequences the drills replay.
 
-The chaos drill's op order and the replication drill's write/read
-scripts are derived from one seeded flow universe.  A refactor of how
-they are built must leave every element, batch boundary and op kind
-bit-identical, or recorded verdict files and drill reports stop being
-comparable across versions.  These digests were recorded from the
-reference implementation and cover:
-
-* the chaos drill's op sequence at its defaults (n=400, per_batch=40,
-  seed=7);
-* the replication drill's pre-/post-kill write batches and its read
-  mix at the CLI's per-batch default, for two stream sizes, each with
-  the default (three quarters) and an explicit kill point.
+Every element, batch boundary and op kind must stay bit-identical, or
+recorded verdict files and drill reports stop being comparable across
+versions.  The digests were recorded before the drill workloads were
+folded into ``build_service_workload``: the chaos drill's op sequence
+at its defaults, and the replication drill's pre-/post-kill write
+batches and read mix at the CLI's per-batch default, with the default
+and an explicit kill point.
 """
 
 from __future__ import annotations
@@ -20,29 +15,17 @@ import hashlib
 
 import pytest
 
-from repro.workloads.chaos import build_chaos_workload
-from repro.workloads.replication import build_replication_workload
+from repro.chaos.drill import op_sequence
+from repro.replication.__main__ import kill_point, split_writes
+from repro.workloads.service import build_service_workload
 
 
 def _sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-def _chaos_ops(n: int, per_batch: int, seed: int) -> list:
-    workload = build_chaos_workload(n, per_batch=per_batch, seed=seed)
-    return [(kind, list(batch)) for kind, batch in workload.op_sequence()]
-
-
-def _failover_script(n: int, seed: int, failover_at: int,
-                     per_batch: int) -> tuple:
-    workload = build_replication_workload(
-        n, failover_at=failover_at, seed=seed)
-    pre, post = workload.write_batches(per_batch)
-    return workload.failover_at, pre, post, workload.read_mix()
-
-
 def test_chaos_op_sequence_golden():
-    ops = _chaos_ops(400, 40, 7)
+    ops = list(op_sequence(build_service_workload(400, seed=7), 40))
     assert len(ops) == 20
     assert _sha(ops) == "ec0230e67525b4b7"
 
@@ -54,6 +37,8 @@ def test_chaos_op_sequence_golden():
     (2000, 0, 1234, 1234, "f16d2dded848a47a"),
 ])
 def test_failover_script_golden(n, seed, failover_at, at, digest):
-    script = _failover_script(n, seed, failover_at, per_batch=64)
-    assert script[0] == at
-    assert _sha(script) == digest
+    workload = build_service_workload(n, seed=seed)
+    assert kill_point(n, failover_at) == at
+    pre, post = split_writes(workload.members, at, 64)
+    assert _sha((at, pre, post, workload.mixed_stream()[: 2 * at])) == (
+        digest)

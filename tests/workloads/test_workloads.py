@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.association_types import Association
 from repro.errors import ConfigurationError
+from repro.replication.__main__ import kill_point, split_writes
 from repro.workloads import (
     build_association_workload,
     build_membership_workload,
     build_multiplicity_workload,
-    build_replication_workload,
+    build_service_workload,
     run_membership_queries,
 )
 
@@ -143,35 +144,36 @@ class TestMultiplicityWorkload:
 
 
 class TestReplicationWorkload:
+    """The failover drill's kill point, write split and read mix."""
+
     def test_failover_split_is_exact(self):
-        workload = build_replication_workload(1000, seed=1)
-        assert workload.failover_at == 750  # default: 3/4 of the stream
-        assert (workload.acknowledged + workload.in_flight
-                == workload.members)
-        assert len(workload.acknowledged) == 750
+        assert kill_point(1000, -1) == 750  # default: 3/4 of the stream
+        assert kill_point(1000, 333) == 333
+        assert kill_point(1000, 1000) == 1000
 
     def test_write_batches_never_straddle_the_kill(self):
-        workload = build_replication_workload(
-            1000, failover_at=333, seed=2)
-        pre, post = workload.write_batches(64)
-        flat_pre = [e for batch in pre for e in batch]
-        flat_post = [e for batch in post for e in batch]
-        assert tuple(flat_pre) == workload.acknowledged
-        assert tuple(flat_post) == workload.in_flight
+        workload = build_service_workload(1000, seed=2)
+        pre, post = split_writes(workload.members, 333, 64)
+        assert all(len(batch) <= 64 for batch in pre + post)
+        assert tuple(e for batch in pre for e in batch) == (
+            workload.members[:333])
+        assert tuple(e for batch in post for e in batch) == (
+            workload.members[333:])
 
     def test_read_mix_interleaves_acknowledged_and_absent(self):
-        workload = build_replication_workload(400, seed=3)
-        mix = workload.read_mix()
-        assert len(mix) == 2 * workload.failover_at
-        assert tuple(mix[0::2]) == workload.acknowledged
+        workload = build_service_workload(400, seed=3)
+        at = kill_point(400, -1)
+        mix = workload.mixed_stream()[: 2 * at]
+        assert len(mix) == 2 * at
+        assert tuple(mix[0::2]) == workload.members[:at]
+        assert tuple(mix[1::2]) == workload.absent[:at]
         assert not set(mix[0::2]) & set(mix[1::2])
 
     def test_deterministic_by_seed(self):
-        a = build_replication_workload(200, seed=7)
-        b = build_replication_workload(200, seed=7)
-        assert a == b
-        assert a != build_replication_workload(200, seed=8)
+        a = build_service_workload(200, seed=7)
+        assert a == build_service_workload(200, seed=7)
+        assert a != build_service_workload(200, seed=8)
 
     def test_failover_beyond_stream_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_replication_workload(100, failover_at=101)
+            kill_point(100, 101)

@@ -7,12 +7,17 @@ health check.  Against a running fleet it:
 2. writes a fresh member batch through the shared serve port and
    barriers on the writer's ``pending_writes == 0`` (publish is
    synchronous on the writer loop, so the barrier is exact),
-3. SIGKILLs one read worker,
-4. keeps querying the members through the shared port — riding over
-   the dead connection by reconnecting — and requires every answered
-   verdict to be True,
-5. waits for the supervisor to restart the worker (new pid, restart
-   counter bumped) and verifies the replacement answers too.
+3. records the fleet's verdicts on the members plus a slab of
+   never-written elements — members must answer True, and the
+   never-written verdicts (false positives included) become the
+   reference,
+4. SIGKILLs one read worker,
+5. keeps querying through the shared port — riding over the dead
+   connection by reconnecting — and requires every answer to be
+   bit-identical to the recorded verdicts,
+6. waits for the supervisor to restart the worker (new pid, restart
+   counter bumped) and requires the replacement to answer
+   bit-identically too.
 
 Exit 0 only if the fleet never returned a wrong verdict and the
 killed worker came back.
@@ -35,6 +40,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src"))
 
+from repro.mpserve.fleet import query_riding, wait_published  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 
 
@@ -47,29 +53,8 @@ async def _stats(host: str, port: int) -> dict:
         await client.close()
 
 
-async def _query_riding(host: str, port: int, batch: list) -> list:
-    for _attempt in range(30):
-        try:
-            client = await ServiceClient.connect(
-                host, port, connect_timeout=2.0, op_timeout=5.0)
-        except (ConnectionError, OSError):
-            await asyncio.sleep(0.1)
-            continue
-        try:
-            return list(await client.query(batch))
-        except (ConnectionError, OSError):
-            await asyncio.sleep(0.05)
-        finally:
-            try:
-                await client.close()
-            except (ConnectionError, OSError):
-                pass
-    raise SystemExit("FAIL: no worker answered within 30 reconnects")
-
-
 async def drill(args: argparse.Namespace) -> int:
     fleet = await _stats(args.host, args.control_port)
-    writer_port = fleet["writer"]["port"]
     n_workers = len(fleet["workers"])
     victim = fleet["workers"][0]
     print("fleet: %d workers alive, generation %d, victim worker %d "
@@ -77,6 +62,7 @@ async def drill(args: argparse.Namespace) -> int:
                       victim["worker_id"], victim["pid"]))
 
     members = [b"recovery-%d" % i for i in range(args.n)]
+    absent = [b"never-written-%d" % i for i in range(args.n)]
     client = await ServiceClient.connect(args.host, args.port)
     acked = await client.add(members)
     await client.close()
@@ -84,56 +70,71 @@ async def drill(args: argparse.Namespace) -> int:
         print("FAIL: %d of %d writes acknowledged"
               % (acked, len(members)))
         return 1
-
-    # Barrier: acknowledged writes are visible once the writer's
-    # pending counter drains (publish_now is synchronous).
-    deadline = asyncio.get_running_loop().time() + 10.0
-    while True:
-        stats = await _stats(args.host, writer_port)
-        if stats["mpserve"]["pending_writes"] == 0:
-            break
-        if asyncio.get_running_loop().time() > deadline:
-            print("FAIL: writes never drained into a publish")
-            return 1
-        await asyncio.sleep(0.05)
-
-    os.kill(victim["pid"], signal.SIGKILL)
-    print("killed worker %d (pid %d)"
-          % (victim["worker_id"], victim["pid"]))
-
-    wrong = 0
-    for _ in range(args.probes):
-        verdicts = await _query_riding(args.host, args.port, members)
-        wrong += sum(1 for v in verdicts if not v)
-        await asyncio.sleep(0.05)
-    if wrong:
-        print("FAIL: %d member verdicts answered False mid-recovery"
-              % wrong)
+    try:
+        await wait_published(args.host, fleet["writer"]["port"])
+    except TimeoutError as exc:
+        print("FAIL: %s" % exc)
         return 1
 
-    deadline = asyncio.get_running_loop().time() + 30.0
-    while True:
-        fleet = await _stats(args.host, args.control_port)
-        replacement = fleet["workers"][0]
-        if (fleet["workers_alive"] == n_workers
-                and replacement["restarts"] >= 1
-                and replacement["pid"] != victim["pid"]):
-            break
-        if asyncio.get_running_loop().time() > deadline:
-            print("FAIL: killed worker never restarted "
-                  "(workers_alive=%d)" % fleet["workers_alive"])
+    probe = members + absent
+    client = None
+    try:
+        expected, client = await query_riding(args.host, args.port, probe)
+        if not all(expected[: len(members)]):
+            print("FAIL: a published member answered False before the "
+                  "kill")
             return 1
-        await asyncio.sleep(0.2)
-    print("worker %d restarted as pid %d (restarts=%d)"
-          % (replacement["worker_id"], replacement["pid"],
-             replacement["restarts"]))
+        print("recorded %d verdicts (%d false positives on never-written "
+              "elements)" % (len(expected), sum(expected[len(members):])))
 
-    verdicts = await _query_riding(args.host, args.port, members)
-    if not all(verdicts):
-        print("FAIL: replacement worker answered a member False")
+        os.kill(victim["pid"], signal.SIGKILL)
+        print("killed worker %d (pid %d)"
+              % (victim["worker_id"], victim["pid"]))
+
+        wrong = 0
+        for _ in range(args.probes):
+            verdicts, client = await query_riding(
+                args.host, args.port, probe, client)
+            wrong += sum(1 for got, want in zip(verdicts, expected)
+                         if got != want)
+            await asyncio.sleep(0.05)
+        if wrong:
+            print("FAIL: %d verdicts diverged from the recorded ones "
+                  "mid-recovery" % wrong)
+            return 1
+
+        deadline = asyncio.get_running_loop().time() + 30.0
+        while True:
+            fleet = await _stats(args.host, args.control_port)
+            replacement = fleet["workers"][0]
+            if (fleet["workers_alive"] == n_workers
+                    and replacement["restarts"] >= 1
+                    and replacement["pid"] != victim["pid"]):
+                break
+            if asyncio.get_running_loop().time() > deadline:
+                print("FAIL: killed worker never restarted "
+                      "(workers_alive=%d)" % fleet["workers_alive"])
+                return 1
+            await asyncio.sleep(0.2)
+        print("worker %d restarted as pid %d (restarts=%d)"
+              % (replacement["worker_id"], replacement["pid"],
+                 replacement["restarts"]))
+
+        verdicts, client = await query_riding(
+            args.host, args.port, probe, client)
+    except ConnectionError as exc:
+        print("FAIL: %s" % exc)
         return 1
-    print("OK: fleet served through a kill -9 with zero wrong "
-          "verdicts and restarted the worker")
+    finally:
+        if client is not None:
+            await client.close()
+    if verdicts != expected:
+        print("FAIL: the replacement worker's verdicts diverged from "
+              "the recorded ones")
+        return 1
+    print("OK: fleet served through a kill -9 with verdicts "
+          "bit-identical to the pre-kill record and restarted the "
+          "worker")
     return 0
 
 
@@ -145,7 +146,8 @@ def main(argv=None) -> int:
     parser.add_argument("--control-port", type=int, required=True,
                         help="the supervisor PING/STATS/METRICS port")
     parser.add_argument("--n", type=int, default=200,
-                        help="members written and probed")
+                        help="members written (and never-written "
+                             "elements) probed")
     parser.add_argument("--probes", type=int, default=20,
                         help="query rounds driven mid-recovery")
     return asyncio.run(drill(parser.parse_args(argv)))
