@@ -40,9 +40,8 @@ import pathlib
 import sys
 import time
 
-from repro.replication.__main__ import kill_point, split_writes
 from repro.replication.failover import FailoverClient
-from repro.replication.pair import start_pair
+from repro.replication.pair import failover_script, start_pair
 from repro.replication.replicator import ReplicationConfig
 from repro.service.client import ServiceClient
 from repro.service.server import CoalescerConfig, FilterService
@@ -88,10 +87,8 @@ async def _drive(port: int, write_batches, read_batches,
 
 
 async def bench(args) -> dict:
-    workload = build_service_workload(args.n, seed=args.seed)
-    at = kill_point(args.n, -1)
-    pre, _ = split_writes(workload.members, at, args.per_batch)
-    mix = workload.mixed_stream()[: 2 * at]
+    _, pre, _, mix = failover_script(
+        build_service_workload(args.n, seed=args.seed), -1, args.per_batch)
     read_batches = chop_requests(mix, args.per_batch)
     n_elements = sum(len(b) for b in pre) + len(mix)
 
@@ -100,8 +97,7 @@ async def bench(args) -> dict:
     solo_server = await solo.start(port=0)
     solo_port = solo_server.sockets[0].getsockname()[1]
     solo_s = await _drive(solo_port, pre, read_batches, args.clients)
-    solo_server.close()
-    await solo_server.wait_closed()
+    await solo.kill(solo_server)
 
     # --- 2. replicated primary, same load ------------------------------
     pair = await start_pair(

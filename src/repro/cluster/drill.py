@@ -129,12 +129,8 @@ class LocalCluster:
         return self.shard_map.nodes()
 
     async def close(self) -> None:
-        # Abort before waiting: from Python 3.12.1 on, wait_closed()
-        # also waits for every open connection.
         for server, service in zip(self.servers, self.services):
-            server.close()
-            service.abort_connections()
-            await server.wait_closed()
+            await service.kill(server)
 
 
 async def start_local_cluster(

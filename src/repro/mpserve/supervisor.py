@@ -210,6 +210,7 @@ class MultiWorkerSupervisor:
 
     async def _spawn_worker(self, child: _Child) -> None:
         config = self.config
+        child.port = 0  # STATS reports 0 until the worker is ready
         parent_conn, child_conn = self._ctx.Pipe()
         child.conn = parent_conn
         child.process = self._ctx.Process(

@@ -35,7 +35,7 @@ import asyncio
 import json
 import sys
 import time
-from typing import List, Sequence, Tuple
+from typing import List
 
 from repro.cli import (
     add_coalescer_args,
@@ -49,9 +49,13 @@ from repro.cli import (
     run,
     spec_from_args,
 )
-from repro.errors import ConfigurationError, FailoverExhaustedError
+from repro.errors import FailoverExhaustedError
 from repro.replication.failover import FailoverClient, parse_endpoint
-from repro.replication.pair import attach_with_retries, start_pair
+from repro.replication.pair import (
+    attach_with_retries,
+    failover_script,
+    start_pair,
+)
 from repro.replication.replicator import (
     ReplicatedFilterService,
     ReplicationConfig,
@@ -80,29 +84,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--per-batch", type=int, default=64,
                         help="elements per write/read request")
     parser.add_argument("--seed", type=int, default=0)
-
-
-def kill_point(n: int, failover_at: int) -> int:
-    """Index into the *n*-element write stream where the primary dies:
-    *failover_at*, or three quarters of the stream when negative.  The
-    read mix is ``workload.mixed_stream()[: 2 * at]``: the writes
-    acknowledged before the kill, interleaved with absent elements."""
-    if failover_at < 0:
-        return (3 * n) // 4
-    if failover_at > n:
-        raise ConfigurationError(
-            "failover_at %d beyond the %d-element write stream"
-            % (failover_at, n))
-    return failover_at
-
-
-def split_writes(members: Sequence[bytes], at: int, per_batch: int,
-                 ) -> Tuple[List[List[bytes]], List[List[bytes]]]:
-    """The write stream as request batches, split exactly at *at*: no
-    batch straddles the kill, so the first list is precisely the
-    acknowledged writes and the second the in-flight ones."""
-    return (chop_requests(members[:at], per_batch),
-            chop_requests(members[at:], per_batch))
 
 
 def _preloaded_target(args: argparse.Namespace):
@@ -216,20 +197,17 @@ async def _wait_synced(primary: ServiceClient, standby_spec: str,
 
 
 async def _query_all(client, mix: List[bytes], per_batch: int) -> list:
-    verdicts: list = []
-    for i in range(0, len(mix), per_batch):
-        chunk = await client.query(mix[i : i + per_batch])
-        verdicts.extend(int(v) for v in chunk)
-    return verdicts
+    return [int(v) for batch in chop_requests(mix, per_batch)
+            for v in await client.query(batch)]
 
 
 async def _probe(args: argparse.Namespace) -> int:
-    workload = build_service_workload(args.n, seed=args.seed)
-    at = kill_point(args.n, args.failover_at)
+    at, pre, _, mix = failover_script(
+        build_service_workload(args.n, seed=args.seed),
+        args.failover_at, args.per_batch)
     client = await connect(args)
     try:
         if args.write:
-            pre, _ = split_writes(workload.members, at, args.per_batch)
             for batch in pre:
                 await client.add(batch)
             print("wrote %d acknowledged elements in %d batches"
@@ -237,8 +215,7 @@ async def _probe(args: argparse.Namespace) -> int:
         if args.sync:
             await _wait_synced(client, args.sync, args.sync_timeout)
             print("standby %s synced" % args.sync)
-        verdicts = await _query_all(
-            client, workload.mixed_stream()[: 2 * at], args.per_batch)
+        verdicts = await _query_all(client, mix, args.per_batch)
     finally:
         await client.close()
     record = {"n": args.n, "seed": args.seed, "failover_at": at,
@@ -251,7 +228,9 @@ async def _probe(args: argparse.Namespace) -> int:
 
 
 async def _verify(args: argparse.Namespace) -> int:
-    at = kill_point(args.n, args.failover_at)
+    at, _, _, mix = failover_script(
+        build_service_workload(args.n, seed=args.seed),
+        args.failover_at, args.per_batch)
     recorded = None
     if args.expected:
         with open(args.expected) as fh:
@@ -265,7 +244,6 @@ async def _verify(args: argparse.Namespace) -> int:
                       % (args.expected, field, recorded.get(field),
                          field, mine), file=sys.stderr)
                 return 1
-    workload = build_service_workload(args.n, seed=args.seed)
     endpoints = [spec for spec in args.endpoints.split(",") if spec]
     client = FailoverClient(endpoints, op_timeout=args.op_timeout,
                             connect_timeout=args.connect_timeout)
@@ -281,8 +259,7 @@ async def _verify(args: argparse.Namespace) -> int:
                 e["alive"] and e["role"] == "primary" for e in health):
             banner = await client.promote()
             print("promoted: %s" % banner)
-        verdicts = await _query_all(
-            client, workload.mixed_stream()[: 2 * at], args.per_batch)
+        verdicts = await _query_all(client, mix, args.per_batch)
         print("queried %d elements (%d failovers)"
               % (len(verdicts), client.failovers))
     finally:
@@ -312,11 +289,10 @@ async def _verify(args: argparse.Namespace) -> int:
 # drill: the whole exercise in one process
 # ----------------------------------------------------------------------
 async def _drill(args: argparse.Namespace) -> int:
-    workload = build_service_workload(args.n, seed=args.seed)
-    at = kill_point(args.n, args.failover_at)
-    pre, post = split_writes(workload.members, at, args.per_batch)
-    in_flight = list(workload.members[at:])
-    mix = workload.mixed_stream()[: 2 * at]
+    at, pre, post, mix = failover_script(
+        build_service_workload(args.n, seed=args.seed),
+        args.failover_at, args.per_batch)
+    in_flight = [e for batch in post for e in batch]
 
     spec = spec_from_args(args)
     pair = await start_pair(

@@ -1,26 +1,52 @@
-"""An in-process primary/standby pair: the one boot every drill shares.
+"""An in-process primary/standby pair and the failover script it runs.
 
 The replication sibling of :func:`repro.cluster.drill.
 start_local_cluster`.  The ``serve-pair`` and ``drill`` CLIs, the chaos
 drill, the replication benchmark and the tests all boot through
-:func:`start_pair`, so they share one kill sequence and one teardown.
+:func:`start_pair`, so they share one kill sequence and one teardown;
+the ``probe``/``verify``/``drill`` CLIs, the benchmark and the tests
+all derive their writes and reads from :func:`failover_script`.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.replication.replicator import (
     ReplicatedFilterService,
     ReplicationConfig,
     StandbyLink,
 )
+from repro.retry import BackoffPolicy, call_with_retries
 from repro.service.server import CoalescerConfig, FilterService
+from repro.workloads.service import ServiceWorkload, chop_requests
 
-__all__ = ["LocalPair", "attach_with_retries", "start_pair"]
+__all__ = ["LocalPair", "attach_with_retries", "failover_script",
+           "start_pair"]
+
+
+def failover_script(
+    workload: ServiceWorkload, failover_at: int, per_batch: int,
+) -> Tuple[int, List[List[bytes]], List[List[bytes]], List[bytes]]:
+    """The kill-primary drill over *workload*: ``(at, pre, post, mix)``.
+
+    The primary dies at write ``at`` (*failover_at*, or 3/4 of the
+    stream when negative).  ``pre``/``post`` are the writes before and
+    after it in *per_batch* batches, none straddling the kill; ``mix``
+    interleaves the ``at`` acknowledged members with absent elements.
+    """
+    n = len(workload.members)
+    if failover_at > n:
+        raise ConfigurationError(
+            "failover_at %d beyond the %d-element write stream"
+            % (failover_at, n))
+    at = (3 * n) // 4 if failover_at < 0 else failover_at
+    return (at, chop_requests(workload.members[:at], per_batch),
+            chop_requests(workload.members[at:], per_batch),
+            workload.mixed_stream()[: 2 * at])
 
 
 @dataclass
@@ -44,22 +70,12 @@ class LocalPair:
         ship loop and standby links stop, the listener closes, and
         open connections are aborted.  The standby keeps serving."""
         await self.repl.close()
-        await _shut(self.primary_service, self.primary_server)
+        await self.primary_service.kill(self.primary_server)
 
     async def close(self) -> None:
         """Release both nodes; idempotent, killed primary or not."""
         await self.kill_primary()
-        await _shut(self.standby_service, self.standby_server)
-
-
-async def _shut(service: FilterService,
-                server: asyncio.AbstractServer) -> None:
-    # Abort before waiting: from Python 3.12.1 on, wait_closed() also
-    # waits for every open connection, so a connected client would
-    # otherwise block the kill for as long as it stays connected.
-    server.close()
-    service.abort_connections()
-    await server.wait_closed()
+        await self.standby_service.kill(self.standby_server)
 
 
 async def start_pair(
@@ -86,7 +102,7 @@ async def start_pair(
     try:
         primary_server = await repl.start(host, primary_port)
     except BaseException:
-        standby_server.close()
+        await standby_service.kill(standby_server)
         raise
     pair = LocalPair(
         repl, standby_service, primary_server, standby_server,
@@ -100,17 +116,14 @@ async def start_pair(
     return pair
 
 
+
 async def attach_with_retries(repl: ReplicatedFilterService, host: str,
                               port: int, retries: int,
                               delay: float) -> StandbyLink:
     """Attach a standby that may still be starting: up to *retries*
     attempts, *delay* seconds apart; the last error propagates."""
-    last: Exception = ConnectionError("no attempt made")
-    for attempt in range(retries):
-        try:
-            return await repl.attach_standby(host, port)
-        except (ConnectionError, OSError, ReproError) as exc:
-            last = exc
-            if attempt + 1 < retries:
-                await asyncio.sleep(delay)
-    raise last
+    return await call_with_retries(
+        lambda: repl.attach_standby(host, port),
+        policy=BackoffPolicy(base=delay, cap=delay, multiplier=1.0,
+                             jitter="none", max_attempts=retries - 1),
+        retry_on=(ConnectionError, OSError, ReproError))

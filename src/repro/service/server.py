@@ -1097,16 +1097,18 @@ class FilterService:
         return await asyncio.start_server(
             self.handle_connection, host=host, port=port)
 
-    def abort_connections(self) -> None:
-        """Tear down every open client connection immediately.
-
-        Together with closing the listening server this simulates a
-        process death from the clients' point of view — in-flight
-        requests fail with a connection error rather than hanging —
-        which is what the in-process failover drill and benchmark use
-        to measure warm-client failover latency.
+    async def kill(self, server: asyncio.AbstractServer) -> None:
+        """Close *server* (from :meth:`start`) and tear down every open
+        client connection immediately: a process death from the
+        clients' point of view — in-flight requests fail with a
+        connection error rather than hanging.  The in-process drills,
+        benchmarks and tests stop nodes this way.
         """
+        server.close()
+        # Abort before waiting: from Python 3.12.1 on, wait_closed()
+        # also waits for every open connection.
         for writer in list(self._connections):
             transport = writer.transport
             if transport is not None:
                 transport.abort()
+        await server.wait_closed()

@@ -15,8 +15,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.mpserve.__main__ import build_parser
+from repro.mpserve.fleet import fleet_stats
 from repro.mpserve.supervisor import MultiWorkerSupervisor, SupervisorConfig
-from repro.service.client import ServiceClient
 from repro.service.server import CoalescerConfig
 from repro.store.spec import StoreSpec
 
@@ -63,14 +63,7 @@ class TestCoalescerReachesEveryProcess:
                 await sup.start()
                 ports = [sup.writer_port,
                          sup.stats()["workers"][0]["admin_port"]]
-                out = []
-                for port in ports:
-                    client = await ServiceClient.connect(HOST, port)
-                    try:
-                        out.append(await client.stats())
-                    finally:
-                        await client.close()
-                return out
+                return [await fleet_stats(HOST, port) for port in ports]
             finally:
                 await sup.stop()
 

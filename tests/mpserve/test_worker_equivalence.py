@@ -12,8 +12,9 @@ loop, so that statement is exact) before reading them back.
 
 The second scenario SIGKILLs a worker mid-stream and requires the
 fleet to keep answering correctly while the supervisor restarts it —
-the client rides over the dead connection by reconnecting, and not one
-verdict may differ from the reference.
+the client reconnects past the dead worker, then queries the
+replacement on its admin port, and not one verdict may differ from the
+reference.
 """
 
 from __future__ import annotations
@@ -24,7 +25,12 @@ import signal
 
 import pytest
 
-from repro.mpserve.fleet import query_riding, wait_published
+from repro.mpserve.fleet import (
+    fleet_stats,
+    query_replacement,
+    query_riding,
+    wait_published,
+)
 from repro.mpserve.supervisor import MultiWorkerSupervisor, SupervisorConfig
 from repro.service.client import ServiceClient
 from repro.store.spec import StoreSpec
@@ -81,10 +87,7 @@ class TestFleetEquivalence:
                     % wrong)
                 # Exact accounting: every forwarded ADD reached the
                 # writer exactly once.
-                writer = await ServiceClient.connect(
-                    HOST, sup.writer_port)
-                stats = await writer.stats()
-                await writer.close()
+                stats = await fleet_stats(HOST, sup.writer_port)
                 assert stats["n_items"] == reference.n_items
                 for client in clients:
                     await client.close()
@@ -104,6 +107,7 @@ class TestFleetEquivalence:
                 client = await ServiceClient.connect(
                     HOST, sup.serve_port)
                 assert await client.add(members) == len(members)
+                await client.close()
                 reference.add_batch(members)
                 await wait_published(HOST, sup.writer_port)
                 probe = members + absent
@@ -113,27 +117,22 @@ class TestFleetEquivalence:
                 os.kill(victim["pid"], signal.SIGKILL)
 
                 # Mid-crash stream: every answered query must still be
-                # bit-identical; connection failures are ridden over.
+                # bit-identical; each round connects anew, so rounds
+                # spread over the workers and dead connections are
+                # ridden over.
                 for _ in range(20):
-                    verdicts, client = await query_riding(
-                        HOST, sup.serve_port, probe, client)
-                    assert list(verdicts) == expected
+                    verdicts = await query_riding(
+                        HOST, sup.serve_port, probe)
+                    assert verdicts == expected
                     await asyncio.sleep(0.05)
 
-                deadline = asyncio.get_running_loop().time() + 30.0
-                while sup.stats()["workers_alive"] < 4:
-                    assert (asyncio.get_running_loop().time()
-                            < deadline), "killed worker never restarted"
-                    await asyncio.sleep(0.1)
-                stats = sup.stats()
-                assert stats["workers"][0]["restarts"] >= 1
-                assert stats["workers"][0]["pid"] != victim["pid"]
-                # The replacement answers identically too.
-                verdicts, client = await query_riding(
-                    HOST, sup.serve_port, probe, client)
-                assert list(verdicts) == expected
-                if client is not None:
-                    await client.close()
+                # The replacement itself, on its admin port, answers
+                # identically too.
+                replacement, verdicts = await query_replacement(
+                    HOST, sup.control_port, victim, probe)
+                assert replacement["restarts"] >= 1
+                assert replacement["pid"] != victim["pid"]
+                assert verdicts == expected
             finally:
                 await sup.stop()
 

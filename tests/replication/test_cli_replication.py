@@ -11,14 +11,22 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 from types import SimpleNamespace
 
 import pytest
 
-from repro.replication.__main__ import _drill, build_parser, main
+from repro.replication.__main__ import (
+    _drill,
+    _serve,
+    _serve_pair,
+    build_parser,
+    main,
+)
 from repro.replication.pair import start_pair
 from repro.replication.replicator import ReplicationConfig
+from repro.service.client import ServiceClient
 from repro.store.spec import StoreSpec
 
 
@@ -141,20 +149,13 @@ class TestProbeVerify:
 
 
 def _free_port() -> int:
-    import socket
-
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return port
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 class TestServeCommands:
     def test_serve_standby_then_primary_attaches(self):
-        from repro.replication.__main__ import _serve
-        from repro.service.client import ServiceClient
-
         async def scenario():
             sport, pport = _free_port(), _free_port()
             standby_task = asyncio.ensure_future(_serve(
@@ -190,9 +191,6 @@ class TestServeCommands:
         assert asyncio.run(scenario())
 
     def test_serve_pair_with_scripted_kill(self):
-        from repro.replication.__main__ import _serve_pair
-        from repro.service.client import ServiceClient
-
         async def scenario():
             pport, sport = _free_port(), _free_port()
             task = asyncio.ensure_future(_serve_pair(

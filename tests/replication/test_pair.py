@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import socket
 
 import pytest
 
@@ -63,5 +64,22 @@ def test_close_is_idempotent_and_releases_both_listeners(
         with pytest.raises(ConnectionError):  # aborted, not left open
             await standby.ping()
         await standby.close()
+
+    asyncio.run(scenario())
+
+
+def test_primary_bind_failure_releases_the_standby(store_factory):
+    async def scenario():
+        blocker = await asyncio.start_server(
+            lambda r, w: None, "127.0.0.1", 0)
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            free = sock.getsockname()[1]
+        with pytest.raises(OSError):
+            await start_pair(
+                store_factory(), store_factory(), standby_port=free,
+                primary_port=blocker.sockets[0].getsockname()[1])
+        blocker.close()
+        assert await _refuses(free)
 
     asyncio.run(scenario())

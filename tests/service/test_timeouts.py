@@ -109,7 +109,6 @@ class TestOpDeadline:
         assert issubclass(DeadlineExceededError, TimeoutError)
         assert issubclass(DeadlineExceededError, OSError)
 
-
     def test_request_after_server_hangup_fails_at_once(self):
         """Once the server has dropped the connection no reply can
         come: a new request must fail now, not wait out its deadline."""

@@ -16,7 +16,7 @@ import hashlib
 import pytest
 
 from repro.chaos.drill import op_sequence
-from repro.replication.__main__ import kill_point, split_writes
+from repro.replication.pair import failover_script
 from repro.workloads.service import build_service_workload
 
 
@@ -37,8 +37,7 @@ def test_chaos_op_sequence_golden():
     (2000, 0, 1234, 1234, "f16d2dded848a47a"),
 ])
 def test_failover_script_golden(n, seed, failover_at, at, digest):
-    workload = build_service_workload(n, seed=seed)
-    assert kill_point(n, failover_at) == at
-    pre, post = split_writes(workload.members, at, 64)
-    assert _sha((at, pre, post, workload.mixed_stream()[: 2 * at])) == (
-        digest)
+    script = failover_script(
+        build_service_workload(n, seed=seed), failover_at, 64)
+    assert script[0] == at
+    assert _sha(script) == digest

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.association_types import Association
 from repro.errors import ConfigurationError
-from repro.replication.__main__ import kill_point, split_writes
+from repro.replication.pair import failover_script
 from repro.workloads import (
     build_association_workload,
     build_membership_workload,
@@ -147,13 +147,14 @@ class TestReplicationWorkload:
     """The failover drill's kill point, write split and read mix."""
 
     def test_failover_split_is_exact(self):
-        assert kill_point(1000, -1) == 750  # default: 3/4 of the stream
-        assert kill_point(1000, 333) == 333
-        assert kill_point(1000, 1000) == 1000
+        workload = build_service_workload(1000, seed=2)
+        assert failover_script(workload, -1, 64)[0] == 750  # 3/4
+        assert failover_script(workload, 333, 64)[0] == 333
+        assert failover_script(workload, 1000, 64)[0] == 1000
 
     def test_write_batches_never_straddle_the_kill(self):
         workload = build_service_workload(1000, seed=2)
-        pre, post = split_writes(workload.members, 333, 64)
+        _, pre, post, _ = failover_script(workload, 333, 64)
         assert all(len(batch) <= 64 for batch in pre + post)
         assert tuple(e for batch in pre for e in batch) == (
             workload.members[:333])
@@ -162,8 +163,7 @@ class TestReplicationWorkload:
 
     def test_read_mix_interleaves_acknowledged_and_absent(self):
         workload = build_service_workload(400, seed=3)
-        at = kill_point(400, -1)
-        mix = workload.mixed_stream()[: 2 * at]
+        at, _, _, mix = failover_script(workload, -1, 64)
         assert len(mix) == 2 * at
         assert tuple(mix[0::2]) == workload.members[:at]
         assert tuple(mix[1::2]) == workload.absent[:at]
@@ -173,7 +173,9 @@ class TestReplicationWorkload:
         a = build_service_workload(200, seed=7)
         assert a == build_service_workload(200, seed=7)
         assert a != build_service_workload(200, seed=8)
+        assert failover_script(a, -1, 64) == failover_script(
+            build_service_workload(200, seed=7), -1, 64)
 
     def test_failover_beyond_stream_rejected(self):
         with pytest.raises(ConfigurationError):
-            kill_point(100, 101)
+            failover_script(build_service_workload(100), 101, 64)

@@ -12,12 +12,13 @@ health check.  Against a running fleet it:
    never-written verdicts (false positives included) become the
    reference,
 4. SIGKILLs one read worker,
-5. keeps querying through the shared port — riding over the dead
-   connection by reconnecting — and requires every answer to be
-   bit-identical to the recorded verdicts,
+5. keeps querying through the shared port on a fresh connection per
+   round — reconnecting when one lands on the dead worker — and
+   requires every answer to be bit-identical to the recorded
+   verdicts,
 6. waits for the supervisor to restart the worker (new pid, restart
-   counter bumped) and requires the replacement to answer
-   bit-identically too.
+   counter bumped), queries the replacement directly on its admin
+   port, and requires it to answer bit-identically too.
 
 Exit 0 only if the fleet never returned a wrong verdict and the
 killed worker came back.
@@ -40,22 +41,17 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src"))
 
-from repro.mpserve.fleet import query_riding, wait_published  # noqa: E402
+from repro.mpserve.fleet import (  # noqa: E402
+    fleet_stats,
+    query_replacement,
+    query_riding,
+    wait_published,
+)
 from repro.service.client import ServiceClient  # noqa: E402
 
 
-async def _stats(host: str, port: int) -> dict:
-    client = await ServiceClient.connect(
-        host, port, connect_timeout=5.0, op_timeout=10.0)
-    try:
-        return await client.stats()
-    finally:
-        await client.close()
-
-
 async def drill(args: argparse.Namespace) -> int:
-    fleet = await _stats(args.host, args.control_port)
-    n_workers = len(fleet["workers"])
+    fleet = await fleet_stats(args.host, args.control_port)
     victim = fleet["workers"][0]
     print("fleet: %d workers alive, generation %d, victim worker %d "
           "pid %d" % (fleet["workers_alive"], fleet["generation"],
@@ -70,16 +66,10 @@ async def drill(args: argparse.Namespace) -> int:
         print("FAIL: %d of %d writes acknowledged"
               % (acked, len(members)))
         return 1
+    probe = members + absent
     try:
         await wait_published(args.host, fleet["writer"]["port"])
-    except TimeoutError as exc:
-        print("FAIL: %s" % exc)
-        return 1
-
-    probe = members + absent
-    client = None
-    try:
-        expected, client = await query_riding(args.host, args.port, probe)
+        expected = await query_riding(args.host, args.port, probe)
         if not all(expected[: len(members)]):
             print("FAIL: a published member answered False before the "
                   "kill")
@@ -91,10 +81,11 @@ async def drill(args: argparse.Namespace) -> int:
         print("killed worker %d (pid %d)"
               % (victim["worker_id"], victim["pid"]))
 
+        # A fresh connection per round, so the rounds spread over the
+        # surviving workers and, once it binds, the replacement.
         wrong = 0
         for _ in range(args.probes):
-            verdicts, client = await query_riding(
-                args.host, args.port, probe, client)
+            verdicts = await query_riding(args.host, args.port, probe)
             wrong += sum(1 for got, want in zip(verdicts, expected)
                          if got != want)
             await asyncio.sleep(0.05)
@@ -103,31 +94,15 @@ async def drill(args: argparse.Namespace) -> int:
                   "mid-recovery" % wrong)
             return 1
 
-        deadline = asyncio.get_running_loop().time() + 30.0
-        while True:
-            fleet = await _stats(args.host, args.control_port)
-            replacement = fleet["workers"][0]
-            if (fleet["workers_alive"] == n_workers
-                    and replacement["restarts"] >= 1
-                    and replacement["pid"] != victim["pid"]):
-                break
-            if asyncio.get_running_loop().time() > deadline:
-                print("FAIL: killed worker never restarted "
-                      "(workers_alive=%d)" % fleet["workers_alive"])
-                return 1
-            await asyncio.sleep(0.2)
-        print("worker %d restarted as pid %d (restarts=%d)"
-              % (replacement["worker_id"], replacement["pid"],
-                 replacement["restarts"]))
-
-        verdicts, client = await query_riding(
-            args.host, args.port, probe, client)
-    except ConnectionError as exc:
+        replacement, verdicts = await query_replacement(
+            args.host, args.control_port, victim, probe)
+    except (ConnectionError, TimeoutError) as exc:
         print("FAIL: %s" % exc)
         return 1
-    finally:
-        if client is not None:
-            await client.close()
+    print("worker %d restarted as pid %d (restarts=%d), queried on its "
+          "admin port %d" % (replacement["worker_id"], replacement["pid"],
+                             replacement["restarts"],
+                             replacement["admin_port"]))
     if verdicts != expected:
         print("FAIL: the replacement worker's verdicts diverged from "
               "the recorded ones")
