@@ -80,7 +80,7 @@ async def _connect(endpoint: str, connect_timeout: Optional[float],
 def _batch_elements(blob: bytes) -> int:
     """Total elements in an encoded element-batches payload."""
     return sum(len(elements)
-               for elements, _ in protocol.decode_element_batches(blob))
+               for elements, _ in protocol.JOURNAL.decode(blob))
 
 
 async def fetch_live_map(

@@ -195,7 +195,7 @@ class ClusterState:
     # ------------------------------------------------------------------
     def handle_migrate(self, payload: bytes) -> bytes:
         """Serve one MIGRATE request (either side of a shard move)."""
-        action, shard_id, body = protocol.decode_migrate(payload)
+        action, shard_id, body = protocol.MIGRATE.decode(payload)
         service = self._service
         store = service.target
         if not 0 <= shard_id < store.n_shards:
@@ -226,11 +226,10 @@ class ClusterState:
             journal = self._require_journal(shard_id)
             service.flush_pending()
             drained, self._journals[shard_id] = journal, []
-            return protocol.encode_element_batches(drained)
+            return protocol.JOURNAL.pack(drained)
 
         if action == protocol.MIGRATE_KEYS:
-            return protocol.encode_idempotency_keys(
-                service.idempotency.entries())
+            return protocol.IDEM_KEYS.pack(service.idempotency.entries())
 
         if action == protocol.MIGRATE_END:
             self._require_journal(shard_id)
@@ -248,19 +247,19 @@ class ClusterState:
                     % (shard_id, type(shard).__name__))
             store.replace_shard(shard_id, empty_like())
             self.counters["migrations_shipped"] += 1
-            return protocol.encode_element_batches(drained)
+            return protocol.JOURNAL.pack(drained)
 
         if action == protocol.MIGRATE_INSTALL_REPLACE:
             incoming = persistence.loads(body)
             store.replace_shard(shard_id, incoming)
             self.counters["shards_installed"] += 1
-            return protocol._U32.pack(
+            return protocol.COUNT.pack(
                 int(getattr(incoming, "n_items", 0)))
 
         if action == protocol.MIGRATE_INSTALL_MERGE:
             shard = store.shards[shard_id]
             installed = 0
-            for elements, counts in protocol.decode_element_batches(body):
+            for elements, counts in protocol.JOURNAL.decode(body):
                 if not elements:
                     continue
                 routed = store.router.route_batch(elements)
@@ -275,13 +274,12 @@ class ClusterState:
                     shard.add_batch(elements, counts)
                 installed += len(elements)
             self.counters["elements_caught_up"] += installed
-            return protocol._U32.pack(
+            return protocol.COUNT.pack(
                 int(getattr(shard, "n_items", 0)))
 
         if action == protocol.MIGRATE_INSTALL_KEYS:
-            service.idempotency.install(
-                protocol.decode_idempotency_keys(body))
-            return protocol._U32.pack(len(service.idempotency))
+            service.idempotency.install(protocol.IDEM_KEYS.decode(body))
+            return protocol.COUNT.pack(len(service.idempotency))
 
         raise ConfigurationError(
             "unhandled MIGRATE action %d" % action)  # pragma: no cover

@@ -383,7 +383,8 @@ class MultiWorkerSupervisor:
                 except Exception as exc:  # noqa: BLE001 - typed reply
                     response = protocol.encode_frame(
                         request_id, protocol.STATUS_ERR,
-                        protocol.encode_error(exc), trace_id)
+                        protocol.ERROR.pack((type(exc).__name__, str(exc))),
+                        trace_id)
                 writer.write(response)
                 await writer.drain()
         except (ConnectionError, OSError, ProtocolError):

@@ -487,8 +487,7 @@ class ReplicatedFilterService:
                         if idem_blob is None:
                             idem_window = (
                                 self.service.idempotency.entries())
-                            idem_blob = protocol.encode_idempotency_keys(
-                                idem_window)
+                            idem_blob = protocol.IDEM_KEYS.pack(idem_window)
                         keys_version = idem_version
                         if idem_window:
                             keys_count = len(idem_window)

@@ -124,7 +124,7 @@ class ServiceClient:
                 if status == protocol.STATUS_OK:
                     future.set_result(payload)
                 else:
-                    name, message = protocol.decode_error(payload)
+                    name, message = protocol.ERROR.decode(payload)
                     future.set_exception(remote_error(name, message))
         except Exception as exc:  # noqa: BLE001 - fan out to callers
             error = exc
@@ -190,9 +190,9 @@ class ServiceClient:
                   trace_id: Optional[int] = None) -> int:
         """Insert a batch (with optional multiplicities); returns count."""
         payload = await self._request(
-            protocol.OP_ADD, protocol.encode_elements(elements, counts),
+            protocol.OP_ADD, protocol.ELEMENTS.pack((elements, counts)),
             timeout=timeout, trace_id=trace_id)
-        return int.from_bytes(payload, "big")
+        return protocol.COUNT.decode(payload)
 
     async def add_idem(self, client_id: int, write_id: int,
                        elements: Sequence[ElementLike],
@@ -207,18 +207,18 @@ class ServiceClient:
         """
         payload = await self._request(
             protocol.OP_ADD_IDEM,
-            protocol.encode_add_idem(client_id, write_id, elements, counts),
+            protocol.ADD_IDEM.pack((client_id, write_id, (elements, counts))),
             timeout=timeout, trace_id=trace_id)
-        return int.from_bytes(payload, "big")
+        return protocol.COUNT.decode(payload)
 
     async def query(self, elements: Sequence[ElementLike],
                     timeout=_UNSET,
                     trace_id: Optional[int] = None) -> np.ndarray:
         """Batch verdicts: bool array (membership) or int64 (counts)."""
         payload = await self._request(
-            protocol.OP_QUERY, protocol.encode_elements(elements),
+            protocol.OP_QUERY, protocol.ELEMENTS.pack((elements, None)),
             timeout=timeout, trace_id=trace_id)
-        return protocol.decode_verdicts(payload)
+        return protocol.VERDICTS.decode(payload)
 
     async def query_multi(
         self, elements: Sequence[ElementLike], timeout=_UNSET,
@@ -226,9 +226,9 @@ class ServiceClient:
     ) -> List[AssociationAnswer]:
         """ShBF_A association answers, one per element."""
         payload = await self._request(
-            protocol.OP_QUERY_MULTI, protocol.encode_elements(elements),
+            protocol.OP_QUERY_MULTI, protocol.ELEMENTS.pack((elements, None)),
             timeout=timeout, trace_id=trace_id)
-        return protocol.decode_association_answers(payload)
+        return protocol.ANSWERS.decode(payload)
 
     async def snapshot(self, timeout=_UNSET) -> bytes:
         """The hosted structure as a persistence blob."""
@@ -238,7 +238,7 @@ class ServiceClient:
         """Replace the hosted structure; returns its item count."""
         payload = await self._request(
             protocol.OP_RESTORE, blob, timeout=timeout)
-        return int.from_bytes(payload, "big")
+        return protocol.COUNT.decode(payload)
 
     async def stats(self, timeout=_UNSET) -> dict:
         """Server-side queue, coalescer and access accounting."""
@@ -273,8 +273,8 @@ class ServiceClient:
         position; returns its item count after the restore.
         """
         payload = await self._request(
-            protocol.OP_SUBSCRIBE, protocol.encode_subscribe(epoch, blob))
-        return int.from_bytes(payload, "big")
+            protocol.OP_SUBSCRIBE, protocol.SUBSCRIBE.pack((epoch, blob)))
+        return protocol.COUNT.decode(payload)
 
     async def delta(
         self,
@@ -285,12 +285,12 @@ class ServiceClient:
         """Ship one replication delta (shard entries or a full blob).
 
         Returns the standby's item count after application.  See
-        :func:`repro.service.protocol.encode_delta` for the two kinds.
+        :data:`repro.service.protocol.DELTA` for the two kinds.
         """
         payload = await self._request(
             protocol.OP_DELTA,
-            protocol.encode_delta(epoch, entries, full_blob))
-        return int.from_bytes(payload, "big")
+            protocol.DELTA.pack((epoch, full_blob, entries)))
+        return protocol.COUNT.decode(payload)
 
     async def promote(self, timeout=_UNSET) -> str:
         """Flip a standby back to the writable primary role."""
@@ -321,7 +321,7 @@ class ServiceClient:
         """
         return await self._request(
             protocol.OP_MIGRATE,
-            protocol.encode_migrate(action, shard_id, body),
+            protocol.MIGRATE.pack((action, shard_id, body)),
             timeout=timeout)
 
     async def close(self) -> None:

@@ -53,8 +53,9 @@ A response's code is a status: ``OK`` (0) or ``ERR`` (1); error payloads
 carry ``(exception type name, message)`` so the client can re-raise the
 server's own error class (see :func:`repro.errors.remote_error`).
 
-Element batches are the protocol's workhorse:
-``u32 count`` followed by ``count`` × (``u32 length`` + raw bytes); every
+Element batches are the protocol's workhorse: ``u8 has_counts``,
+``u32 count``, then ``count`` × (``u32 length`` + raw bytes), then —
+iff ``has_counts`` is 1 — ``count`` × i64 multiplicities.  Every
 element is canonicalised with :func:`repro._util.to_bytes` *before*
 encoding, so a string sent by the client hashes identically server-side.
 QUERY verdicts come back either as a bit-packed boolean array (kind 0,
@@ -72,10 +73,10 @@ role.  DELTA ships incremental state: ``u64 epoch``, ``u8 kind``, then
 either one whole-store blob (kind 1, *full*) or ``u32 n`` shard entries
 of ``u32 shard_id``, ``u8 mode`` (0 merge / 1 replace / 2 idem-keys),
 ``u32 length`` and a blob (kind 0, *shards*) — for mode 2 the shard id
-is ignored and the blob is an idempotency-key table (see
-:func:`encode_idempotency_keys`), which is how a primary replicates its
-ADD_IDEM dedup window so a retried write stays exactly-once across a
-failover.  PROMOTE flips a standby back to the writable ``primary``
+is ignored and the blob is an idempotency-key table (:data:`IDEM_KEYS`:
+``u32 n`` × (u64 client id, u64 write id, u32 added)), which is how a
+primary replicates its ADD_IDEM dedup window so a retried write stays
+exactly-once across a failover.  PROMOTE flips a standby back to the writable ``primary``
 role after its primary dies.
 
 ADD_IDEM is ADD made retry-safe: the payload is prefixed with a
@@ -95,10 +96,11 @@ the migration protocol:
 * ``MIGRATE_BEGIN`` (0, source): atomically start journalling writes to
   the shard and return its ``SHBF`` snapshot blob;
 * ``MIGRATE_DELTA`` (1, source): flush pending coalesced writes, drain
-  the journal, return the journalled write batches (see
-  :func:`encode_element_batches`) — the exact catch-up stream;
+  the journal, return the journalled write batches (:data:`JOURNAL`:
+  ``u32 n`` × a u32-length-prefixed element batch) — the exact
+  catch-up stream;
 * ``MIGRATE_KEYS`` (2, source): return the node's ADD_IDEM dedup window
-  (:func:`encode_idempotency_keys`) so retries stay exactly-once across
+  (:data:`IDEM_KEYS`) so retries stay exactly-once across
   the ownership flip;
 * ``MIGRATE_END`` (3, source): flush, drain the final residual batches,
   stop journalling and retire the local shard copy (an ``empty_like``
@@ -115,17 +117,26 @@ A request misdirected under a stale map is refused with
 :class:`~repro.errors.WrongOwnerError` (the WRONG_OWNER signal; it
 crosses the wire typed, like every error) — never silently served.
 
-Decoding is strict: declared lengths must match the bytes present, and
-frames above :data:`MAX_FRAME_BYTES` are rejected before allocation, so
-a corrupt or hostile peer produces a :class:`~repro.errors.ProtocolError`
-rather than a silently-wrong verdict or an OOM.
+Every payload is declared once, in the payload table at the end of this
+module (:data:`PAYLOADS`): each entry is built from a small field layer
+(fixed-width integers, enums, length-prefixed and rest-of-payload bytes,
+counted lists, nested length-delimited blocks, a u8-tagged union) and
+offers ``encode(value)`` and a whole-payload ``decode(payload)``.  The
+element batch, the verdict array and the association answers keep
+specialised leaf codecs, declared in the same table.
+
+Decoding is strict and total: declared lengths must match the bytes
+present, trailing bytes are refused, and frames above
+:data:`MAX_FRAME_BYTES` are rejected before allocation, so any byte
+string yields a value or a :class:`~repro.errors.ProtocolError` naming
+the payload and field path — never a silently-wrong verdict or an OOM.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,9 +145,18 @@ from repro.core.association_types import Association, AssociationAnswer
 from repro.errors import ProtocolError
 
 __all__ = [
+    "ADD_IDEM",
+    "ANSWERS",
+    "COUNT",
+    "DELTA",
     "DELTA_FULL",
     "DELTA_SHARDS",
+    "ELEMENTS",
+    "ERROR",
+    "IDEM_KEYS",
+    "JOURNAL",
     "MAX_FRAME_BYTES",
+    "MIGRATE",
     "MIGRATE_BEGIN",
     "MIGRATE_DELTA",
     "MIGRATE_END",
@@ -162,31 +182,16 @@ __all__ = [
     "OP_SNAPSHOT",
     "OP_STATS",
     "OP_SUBSCRIBE",
+    "PAYLOADS",
     "STATUS_ERR",
     "STATUS_OK",
+    "SUBSCRIBE",
     "TRACE_FLAG",
-    "decode_add_idem",
-    "decode_association_answers",
-    "decode_counts",
-    "decode_delta",
-    "decode_element_batches",
+    "VERDICTS",
     "decode_elements",
-    "decode_idempotency_keys",
-    "decode_error",
     "decode_frame",
-    "decode_migrate",
-    "decode_subscribe",
-    "decode_verdicts",
-    "encode_add_idem",
-    "encode_association_answers",
-    "encode_delta",
-    "encode_element_batches",
     "encode_elements",
-    "encode_error",
-    "encode_idempotency_keys",
     "encode_frame",
-    "encode_migrate",
-    "encode_subscribe",
     "encode_verdicts",
     "read_frame",
 ]
@@ -215,15 +220,9 @@ STATUS_ERR = 1
 #: byte-identical to the pre-tracing format.
 TRACE_FLAG = 0x80
 
-_KNOWN_OPS = frozenset((
-    OP_PING, OP_ADD, OP_QUERY, OP_QUERY_MULTI,
-    OP_SNAPSHOT, OP_RESTORE, OP_STATS,
-    OP_SUBSCRIBE, OP_DELTA, OP_PROMOTE, OP_ADD_IDEM,
-    OP_SHARD_MAP, OP_MIGRATE, OP_METRICS,
-))
-
 #: Opcode -> canonical name, used by metric labels, trace spans and
-#: tooling output.  Every :data:`_KNOWN_OPS` member has an entry.
+#: tooling output.  Its keys are the known request opcodes: a server
+#: refuses any other code.
 OP_NAMES = {
     OP_PING: "PING",
     OP_ADD: "ADD",
@@ -250,11 +249,6 @@ MIGRATE_INSTALL_REPLACE = 4
 MIGRATE_INSTALL_MERGE = 5
 MIGRATE_INSTALL_KEYS = 6
 
-_MIGRATE_ACTIONS = frozenset((
-    MIGRATE_BEGIN, MIGRATE_DELTA, MIGRATE_KEYS, MIGRATE_END,
-    MIGRATE_INSTALL_REPLACE, MIGRATE_INSTALL_MERGE, MIGRATE_INSTALL_KEYS,
-))
-
 # --- replication delta kinds and shard-entry apply modes --------------
 DELTA_SHARDS = 0
 DELTA_FULL = 1
@@ -271,8 +265,7 @@ _HEADER = struct.Struct("!I")          # frame length (rest of frame)
 _FRAME_META = struct.Struct("!IB")     # request id + code
 _TRACE_ID = struct.Struct("!Q")        # optional trace id (TRACE_FLAG)
 _U32 = struct.Struct("!I")
-_IDEM_HEAD = struct.Struct("!QQ")      # client id + write id
-_IDEM_KEY = struct.Struct("!QQI")      # client id + write id + result
+_BATCH_HEAD = struct.Struct("!BI")     # has_counts / kind + count
 
 #: Region → bitmask for the one-byte association answer encoding.
 _REGION_BITS = {
@@ -386,15 +379,10 @@ async def read_frame(
     return _split_body(body)
 
 
-def require_known_op(code: int) -> int:
-    """Validate a request opcode, returning it unchanged."""
-    if code not in _KNOWN_OPS:
-        raise ProtocolError("unknown opcode %d" % code)
-    return code
 
 
 # ----------------------------------------------------------------------
-# Element batches
+# Leaf codecs: the hot-path payloads with specialised layouts
 # ----------------------------------------------------------------------
 def encode_elements(
     elements: Sequence[ElementLike],
@@ -413,9 +401,7 @@ def encode_elements(
             "counts length %d != elements length %d"
             % (len(counts), len(data))
         )
-    parts = [
-        struct.pack("!BI", 0 if counts is None else 1, len(data))
-    ]
+    parts = [_BATCH_HEAD.pack(0 if counts is None else 1, len(data))]
     for blob in data:
         parts.append(_U32.pack(len(blob)))
         parts.append(blob)
@@ -431,7 +417,7 @@ def decode_elements(
     """Invert :func:`encode_elements`: ``(elements, counts-or-None)``."""
     if len(payload) < 5:
         raise ProtocolError("element batch truncated inside its header")
-    has_counts, count = struct.unpack_from("!BI", payload)
+    has_counts, count = _BATCH_HEAD.unpack_from(payload)
     if has_counts not in (0, 1):
         raise ProtocolError(
             "element batch has_counts flag must be 0 or 1, got %d"
@@ -471,85 +457,6 @@ def decode_elements(
     return elements, counts
 
 
-def encode_add_idem(
-    client_id: int,
-    write_id: int,
-    elements: Sequence[ElementLike],
-    counts: Optional[Sequence[int]] = None,
-) -> bytes:
-    """ADD_IDEM payload: ``u64 client_id, u64 write_id`` + element batch.
-
-    ``(client_id, write_id)`` is the idempotency key: a retry reuses the
-    pair verbatim so the server can recognise and absorb the duplicate.
-    """
-    return (_IDEM_HEAD.pack(client_id, write_id)
-            + encode_elements(elements, counts))
-
-
-def decode_add_idem(
-    payload: bytes,
-) -> Tuple[int, int, List[bytes], Optional[List[int]]]:
-    """Invert :func:`encode_add_idem`:
-    ``(client_id, write_id, elements, counts-or-None)``."""
-    if len(payload) < _IDEM_HEAD.size:
-        raise ProtocolError("ADD_IDEM payload truncated inside its key")
-    client_id, write_id = _IDEM_HEAD.unpack_from(payload)
-    elements, counts = decode_elements(payload[_IDEM_HEAD.size:])
-    return client_id, write_id, elements, counts
-
-
-def encode_idempotency_keys(
-    keys: Sequence[Tuple[int, int, int]],
-) -> bytes:
-    """Encode a dedup-window table: ``u32 n`` × (u64 cid, u64 wid, u32 n_added).
-
-    Shipped inside a shard delta as a ``MODE_IDEM`` entry so standbys
-    learn which writes already landed before they are asked to serve a
-    retried one post-failover.
-    """
-    parts = [_U32.pack(len(keys))]
-    for client_id, write_id, result in keys:
-        parts.append(_IDEM_KEY.pack(client_id, write_id, result))
-    return b"".join(parts)
-
-
-def decode_idempotency_keys(
-    payload: bytes,
-) -> List[Tuple[int, int, int]]:
-    """Invert :func:`encode_idempotency_keys`."""
-    if len(payload) < 4:
-        raise ProtocolError(
-            "idempotency key table truncated inside its count")
-    (count,) = _U32.unpack_from(payload)
-    if len(payload) - 4 != count * _IDEM_KEY.size:
-        raise ProtocolError(
-            "idempotency key table of %d entries needs %d bytes, found %d"
-            % (count, count * _IDEM_KEY.size, len(payload) - 4))
-    keys: List[Tuple[int, int, int]] = []
-    cursor = 4
-    for _ in range(count):
-        keys.append(_IDEM_KEY.unpack_from(payload, cursor))
-        cursor += _IDEM_KEY.size
-    return keys
-
-
-def decode_counts(payload: bytes) -> List[int]:
-    """Decode an i64 count vector prefixed with its u32 length."""
-    if len(payload) < 4:
-        raise ProtocolError("count vector truncated inside its header")
-    (count,) = _U32.unpack_from(payload)
-    if len(payload) - 4 != count * 8:
-        raise ProtocolError(
-            "count vector should be %d bytes, found %d"
-            % (count * 8, len(payload) - 4)
-        )
-    return [int(v) for v in
-            np.frombuffer(payload, dtype=">i8", count=count, offset=4)]
-
-
-# ----------------------------------------------------------------------
-# Verdicts
-# ----------------------------------------------------------------------
 def encode_verdicts(verdicts: np.ndarray) -> bytes:
     """Encode a QUERY result array: bit-packed bools or raw int64.
 
@@ -559,276 +466,310 @@ def encode_verdicts(verdicts: np.ndarray) -> bytes:
     """
     verdicts = np.asarray(verdicts)
     if verdicts.dtype == np.bool_:
-        return b"".join((
-            struct.pack("!BI", _VERDICT_BOOL, verdicts.size),
-            np.packbits(verdicts).tobytes(),
-        ))
-    if np.issubdtype(verdicts.dtype, np.integer):
-        return b"".join((
-            struct.pack("!BI", _VERDICT_INT64, verdicts.size),
-            verdicts.astype(">i8").tobytes(),
-        ))
-    raise ProtocolError(
-        "cannot encode verdict dtype %s; QUERY serves bool or integer "
-        "answers (association stores use QUERY_MULTI)" % verdicts.dtype
-    )
+        kind, body = _VERDICT_BOOL, np.packbits(verdicts)
+    elif np.issubdtype(verdicts.dtype, np.integer):
+        kind, body = _VERDICT_INT64, verdicts.astype(">i8")
+    else:
+        raise ProtocolError(
+            "cannot encode verdict dtype %s; QUERY serves bool or integer "
+            "answers (association stores use QUERY_MULTI)" % verdicts.dtype
+        )
+    return _BATCH_HEAD.pack(kind, verdicts.size) + body.tobytes()
 
 
-def decode_verdicts(payload: bytes) -> np.ndarray:
+def _decode_verdicts(payload: bytes) -> np.ndarray:
     """Invert :func:`encode_verdicts`."""
     if len(payload) < 5:
         raise ProtocolError("verdict payload truncated inside its header")
-    kind, count = struct.unpack_from("!BI", payload)
+    kind, count = _BATCH_HEAD.unpack_from(payload)
     body = payload[5:]
+    if kind not in (_VERDICT_BOOL, _VERDICT_INT64):
+        raise ProtocolError("unknown verdict container kind %d" % kind)
+    expected = (count + 7) // 8 if kind == _VERDICT_BOOL else count * 8
+    if len(body) != expected:
+        raise ProtocolError(
+            "%s verdicts for %d queries need %d bytes, found %d"
+            % (("bool", "int64")[kind], count, expected, len(body))
+        )
     if kind == _VERDICT_BOOL:
-        expected = (count + 7) // 8
-        if len(body) != expected:
-            raise ProtocolError(
-                "bool verdicts for %d queries need %d bytes, found %d"
-                % (count, expected, len(body))
-            )
         return np.unpackbits(
             np.frombuffer(body, dtype=np.uint8), count=count
         ).astype(bool)
-    if kind == _VERDICT_INT64:
-        if len(body) != count * 8:
-            raise ProtocolError(
-                "int64 verdicts for %d queries need %d bytes, found %d"
-                % (count, count * 8, len(body))
-            )
-        return np.frombuffer(body, dtype=">i8", count=count).astype(
-            np.int64)
-    raise ProtocolError("unknown verdict container kind %d" % kind)
+    return np.frombuffer(body, dtype=">i8", count=count).astype(np.int64)
 
 
-def encode_association_answers(
-    answers: Sequence[AssociationAnswer],
-) -> bytes:
-    """Encode ShBF_A answers, one byte each (region mask + clear bit)."""
-    out = bytearray(_U32.pack(len(answers)))
-    for answer in answers:
-        mask = 0
-        for region in answer.candidates:
-            mask |= _REGION_BITS[region]
-        if answer.clear:
-            mask |= _CLEAR_BIT
-        out.append(mask)
-    return bytes(out)
+def _answer_masks(answers: Sequence[AssociationAnswer]) -> bytes:
+    """ShBF_A answers as one byte each: region mask + clear bit."""
+    return bytes(
+        sum(_REGION_BITS[region] for region in answer.candidates)
+        | (_CLEAR_BIT if answer.clear else 0) for answer in answers)
 
 
-def decode_association_answers(payload: bytes) -> List[AssociationAnswer]:
-    """Invert :func:`encode_association_answers`."""
-    if len(payload) < 4:
-        raise ProtocolError(
-            "association payload truncated inside its header")
-    (count,) = _U32.unpack_from(payload)
-    body = payload[4:]
-    if len(body) != count:
-        raise ProtocolError(
-            "association answers for %d queries need %d bytes, found %d"
-            % (count, count, len(body))
-        )
-    answers = []
-    for mask in body:
+def _answers_from_masks(masks: bytes) -> List[AssociationAnswer]:
+    """Invert :func:`_answer_masks`."""
+    for mask in masks:
         if mask & ~(_CLEAR_BIT | 7):
             raise ProtocolError(
                 "association answer byte %#x has unknown bits set" % mask)
-        candidates = frozenset(
-            region for region, bit in _REGION_BITS.items() if mask & bit)
-        answers.append(AssociationAnswer(
-            candidates=candidates, clear=bool(mask & _CLEAR_BIT)))
-    return answers
+    return [AssociationAnswer(
+        candidates=frozenset(
+            region for region, bit in _REGION_BITS.items() if mask & bit),
+        clear=bool(mask & _CLEAR_BIT)) for mask in masks]
 
 
 # ----------------------------------------------------------------------
-# Replication (SUBSCRIBE / DELTA)
+# Field layer
 # ----------------------------------------------------------------------
-_U64 = struct.Struct("!Q")
-_DELTA_HEAD = struct.Struct("!QB")       # epoch + kind
-_DELTA_ENTRY = struct.Struct("!IBI")     # shard id + mode + blob length
+class _Field:
+    """One wire field: ``pack(value) -> bytes`` and
+    ``unpack(buf, pos, path) -> (value, end)``.
 
-
-def encode_subscribe(epoch: int, blob: bytes) -> bytes:
-    """SUBSCRIBE payload: the primary's epoch plus a full snapshot."""
-    return _U64.pack(epoch) + blob
-
-
-def decode_subscribe(payload: bytes) -> Tuple[int, bytes]:
-    """Invert :func:`encode_subscribe`: ``(epoch, snapshot blob)``."""
-    if len(payload) < _U64.size:
-        raise ProtocolError("SUBSCRIBE payload truncated inside its epoch")
-    (epoch,) = _U64.unpack_from(payload)
-    return epoch, payload[_U64.size:]
-
-
-def encode_delta(
-    epoch: int,
-    entries: Optional[Sequence[Tuple[int, int, bytes]]] = None,
-    full_blob: Optional[bytes] = None,
-) -> bytes:
-    """Encode a replication delta frame payload.
-
-    Exactly one of *entries* (kind ``DELTA_SHARDS``: a sequence of
-    ``(shard_id, mode, blob)`` triples, possibly empty — an epoch
-    heartbeat) or *full_blob* (kind ``DELTA_FULL``: one whole-target
-    persistence blob) must be given.
+    *path* names the field for error messages (``DELTA.body[2].mode``);
+    ``unpack`` raises :class:`~repro.errors.ProtocolError` and nothing
+    else on malformed input.  A payload-table entry is a field with a
+    :attr:`name`, used as the root of every path: ``pack`` encodes a
+    whole payload and :meth:`decode` decodes one.
     """
+
+    name = "payload"
+
+    def named(self, name: str) -> "_Field":
+        self.name = name
+        return self
+
+    def decode(self, payload: bytes, path: Optional[str] = None):
+        """Decode one whole payload; trailing bytes are an error."""
+        path = path or self.name
+        value, end = self.unpack(payload, 0, path)
+        if end != len(payload):
+            raise ProtocolError(
+                "%s: %d trailing bytes" % (path, len(payload) - end))
+        return value
+
+
+class _Int(_Field):
+    """A fixed-width big-endian unsigned integer."""
+
+    def __init__(self, fmt: str):
+        self.struct = struct.Struct(fmt)
+
+    def pack(self, value: int) -> bytes:
+        return self.struct.pack(value)
+
+    def unpack(self, buf, pos, path):
+        end = pos + self.struct.size
+        if end > len(buf):
+            raise ProtocolError(
+                "%s truncated: needs %d bytes, %d remain"
+                % (path, self.struct.size, len(buf) - pos))
+        return self.struct.unpack_from(buf, pos)[0], end
+
+
+class _Enum(_Int):
+    """An integer restricted to an allowed set, checked both ways."""
+
+    def __init__(self, fmt: str, what: str, allowed):
+        super().__init__(fmt)
+        self.what = what
+        self.allowed = frozenset(allowed)
+
+    def check(self, value: int, path: str) -> int:
+        if value not in self.allowed:
+            raise ProtocolError("%s: unknown %s %r" % (path, self.what, value))
+        return value
+
+    def pack(self, value: int) -> bytes:
+        return super().pack(self.check(value, self.what))
+
+    def unpack(self, buf, pos, path):
+        value, end = super().unpack(buf, pos, path)
+        return self.check(value, path), end
+
+
+class _Bytes(_Field):
+    """Bytes behind a length *prefix* field, or (``None``) the rest of
+    the payload."""
+
+    def __init__(self, prefix: Optional[_Int] = None):
+        self.prefix = prefix
+
+    def pack(self, value: bytes) -> bytes:
+        if self.prefix is None:
+            return value
+        return self.prefix.pack(len(value)) + value
+
+    def unpack(self, buf, pos, path):
+        if self.prefix is None:
+            return buf[pos:], len(buf)
+        size, pos = self.prefix.unpack(buf, pos, path + ".length")
+        if pos + size > len(buf):
+            raise ProtocolError(
+                "%s declares %d bytes but only %d remain"
+                % (path, size, len(buf) - pos))
+        return buf[pos : pos + size], pos + size
+
+
+class _Block(_Bytes):
+    """A nested payload behind a u32 length prefix."""
+
+    def __init__(self, inner: _Field):
+        super().__init__(U32)
+        self.inner = inner
+
+    def pack(self, value) -> bytes:
+        return super().pack(self.inner.pack(value))
+
+    def unpack(self, buf, pos, path):
+        block, end = super().unpack(buf, pos, path)
+        return self.inner.decode(block, path), end
+
+
+class _List(_Field):
+    """``u32 n`` followed by *n* items."""
+
+    def __init__(self, item: _Field):
+        self.item = item
+
+    def pack(self, values) -> bytes:
+        return U32.pack(len(values)) + b"".join(map(self.item.pack, values))
+
+    def unpack(self, buf, pos, path):
+        count, pos = U32.unpack(buf, pos, path + ".count")
+        values = []
+        for i in range(count):
+            value, pos = self.item.unpack(buf, pos, "%s[%d]" % (path, i))
+            values.append(value)
+        return values, pos
+
+
+class _Seq(_Field):
+    """Named fields in order; the value is a tuple."""
+
+    def __init__(self, **fields: _Field):
+        self.fields = list(fields.items())
+
+    def pack(self, value) -> bytes:
+        return b"".join(f.pack(v) for (_, f), v in zip(self.fields, value))
+
+    def unpack(self, buf, pos, path):
+        values = []
+        for name, field in self.fields:
+            value, pos = field.unpack(buf, pos, path + "." + name)
+            values.append(value)
+        return tuple(values), pos
+
+
+class _Union(_Field):
+    """A u8 tag selecting one arm; the value is ``(tag, arm value)``."""
+
+    def __init__(self, what: str, arms: dict):
+        self.tag = _Enum("!B", what, arms)
+        self.arms = arms
+
+    def pack(self, value) -> bytes:
+        tag, body = value
+        return self.tag.pack(tag) + self.arms[tag].pack(body)
+
+    def unpack(self, buf, pos, path):
+        tag, pos = self.tag.unpack(buf, pos, path + "." + self.tag.what)
+        body, pos = self.arms[tag].unpack(buf, pos, path)
+        return (tag, body), pos
+
+
+class _Map(_Field):
+    """An *inner* field whose value callers see through a converter
+    pair: ``to_wire(value)`` before packing, ``from_wire`` after.
+
+    Over rest-of-payload bytes this splices a specialised leaf codec
+    (``encode``/``decode`` of a whole payload) into the table.
+    """
+
+    def __init__(self, inner: _Field, to_wire: Callable,
+                 from_wire: Callable):
+        self.inner, self.to_wire, self.from_wire = inner, to_wire, from_wire
+
+    def pack(self, value) -> bytes:
+        return self.inner.pack(self.to_wire(value))
+
+    def unpack(self, buf, pos, path):
+        value, end = self.inner.unpack(buf, pos, path)
+        try:
+            return self.from_wire(value), end
+        except ProtocolError as exc:
+            raise ProtocolError("%s: %s" % (path, exc)) from None
+
+
+U16, U32, U64 = _Int("!H"), _Int("!I"), _Int("!Q")
+
+
+def _delta_to_wire(value):
+    epoch, full_blob, entries = value
     if (entries is None) == (full_blob is None):
         raise ProtocolError(
             "a delta is either shard entries or one full blob, not both")
-    if full_blob is not None:
-        return _DELTA_HEAD.pack(epoch, DELTA_FULL) + full_blob
-    parts = [_DELTA_HEAD.pack(epoch, DELTA_SHARDS),
-             _U32.pack(len(entries))]
-    for shard_id, mode, blob in entries:
-        if mode not in (MODE_MERGE, MODE_REPLACE, MODE_IDEM):
-            raise ProtocolError(
-                "delta entry mode must be MERGE (0), REPLACE (1) or "
-                "IDEM (2), got %d" % mode)
-        parts.append(_DELTA_ENTRY.pack(shard_id, mode, len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
+    if entries is None:
+        return epoch, (DELTA_FULL, full_blob)
+    return epoch, (DELTA_SHARDS, entries)
 
 
-def decode_delta(
-    payload: bytes,
-) -> Tuple[int, Optional[bytes], Optional[List[Tuple[int, int, bytes]]]]:
-    """Invert :func:`encode_delta`: ``(epoch, full_blob, entries)``.
-
-    Exactly one of ``full_blob`` / ``entries`` is non-``None``,
-    mirroring the two delta kinds.
-    """
-    if len(payload) < _DELTA_HEAD.size:
-        raise ProtocolError("delta payload truncated inside its header")
-    epoch, kind = _DELTA_HEAD.unpack_from(payload)
-    body = payload[_DELTA_HEAD.size:]
+def _delta_from_wire(value):
+    epoch, (kind, body) = value
     if kind == DELTA_FULL:
         return epoch, body, None
-    if kind != DELTA_SHARDS:
-        raise ProtocolError("unknown delta kind %d" % kind)
-    if len(body) < 4:
-        raise ProtocolError("shard delta truncated inside its count")
-    (count,) = _U32.unpack_from(body)
-    cursor = 4
-    entries: List[Tuple[int, int, bytes]] = []
-    for _ in range(count):
-        if cursor + _DELTA_ENTRY.size > len(body):
-            raise ProtocolError(
-                "shard delta truncated: %d entries promised, ran out at "
-                "entry %d" % (count, len(entries)))
-        shard_id, mode, size = _DELTA_ENTRY.unpack_from(body, cursor)
-        if mode not in (MODE_MERGE, MODE_REPLACE, MODE_IDEM):
-            raise ProtocolError(
-                "delta entry %d has unknown mode %d" % (len(entries), mode))
-        cursor += _DELTA_ENTRY.size
-        if cursor + size > len(body):
-            raise ProtocolError(
-                "delta entry %d declares %d blob bytes but only %d remain"
-                % (len(entries), size, len(body) - cursor))
-        entries.append((shard_id, mode, body[cursor : cursor + size]))
-        cursor += size
-    if cursor != len(body):
-        raise ProtocolError(
-            "%d trailing bytes after shard delta" % (len(body) - cursor))
-    return epoch, None, entries
+    return epoch, None, body
 
 
 # ----------------------------------------------------------------------
-# Cluster migration (MIGRATE)
+# The payload table: every payload the protocol carries
 # ----------------------------------------------------------------------
-_MIGRATE_HEAD = struct.Struct("!BI")     # action + shard id
+#: u32 count: the OK answer of ADD, ADD_IDEM, RESTORE, SUBSCRIBE, DELTA
+#: and MIGRATE_INSTALL_*.
+COUNT = _Int("!I").named("COUNT")
+#: Element batch ``(elements, counts-or-None)``: ADD/QUERY/QUERY_MULTI.
+ELEMENTS = _Map(_Bytes(), lambda value: encode_elements(*value),
+                decode_elements).named("ELEMENTS")
+#: QUERY answer: bool (bit-packed) or int64 verdict array.
+VERDICTS = _Map(_Bytes(), encode_verdicts,
+                _decode_verdicts).named("VERDICTS")
+#: QUERY_MULTI answer: ``u32 n`` + one byte per
+#: :class:`AssociationAnswer` (region mask + clear bit).
+ANSWERS = _Map(_Bytes(U32), _answer_masks,
+               _answers_from_masks).named("ANSWERS")
+#: ``(client_id, write_id, (elements, counts))``.
+ADD_IDEM = _Seq(client_id=U64, write_id=U64,
+                batch=ELEMENTS).named("ADD_IDEM")
+#: The ADD_IDEM dedup window: ``[(client_id, write_id, added), ...]``.
+IDEM_KEYS = _List(_Seq(client_id=U64, write_id=U64,
+                       added=U32)).named("IDEM_KEYS")
+#: ``(epoch, snapshot blob)``.
+SUBSCRIBE = _Seq(epoch=U64, snapshot=_Bytes()).named("SUBSCRIBE")
+#: ``(epoch, full_blob, entries)``: exactly one of the last two is
+#: ``None``; entries are ``(shard_id, mode, blob)``, possibly none (an
+#: epoch heartbeat).
+DELTA = _Map(_Seq(epoch=U64, body=_Union("kind", {
+    DELTA_SHARDS: _List(_Seq(
+        shard_id=U32,
+        mode=_Enum("!B", "mode", (MODE_MERGE, MODE_REPLACE, MODE_IDEM)),
+        blob=_Bytes(U32))),
+    DELTA_FULL: _Bytes(),
+})), _delta_to_wire, _delta_from_wire).named("DELTA")
+#: ``(action, shard_id, body)``; the body is a shard blob, a
+#: :data:`JOURNAL`, an :data:`IDEM_KEYS` table or empty, by action.
+MIGRATE = _Seq(
+    action=_Enum("!B", "action", range(MIGRATE_INSTALL_KEYS + 1)),
+    shard_id=U32, body=_Bytes()).named("MIGRATE")
+#: The migration journal: ``[(elements, counts-or-None), ...]``, one
+#: length-delimited element batch per journalled write, so counts-
+#: carrying and countless writes never merge.
+JOURNAL = _List(_Block(ELEMENTS)).named("JOURNAL")
+#: ERR payload ``(exception type name, message)``: u16-prefixed name,
+#: the message is the rest; invalid utf-8 decodes with replacement.
+ERROR = _Map(_Seq(type=_Bytes(U16), message=_Bytes()),
+             lambda value: tuple(s.encode("utf-8") for s in value),
+             lambda value: tuple(b.decode("utf-8", "replace")
+                                 for b in value)).named("ERROR")
 
-
-def encode_migrate(action: int, shard_id: int, body: bytes = b"") -> bytes:
-    """MIGRATE payload: ``u8 action, u32 shard_id`` + action body.
-
-    The body is a shard snapshot blob (``INSTALL_REPLACE``), journalled
-    write batches (``INSTALL_MERGE``), an idempotency-key table
-    (``INSTALL_KEYS``) or empty (the source-side actions).
-    """
-    if action not in _MIGRATE_ACTIONS:
-        raise ProtocolError("unknown MIGRATE action %d" % action)
-    return _MIGRATE_HEAD.pack(action, shard_id) + body
-
-
-def decode_migrate(payload: bytes) -> Tuple[int, int, bytes]:
-    """Invert :func:`encode_migrate`: ``(action, shard_id, body)``."""
-    if len(payload) < _MIGRATE_HEAD.size:
-        raise ProtocolError("MIGRATE payload truncated inside its header")
-    action, shard_id = _MIGRATE_HEAD.unpack_from(payload)
-    if action not in _MIGRATE_ACTIONS:
-        raise ProtocolError("unknown MIGRATE action %d" % action)
-    return action, shard_id, payload[_MIGRATE_HEAD.size:]
-
-
-def encode_element_batches(
-    batches: Sequence[Tuple[Sequence[ElementLike], Optional[Sequence[int]]]],
-) -> bytes:
-    """Encode a sequence of ``(elements, counts-or-None)`` write batches.
-
-    Layout: ``u32 n_batches`` then per batch ``u32 length`` + an
-    :func:`encode_elements` block.  This is the migration journal's wire
-    shape: each journalled write ships with its own counts vector (or
-    none), so the target replays the exact write stream through
-    ``add_batch`` — counts-carrying and countless writes never merge.
-    """
-    parts = [_U32.pack(len(batches))]
-    for elements, counts in batches:
-        block = encode_elements(elements, counts)
-        parts.append(_U32.pack(len(block)))
-        parts.append(block)
-    return b"".join(parts)
-
-
-def decode_element_batches(
-    payload: bytes,
-) -> List[Tuple[List[bytes], Optional[List[int]]]]:
-    """Invert :func:`encode_element_batches`."""
-    if len(payload) < 4:
-        raise ProtocolError("batch sequence truncated inside its count")
-    (count,) = _U32.unpack_from(payload)
-    cursor = 4
-    batches: List[Tuple[List[bytes], Optional[List[int]]]] = []
-    for _ in range(count):
-        if cursor + 4 > len(payload):
-            raise ProtocolError(
-                "batch sequence truncated: %d batches promised, ran out "
-                "at batch %d" % (count, len(batches)))
-        (size,) = _U32.unpack_from(payload, cursor)
-        cursor += 4
-        if cursor + size > len(payload):
-            raise ProtocolError(
-                "batch %d declares %d bytes but only %d remain"
-                % (len(batches), size, len(payload) - cursor))
-        batches.append(decode_elements(payload[cursor : cursor + size]))
-        cursor += size
-    if cursor != len(payload):
-        raise ProtocolError(
-            "%d trailing bytes after batch sequence"
-            % (len(payload) - cursor))
-    return batches
-
-
-# ----------------------------------------------------------------------
-# Errors
-# ----------------------------------------------------------------------
-def encode_error(exc: BaseException) -> bytes:
-    """Encode an exception as ``(type name, message)`` for an ERR frame."""
-    name = type(exc).__name__.encode("utf-8")
-    message = str(exc).encode("utf-8")
-    return struct.pack("!H", len(name)) + name + message
-
-
-def decode_error(payload: bytes) -> Tuple[str, str]:
-    """Invert :func:`encode_error`: ``(type name, message)``."""
-    if len(payload) < 2:
-        raise ProtocolError("error payload truncated inside its header")
-    (name_len,) = struct.unpack_from("!H", payload)
-    if 2 + name_len > len(payload):
-        raise ProtocolError(
-            "error payload declares a %d-byte type name but only %d "
-            "bytes remain" % (name_len, len(payload) - 2)
-        )
-    name = payload[2 : 2 + name_len].decode("utf-8", "replace")
-    message = payload[2 + name_len :].decode("utf-8", "replace")
-    return name, message
+#: Name -> entry, for tooling and the property tests.
+PAYLOADS = {entry.name: entry for entry in (
+    COUNT, ELEMENTS, VERDICTS, ANSWERS, ADD_IDEM, IDEM_KEYS, SUBSCRIBE,
+    DELTA, MIGRATE, JOURNAL, ERROR)}

@@ -678,13 +678,12 @@ class FilterService:
             raise ReplicationError(
                 "this server is not following a primary; SUBSCRIBE "
                 "must precede DELTA")
-        epoch, full_blob, entries = protocol.decode_delta(payload)
+        epoch, full_blob, entries = protocol.DELTA.decode(payload)
         state = self.replica
         if epoch <= state.epoch:
             # A retry of a delta this standby already applied; re-applying
             # a merge would inflate n_items, so acknowledge and move on.
-            return protocol._U32.pack(
-                getattr(self._target, "n_items", 0))
+            return protocol.COUNT.pack(getattr(self._target, "n_items", 0))
         if full_blob is not None:
             self._swap_target(self._load_snapshot(full_blob, "DELTA"))
             state.full_snapshots_applied += 1
@@ -704,8 +703,7 @@ class FilterService:
                 # recently applied (client, write) keys so a write
                 # retried against this standby post-promotion is
                 # absorbed, not applied a second time.
-                self.idempotency.install(
-                    protocol.decode_idempotency_keys(blob))
+                self.idempotency.install(protocol.IDEM_KEYS.decode(blob))
                 state.bytes_received += len(blob)
             if entries and not isinstance(
                     self._target, (ShardedFilterStore, GenerationalStore)):
@@ -746,7 +744,7 @@ class FilterService:
                     state.shards_replaced += 1
             state.deltas_applied += 1
         state.epoch = epoch
-        return protocol._U32.pack(getattr(self._target, "n_items", 0))
+        return protocol.COUNT.pack(getattr(self._target, "n_items", 0))
 
     # ------------------------------------------------------------------
     # Request dispatch
@@ -797,16 +795,16 @@ class FilterService:
                     "RESTORE would diverge it from the replication "
                     "stream (PROMOTE it first)")
             self._swap_target(self._load_snapshot(payload, "RESTORE"))
-            return protocol._U32.pack(self._target.n_items)
+            return protocol.COUNT.pack(self._target.n_items)
 
         if op == protocol.OP_SUBSCRIBE:
-            epoch, blob = protocol.decode_subscribe(payload)
+            epoch, blob = protocol.SUBSCRIBE.decode(payload)
             self._swap_target(self._load_snapshot(blob, "SUBSCRIBE"))
             self.replica.role = "standby"
             self.replica.epoch = epoch
             self.replica.full_snapshots_applied += 1
             self.replica.bytes_received += len(blob)
-            return protocol._U32.pack(self._target.n_items)
+            return protocol.COUNT.pack(self._target.n_items)
 
         if op == protocol.OP_DELTA:
             return self._apply_delta(payload)
@@ -835,7 +833,7 @@ class FilterService:
         if op == protocol.OP_ADD_IDEM:
             return await self._apply_add_idem(payload, trace_id)
 
-        elements, counts = protocol.decode_elements(payload)
+        elements, counts = protocol.ELEMENTS.decode(payload)
         if self.observing:
             self._m_elements[op].observe(len(elements))
         # The ownership contract: refuse (typed WrongOwnerError, so
@@ -850,28 +848,27 @@ class FilterService:
                     "writes must go to the primary (or PROMOTE this "
                     "standby after a failover)")
             if not elements:
-                return protocol._U32.pack(0)
+                return protocol.COUNT.pack(0)
             if self.config.max_batch <= 1:
                 self._scalar_add(elements, counts)
             else:
                 await self._add.submit(elements, counts, trace_id)
-            return protocol._U32.pack(len(elements))
+            return protocol.COUNT.pack(len(elements))
 
         if op == protocol.OP_QUERY:
             if not elements:
-                return protocol.encode_verdicts(
-                    np.zeros(0, dtype=bool))
+                return protocol.VERDICTS.pack(np.zeros(0, dtype=bool))
             if self.config.max_batch <= 1:
                 verdicts = self._scalar_query(elements)
             else:
                 verdicts = await self._query.submit(
                     elements, None, trace_id)
             verdicts = np.asarray(verdicts)
-            return protocol.encode_verdicts(verdicts)
+            return protocol.VERDICTS.pack(verdicts)
 
         if op == protocol.OP_QUERY_MULTI:
             if not elements:
-                return protocol.encode_association_answers([])
+                return protocol.ANSWERS.pack([])
             if self.config.max_batch <= 1:
                 answers = [self._target.query(e) for e in elements]
                 if not isinstance(answers[0], AssociationAnswer):
@@ -885,7 +882,7 @@ class FilterService:
             else:
                 answers = await self._query_multi.submit(
                     elements, None, trace_id)
-            return protocol.encode_association_answers(list(answers))
+            return protocol.ANSWERS.pack(list(answers))
 
         raise ProtocolError("unknown opcode %d" % op)
 
@@ -902,8 +899,8 @@ class FilterService:
         unobserved failure never trips asyncio's never-retrieved
         warning.
         """
-        client_id, write_id, elements, counts = (
-            protocol.decode_add_idem(payload))
+        client_id, write_id, (elements, counts) = (
+            protocol.ADD_IDEM.decode(payload))
         if self.observing:
             self._m_elements[protocol.OP_ADD_IDEM].observe(len(elements))
         self._check_ownership(elements, trace_id)
@@ -916,7 +913,7 @@ class FilterService:
         if recorded is not None:
             self.counters.dedup_hits += 1
             self._m_dedup_hits.inc()
-            return protocol._U32.pack(recorded)
+            return protocol.COUNT.pack(recorded)
         key = (client_id, write_id)
         racing = self._idem_inflight.get(key)
         if racing is not None:
@@ -925,7 +922,7 @@ class FilterService:
                 raise value
             self.counters.dedup_hits += 1
             self._m_dedup_hits.inc()
-            return protocol._U32.pack(value)
+            return protocol.COUNT.pack(value)
         outcome = asyncio.get_running_loop().create_future()
         self._idem_inflight[key] = outcome
         try:
@@ -946,7 +943,7 @@ class FilterService:
             self.on_idempotent(client_id, write_id, result)
         if not outcome.done():
             outcome.set_result(("ok", result))
-        return protocol._U32.pack(result)
+        return protocol.COUNT.pack(result)
 
     async def _handle_request(
         self,
@@ -980,8 +977,8 @@ class FilterService:
             if self.observing:
                 self._m_errors[op].inc()
             frame = protocol.encode_frame(
-                request_id, protocol.STATUS_ERR, protocol.encode_error(exc),
-                trace_id)
+                request_id, protocol.STATUS_ERR,
+                protocol.ERROR.pack((type(exc).__name__, str(exc))), trace_id)
         finally:
             self._inflight -= 1
             if self.observing:
@@ -1026,7 +1023,7 @@ class FilterService:
                     break
                 request_id, op, payload, trace_id = frame
                 self.counters.requests_total += 1
-                if op not in protocol._KNOWN_OPS:
+                if op not in protocol.OP_NAMES:
                     # An opcode we never defined means the peer is not
                     # speaking this protocol (or the stream is damaged
                     # in a way the length prefix happened to survive);
@@ -1038,7 +1035,7 @@ class FilterService:
                         "dropping connection %s: %s", peer, exc)
                     writer.write(protocol.encode_frame(
                         request_id, protocol.STATUS_ERR,
-                        protocol.encode_error(exc)))
+                        protocol.ERROR.pack((type(exc).__name__, str(exc)))))
                     await writer.drain()
                     break
                 if self.observing:
@@ -1063,7 +1060,8 @@ class FilterService:
                     self.counters.overload_rejections += 1
                     writer.write(protocol.encode_frame(
                         request_id, protocol.STATUS_ERR,
-                        protocol.encode_error(shed), trace_id))
+                        protocol.ERROR.pack((type(shed).__name__, str(shed))),
+                        trace_id))
                     await writer.drain()
                     continue
                 self._inflight += 1

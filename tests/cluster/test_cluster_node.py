@@ -109,22 +109,22 @@ class TestMigrateSourceSide:
                        if s not in state_a.owned_shards)
         with pytest.raises(WrongOwnerError):
             state_a.handle_migrate(
-                protocol.encode_migrate(protocol.MIGRATE_BEGIN, foreign))
+                protocol.MIGRATE.pack((protocol.MIGRATE_BEGIN, foreign, b"")))
 
     def test_double_begin_refused(self, pair):
         _, (service_a, state_a), _ = pair
         shard = state_a.owned_shards[0]
         state_a.handle_migrate(
-            protocol.encode_migrate(protocol.MIGRATE_BEGIN, shard))
+            protocol.MIGRATE.pack((protocol.MIGRATE_BEGIN, shard, b"")))
         with pytest.raises(ConfigurationError):
             state_a.handle_migrate(
-                protocol.encode_migrate(protocol.MIGRATE_BEGIN, shard))
+                protocol.MIGRATE.pack((protocol.MIGRATE_BEGIN, shard, b"")))
 
     def test_delta_requires_begin(self, pair):
         _, (_, state_a), _ = pair
         with pytest.raises(ConfigurationError):
-            state_a.handle_migrate(protocol.encode_migrate(
-                protocol.MIGRATE_DELTA, state_a.owned_shards[0]))
+            state_a.handle_migrate(protocol.MIGRATE.pack((
+                protocol.MIGRATE_DELTA, state_a.owned_shards[0], b"")))
 
     def test_journal_captures_only_migrating_shard(self, pair):
         _, (service_a, state_a), _ = pair
@@ -132,17 +132,17 @@ class TestMigrateSourceSide:
         shard = state_a.owned_shards[0]
         other = state_a.owned_shards[1]
         state_a.handle_migrate(
-            protocol.encode_migrate(protocol.MIGRATE_BEGIN, shard))
+            protocol.MIGRATE.pack((protocol.MIGRATE_BEGIN, shard, b"")))
         moving = elements_for_shard(router, shard, 4)
         staying = elements_for_shard(router, other, 4, prefix="stay")
         service_a.on_write(moving + staying, None)
         delta = state_a.handle_migrate(
-            protocol.encode_migrate(protocol.MIGRATE_DELTA, shard))
-        batches = protocol.decode_element_batches(delta)
+            protocol.MIGRATE.pack((protocol.MIGRATE_DELTA, shard, b"")))
+        batches = protocol.JOURNAL.decode(delta)
         assert [elements for elements, _ in batches] == [moving]
         # A second drain is empty: the journal was handed over.
-        again = protocol.decode_element_batches(state_a.handle_migrate(
-            protocol.encode_migrate(protocol.MIGRATE_DELTA, shard)))
+        again = protocol.JOURNAL.decode(state_a.handle_migrate(
+            protocol.MIGRATE.pack((protocol.MIGRATE_DELTA, shard, b""))))
         assert again == []
 
     def test_end_retires_copy_and_returns_residual(self, pair):
@@ -153,17 +153,17 @@ class TestMigrateSourceSide:
         seed_batch = elements_for_shard(router, shard, 8)
         store.shards[shard].add_batch(seed_batch)
         state_a.handle_migrate(
-            protocol.encode_migrate(protocol.MIGRATE_BEGIN, shard))
+            protocol.MIGRATE.pack((protocol.MIGRATE_BEGIN, shard, b"")))
         late = elements_for_shard(router, shard, 3, prefix="late")
         service_a.on_write(late, None)
-        residual = protocol.decode_element_batches(
-            state_a.handle_migrate(protocol.encode_migrate(
-                protocol.MIGRATE_END, shard)))
+        residual = protocol.JOURNAL.decode(
+            state_a.handle_migrate(protocol.MIGRATE.pack((
+                protocol.MIGRATE_END, shard, b""))))
         assert [elements for elements, _ in residual] == [late]
         assert store.shards[shard].n_items == 0  # retired via empty_like
         with pytest.raises(ConfigurationError):  # journal gone
-            state_a.handle_migrate(protocol.encode_migrate(
-                protocol.MIGRATE_DELTA, shard))
+            state_a.handle_migrate(protocol.MIGRATE.pack((
+                protocol.MIGRATE_DELTA, shard, b"")))
 
 
 class TestMigrateTargetSide:
@@ -176,17 +176,17 @@ class TestMigrateTargetSide:
         src.shards[shard].add_batch(seed_batch)
 
         blob = state_a.handle_migrate(
-            protocol.encode_migrate(protocol.MIGRATE_BEGIN, shard))
+            protocol.MIGRATE.pack((protocol.MIGRATE_BEGIN, shard, b"")))
         late = elements_for_shard(router, shard, 5, prefix="late")
         service_a.on_write(late, None)
         src.shards[shard].add_batch(late)  # what the service would do
 
-        state_b.handle_migrate(protocol.encode_migrate(
-            protocol.MIGRATE_INSTALL_REPLACE, shard, blob))
+        state_b.handle_migrate(protocol.MIGRATE.pack((
+            protocol.MIGRATE_INSTALL_REPLACE, shard, blob)))
         delta = state_a.handle_migrate(
-            protocol.encode_migrate(protocol.MIGRATE_DELTA, shard))
-        state_b.handle_migrate(protocol.encode_migrate(
-            protocol.MIGRATE_INSTALL_MERGE, shard, delta))
+            protocol.MIGRATE.pack((protocol.MIGRATE_DELTA, shard, b"")))
+        state_b.handle_migrate(protocol.MIGRATE.pack((
+            protocol.MIGRATE_INSTALL_MERGE, shard, delta)))
 
         assert dst.shards[shard].n_items == src.shards[shard].n_items
         probe = seed_batch + late + elements_for_shard(
@@ -207,9 +207,9 @@ class TestMigrateTargetSide:
         before = dst.shards[shard]
         bits = before.bits.to_bytes()
         with pytest.raises(ConfigurationError, match="magic"):
-            state_b.handle_migrate(protocol.encode_migrate(
+            state_b.handle_migrate(protocol.MIGRATE.pack((
                 protocol.MIGRATE_INSTALL_REPLACE, shard,
-                persistence.dumps(service_a.target)))
+                persistence.dumps(service_a.target))))
         assert dst.shards[shard] is before
         assert before.bits.to_bytes() == bits
         assert state_b.counters["shards_installed"] == 0
@@ -220,27 +220,27 @@ class TestMigrateTargetSide:
         shard = state_a.owned_shards[0]
         wrong = elements_for_shard(
             router, (shard + 1) % N_SHARDS, 2, prefix="wrong")
-        payload = protocol.encode_element_batches([(wrong, None)])
+        payload = protocol.JOURNAL.pack([(wrong, None)])
         with pytest.raises(ConfigurationError):
-            state_b.handle_migrate(protocol.encode_migrate(
-                protocol.MIGRATE_INSTALL_MERGE, shard, payload))
+            state_b.handle_migrate(protocol.MIGRATE.pack((
+                protocol.MIGRATE_INSTALL_MERGE, shard, payload)))
 
     def test_keys_ship_and_install(self, pair):
         _, (service_a, state_a), (service_b, state_b) = pair
         service_a.idempotency.put(7, 1, 42)
         service_a.idempotency.put(7, 2, 43)
-        blob = state_a.handle_migrate(protocol.encode_migrate(
-            protocol.MIGRATE_KEYS, state_a.owned_shards[0]))
-        state_b.handle_migrate(protocol.encode_migrate(
-            protocol.MIGRATE_INSTALL_KEYS, state_a.owned_shards[0], blob))
+        blob = state_a.handle_migrate(protocol.MIGRATE.pack((
+            protocol.MIGRATE_KEYS, state_a.owned_shards[0], b"")))
+        state_b.handle_migrate(protocol.MIGRATE.pack((
+            protocol.MIGRATE_INSTALL_KEYS, state_a.owned_shards[0], blob)))
         assert service_b.idempotency.get(7, 1) == 42
         assert service_b.idempotency.get(7, 2) == 43
 
     def test_shard_id_out_of_range_refused(self, pair):
         _, (_, state_a), _ = pair
         with pytest.raises(ConfigurationError):
-            state_a.handle_migrate(protocol.encode_migrate(
-                protocol.MIGRATE_BEGIN, N_SHARDS))
+            state_a.handle_migrate(protocol.MIGRATE.pack((
+                protocol.MIGRATE_BEGIN, N_SHARDS, b"")))
 
 
 class TestStats:

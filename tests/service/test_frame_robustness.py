@@ -69,7 +69,7 @@ class TestMalformedOp:
                 data)
             assert request_id == 7
             assert status == protocol.STATUS_ERR
-            name, message = protocol.decode_error(payload)
+            name, message = protocol.ERROR.decode(payload)
             assert "op" in message
             writer.close()
 

@@ -175,14 +175,14 @@ class TestVerdicts:
     def test_bool_round_trip(self, n):
         rng = np.random.default_rng(n)
         verdicts = rng.random(n) < 0.5
-        decoded = protocol.decode_verdicts(
+        decoded = protocol.VERDICTS.decode(
             protocol.encode_verdicts(verdicts))
         assert decoded.dtype == np.bool_
         assert (decoded == verdicts).all()
 
     def test_int64_round_trip(self):
         counts = np.array([0, 1, -3, 2**40], dtype=np.int64)
-        decoded = protocol.decode_verdicts(
+        decoded = protocol.VERDICTS.decode(
             protocol.encode_verdicts(counts))
         assert decoded.dtype == np.int64
         assert (decoded == counts).all()
@@ -194,16 +194,16 @@ class TestVerdicts:
     def test_truncated_verdicts_rejected(self):
         payload = protocol.encode_verdicts(np.ones(16, dtype=bool))
         with pytest.raises(ProtocolError):
-            protocol.decode_verdicts(payload[:-1])
+            protocol.VERDICTS.decode(payload[:-1])
         with pytest.raises(ProtocolError):
-            protocol.decode_verdicts(b"\x00")
+            protocol.VERDICTS.decode(b"\x00")
 
     def test_unknown_kind_rejected(self):
         payload = bytearray(
             protocol.encode_verdicts(np.ones(8, dtype=bool)))
         payload[0] = 9
         with pytest.raises(ProtocolError):
-            protocol.decode_verdicts(bytes(payload))
+            protocol.VERDICTS.decode(bytes(payload))
 
 
 # ----------------------------------------------------------------------
@@ -219,26 +219,26 @@ class TestAssociationAnswers:
                 for clear in (False, True):
                     answers.append(AssociationAnswer(
                         candidates=frozenset(combo), clear=clear))
-        decoded = protocol.decode_association_answers(
-            protocol.encode_association_answers(answers))
+        decoded = protocol.ANSWERS.decode(
+            protocol.ANSWERS.pack(answers))
         assert decoded == answers
 
     def test_empty_round_trip(self):
-        assert protocol.decode_association_answers(
-            protocol.encode_association_answers([])) == []
+        assert protocol.ANSWERS.decode(
+            protocol.ANSWERS.pack([])) == []
 
     def test_unknown_bits_rejected(self):
-        payload = bytearray(protocol.encode_association_answers(
+        payload = bytearray(protocol.ANSWERS.pack(
             [AssociationAnswer(candidates=frozenset(), clear=False)]))
         payload[-1] = 0x80
         with pytest.raises(ProtocolError):
-            protocol.decode_association_answers(bytes(payload))
+            protocol.ANSWERS.decode(bytes(payload))
 
     def test_count_mismatch_rejected(self):
-        payload = protocol.encode_association_answers(
+        payload = protocol.ANSWERS.pack(
             [AssociationAnswer(candidates=frozenset(), clear=True)])
         with pytest.raises(ProtocolError):
-            protocol.decode_association_answers(payload + b"\x00")
+            protocol.ANSWERS.decode(payload + b"\x00")
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +247,8 @@ class TestAssociationAnswers:
 class TestErrors:
     def test_error_round_trip(self):
         exc = ConfigurationError("m must be positive, got -4")
-        name, message = protocol.decode_error(protocol.encode_error(exc))
+        name, message = protocol.ERROR.decode(
+            protocol.ERROR.pack((type(exc).__name__, str(exc))))
         assert name == "ConfigurationError"
         assert message == "m must be positive, got -4"
 
@@ -264,8 +265,47 @@ class TestErrors:
         assert isinstance(exc, ProtocolError)
 
     def test_truncated_error_payload_rejected(self):
-        payload = protocol.encode_error(ValueError("boom"))
+        payload = protocol.ERROR.pack(("ValueError", "boom"))
         with pytest.raises(ProtocolError):
-            protocol.decode_error(payload[:1])
+            protocol.ERROR.decode(payload[:1])
         with pytest.raises(ProtocolError):
-            protocol.decode_error(b"\x00\xffX")
+            protocol.ERROR.decode(b"\x00\xffX")
+
+
+# ----------------------------------------------------------------------
+# u32 count answers
+# ----------------------------------------------------------------------
+class TestCountAnswers:
+    def test_count_is_exactly_four_bytes(self):
+        assert protocol.COUNT.decode(protocol.COUNT.pack(7)) == 7
+        for bad in (b"", b"\x00\x00\x07", b"\x00\x00\x00\x07\x00"):
+            with pytest.raises(ProtocolError, match="COUNT"):
+                protocol.COUNT.decode(bad)
+
+    @pytest.mark.parametrize("answer", [b"", b"\x00\x00\x00\x02\x00"])
+    def test_client_refuses_malformed_add_answer(self, answer):
+        """An OK answer to ADD that is not exactly one u32 is a protocol
+        error, not a silent count of 0 (empty) or 512 (5 bytes)."""
+        from repro.service.client import ServiceClient
+
+        async def handle(reader, writer):
+            frame = await protocol.read_frame(reader)
+            writer.write(protocol.encode_frame(
+                frame[0], protocol.STATUS_OK, answer))
+            await writer.drain()
+            await reader.read()  # hold the line until the client hangs up
+            writer.close()
+
+        async def main():
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = await ServiceClient.connect(port=port, op_timeout=5.0)
+            try:
+                with pytest.raises(ProtocolError, match="COUNT"):
+                    await client.add([b"a", b"b"])
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(main())
