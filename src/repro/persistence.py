@@ -52,11 +52,13 @@ from repro.store.router import ShardRouter
 from repro.store.sharded import ShardedFilterStore
 
 __all__ = [
+    "container_header",
     "dumps",
     "filter_from_header",
     "filter_header",
     "load_target",
     "loads",
+    "target_from_header",
 ]
 
 _FILTER_MAGIC = b"SHBF"
@@ -67,11 +69,13 @@ _PREFIX = struct.Struct("<4sHI")  # magic, version, header length
 _DIGEST_BYTES = 16
 
 #: Container magic -> (header ``type`` tag, header field counting the
-#: member blobs).
+#: member filters).
 _CONTAINERS = {
     _STORE_MAGIC: ("sharded_store", "n_shards"),
     _RING_MAGIC: ("generational_store", "generations"),
 }
+_MAGIC_OF = {kind: magic for magic, (kind, _) in _CONTAINERS.items()}
+_COUNT_FIELD = dict(_CONTAINERS.values())
 
 #: Counting variants pair the query-side bit array with DRAM-tier
 #: counter state owned by the updater; a bits-only snapshot would
@@ -256,12 +260,26 @@ def _filter_blob(filt) -> bytes:
     return _frame(_FILTER_MAGIC, filter_header(filt), filt.bits.to_bytes())
 
 
-def _container(magic: bytes, header: dict, members) -> bytes:
-    """Frame member filters as concatenated ``SHBF`` blobs."""
-    blobs = [_filter_blob(member) for member in members]
-    header["type"] = _CONTAINERS[magic][0]
-    header["blob_bytes"] = [len(blob) for blob in blobs]
-    return _frame(magic, header, b"".join(blobs))
+def container_header(target):
+    """The container header of a store, or ``None`` for one filter.
+
+    The ``type`` tag, member count and store fields a
+    :class:`~repro.store.ShardedFilterStore` (router spec) or
+    :class:`~repro.store.generational.GenerationalStore` (trigger
+    config) needs to be rebuilt around its member filters by
+    :func:`target_from_header`.  This is the ``SHBS``/``SHBG`` header
+    (less ``blob_bytes``) and the store meta of :mod:`repro.store.shm`.
+    """
+    if isinstance(target, ShardedFilterStore):
+        return {"type": "sharded_store", "n_shards": target.n_shards,
+                "router_seed": target.router.seed,
+                "router_family": target.router.family_kind}
+    if isinstance(target, GenerationalStore):
+        return {"type": "generational_store",
+                "generations": target.n_generations,
+                "rotate_after_items": target.rotate_after_items,
+                "rotate_after_s": target.rotate_after_s}
+    return None
 
 
 def dumps(target) -> bytes:
@@ -269,23 +287,17 @@ def dumps(target) -> bytes:
 
     A :class:`~repro.store.ShardedFilterStore` becomes an ``SHBS``
     container, a :class:`~repro.store.generational.GenerationalStore`
-    an ``SHBG`` container, anything else a single-filter ``SHBF`` blob.
-    Every member filter must be snapshot-capable; counting variants
-    raise :class:`~repro.errors.UnsupportedSnapshotError`.
+    an ``SHBG`` container (both: :func:`container_header` plus the
+    members' ``SHBF`` blobs), anything else a single-filter ``SHBF``
+    blob.  Every member filter must be snapshot-capable; counting
+    variants raise :class:`~repro.errors.UnsupportedSnapshotError`.
     """
-    if isinstance(target, ShardedFilterStore):
-        return _container(_STORE_MAGIC, {
-            "n_shards": target.n_shards,
-            "router_seed": target.router.seed,
-            "router_family": target.router.family_kind,
-        }, target.shards)
-    if isinstance(target, GenerationalStore):
-        return _container(_RING_MAGIC, {
-            "generations": target.n_generations,
-            "rotate_after_items": target.rotate_after_items,
-            "rotate_after_s": target.rotate_after_s,
-        }, target.generations)
-    return _filter_blob(target)
+    header = container_header(target)
+    if header is None:
+        return _filter_blob(target)
+    blobs = [_filter_blob(member) for member in target.shards]
+    header["blob_bytes"] = [len(blob) for blob in blobs]
+    return _frame(_MAGIC_OF[header["type"]], header, b"".join(blobs))
 
 
 def loads(blob: bytes):
@@ -326,13 +338,53 @@ def _members(header: dict, payload: bytes, count_field: str) -> list:
             for start, end in zip(offsets, offsets[1:])]
 
 
+def target_from_header(header: dict, members, factory=None, clock=None):
+    """Rebuild a store from its :func:`container_header` and members.
+
+    *factory* and *clock* pass through to the store (a header cannot
+    carry callables; *clock* only matters to a ring).  A ring restored
+    without a factory still rotates: each new head is the current
+    head's ``empty_like()``.
+
+    Raises:
+        ConfigurationError: on an unknown ``type`` tag, a member count
+            that disagrees with the header, a missing or mistyped
+            field, or a router family that cannot be reconstructed.
+    """
+    with _well_formed("container"):
+        kind = header.get("type")
+        if kind not in _COUNT_FIELD:
+            raise ConfigurationError("unknown container type %r" % (kind,))
+        count_field = _COUNT_FIELD[kind]
+        if header[count_field] != len(members):
+            raise ConfigurationError(
+                "container header declares %s=%r for %d member filters"
+                % (count_field, header[count_field], len(members)))
+        if kind == "generational_store":
+            return GenerationalStore._from_generations(
+                members,
+                rotate_after_items=header["rotate_after_items"],
+                rotate_after_s=header["rotate_after_s"],
+                factory=factory, clock=clock)
+        router_kind = header.get("router_family", "blake2b")
+        try:
+            router = ShardRouter(
+                header["n_shards"], seed=header["router_seed"],
+                family_kind=router_kind)
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                "store container declares router family %r which cannot "
+                "be reconstructed (%s); a differently-routed restore "
+                "would send every element to the wrong shard"
+                % (router_kind, exc)) from None
+        return ShardedFilterStore._from_shards(members, router, factory)
+
+
 def load_target(blob: bytes, factory=None, clock=None):
     """Rebuild whatever :func:`dumps` wrote, choosing the kind by magic.
 
-    *factory* and *clock* pass through to a restored generational ring
-    (the blob cannot carry callables); a ring restored without a
-    factory serves and accepts replication deltas but refuses to
-    rotate.  Filters and sharded stores ignore them.
+    *factory* and *clock* pass through :func:`target_from_header` to a
+    restored store; a filter ignores them.
 
     Raises:
         NotASnapshotError: the bytes carry no known magic at all.
@@ -350,21 +402,4 @@ def load_target(blob: bytes, factory=None, clock=None):
             raise ConfigurationError(
                 "unknown container type %r" % (header.get("type"),))
         members = _members(header, payload, count_field)
-        if magic == _RING_MAGIC:
-            return GenerationalStore._from_generations(
-                members,
-                rotate_after_items=header["rotate_after_items"],
-                rotate_after_s=header["rotate_after_s"],
-                factory=factory, clock=clock)
-        router_kind = header.get("router_family", "blake2b")
-        try:
-            router = ShardRouter(
-                header["n_shards"], seed=header["router_seed"],
-                family_kind=router_kind)
-        except ConfigurationError as exc:
-            raise ConfigurationError(
-                "store container declares router family %r which cannot "
-                "be reconstructed (%s); a differently-routed restore "
-                "would send every element to the wrong shard"
-                % (router_kind, exc)) from None
-        return ShardedFilterStore._from_shards(members, router)
+    return target_from_header(header, members, factory, clock)

@@ -13,10 +13,10 @@ services warm over the wire protocol's replication ops:
   the shard, and the standby unions the clone in via the store's
   ``merge_shard`` — bits *and* ``n_items`` land exactly as if the
   writes had happened there;
-* **rotations and restores** are detected by object identity: a shard
-  swapped by ``rotate_shard`` ships as a replace-mode entry (its whole
-  authoritative blob), a target swapped by RESTORE forces a full
-  snapshot ship;
+* **rotations and restores** are detected by object identity: a slot
+  swapped by ``rotate_shard`` or a ring rotation ships as a
+  replace-mode entry (its whole authoritative blob), a target swapped
+  by RESTORE forces a full snapshot ship;
 * **failures self-heal**: any send error marks the link
   ``needs_full``, and the next cycle reconnects and resyncs with a
   full snapshot rather than risking a gap.
@@ -46,8 +46,7 @@ from repro.obs import names as metric_names
 from repro.service import protocol
 from repro.service.client import ServiceClient
 from repro.service.server import FilterService
-from repro.store.generational import GenerationalStore
-from repro.store.sharded import ShardedFilterStore
+from repro.store.slots import SlotStore
 
 __all__ = ["ReplicatedFilterService", "ReplicationConfig", "StandbyLink"]
 
@@ -157,8 +156,7 @@ class ReplicatedFilterService:
         self._epoch = 0
         self._ships = 0
         self._write_batches = 0
-        self._target_id = id(service.target)
-        self._shard_ids = self._identity_map(service.target)
+        self._shipped = self._identities(service.target)
         self._wakeup = asyncio.Event()
         self._ship_lock = asyncio.Lock()
         self._task: Optional[asyncio.Task] = None
@@ -254,99 +252,64 @@ class ReplicatedFilterService:
         return persistence.dumps(self.service.target)
 
     @staticmethod
-    def _identity_map(target) -> Optional[List[int]]:
-        """Per-slot object identities: shards, or ring generations.
+    def _identities(target) -> tuple:
+        """``(target, slot filters or None)`` as of a ship.
 
-        A generational ring's slots shift wholesale on rotation — every
-        identity moves one slot down and a fresh head appears — which
-        the diff in :meth:`_ship_locked` reads as "most slots rotated",
-        exactly the replace-every-slot ship a rotation requires.
+        The objects themselves are held, not their ``id()``: a retired
+        filter kept alive until the next ship cannot hand its address
+        to a fresh one, so a swap is never mistaken for no change.
         """
-        if isinstance(target, ShardedFilterStore):
-            return [id(shard) for shard in target.shards]
-        if isinstance(target, GenerationalStore):
-            return [id(gen) for gen in target.generations]
-        return None
+        return target, (target.shards if isinstance(target, SlotStore)
+                        else None)
 
+    def _swapped_slots(self, target) -> set:
+        """Slots whose filter object changed since the last ship."""
+        shipped_target, shipped = self._shipped
+        if target is not shipped_target or shipped is None:
+            return set()
+        return {slot for slot, (now, then)
+                in enumerate(zip(target.shards, shipped)) if now is not then}
+
+    @staticmethod
     def _build_entries(
-        self,
-        store,
+        store: SlotStore,
         pending: Sequence[Tuple[Sequence[bytes], Optional[Sequence[int]]]],
-        rotated: set,
+        swapped: set,
     ) -> List[Tuple[int, int, bytes]]:
-        """Shard-delta entries for one link's journalled writes.
+        """Slot-delta entries for one link's journalled writes.
 
-        Each dirty shard becomes either a merge-mode entry — the new
-        writes applied to an ``empty_like`` clone, unioned in on the
-        standby — or a replace-mode entry carrying the shard's whole
-        authoritative blob when a merge cannot be exact: the shard was
-        rotated (its journalled writes predate the swap), it carries
+        The store's :meth:`~repro.store.slots.SlotStore.write_slots`
+        says which slot each journalled write landed in.  Each slot
+        written or swapped since the last ship becomes either a
+        merge-mode entry — its new writes applied to an ``empty_like``
+        clone, unioned in on the standby — or a replace-mode entry
+        carrying the slot's whole authoritative blob when a merge
+        cannot be exact: the slot was swapped (a ``rotate_shard``, or a
+        ring rotation, which shifts every slot), its writes carry
         per-element counts (multiplicity filters have no union), or it
-        exposes no ``empty_like``.  Generational rings route through
-        :meth:`_build_generational_entries`, which speaks the same slot
-        protocol.
+        exposes no ``empty_like``.  An untouched slot ships nothing.
         """
-        if isinstance(store, GenerationalStore):
-            return self._build_generational_entries(
-                store, pending, rotated)
         buckets: dict = {}
         for elements, counts in pending:
-            for shard_id, idx in store.router.group(elements):
-                chunk = [elements[i] for i in idx]
-                chunk_counts = (None if counts is None
-                                else [counts[i] for i in idx])
-                buckets.setdefault(int(shard_id), []).append(
-                    (chunk, chunk_counts))
+            for slot, idx in store.write_slots(elements):
+                buckets.setdefault(int(slot), []).append((
+                    [elements[i] for i in idx],
+                    None if counts is None else [counts[i] for i in idx]))
         entries: List[Tuple[int, int, bytes]] = []
-        for shard_id in sorted(set(buckets) | rotated):
-            shard = store.shards[shard_id]
-            if shard_id in rotated:
-                entries.append((shard_id, protocol.MODE_REPLACE,
-                                persistence.dumps(shard)))
+        for slot in sorted(set(buckets) | swapped):
+            filt = store.shards[slot]
+            groups = buckets.get(slot, ())
+            if (slot in swapped or not hasattr(filt, "empty_like")
+                    or any(c is not None for _, c in groups)):
+                entries.append((slot, protocol.MODE_REPLACE,
+                                persistence.dumps(filt)))
                 continue
-            groups = buckets[shard_id]
-            can_merge = (hasattr(shard, "empty_like")
-                         and all(c is None for _, c in groups))
-            if not can_merge:
-                entries.append((shard_id, protocol.MODE_REPLACE,
-                                persistence.dumps(shard)))
-                continue
-            delta = shard.empty_like()
+            delta = filt.empty_like()
             for chunk, _ in groups:
                 delta.add_batch(chunk)
-            entries.append((shard_id, protocol.MODE_MERGE,
+            entries.append((slot, protocol.MODE_MERGE,
                             persistence.dumps(delta)))
         return entries
-
-    def _build_generational_entries(
-        self,
-        store: GenerationalStore,
-        pending: Sequence[Tuple[Sequence[bytes], Optional[Sequence[int]]]],
-        rotated: set,
-    ) -> List[Tuple[int, int, bytes]]:
-        """Slot-delta entries for a generational ring.
-
-        Between rotations every journalled write landed in the head, so
-        the steady state is one slot-0 merge entry: an ``empty_like``
-        clone holding the new writes, unioned into the standby's head.
-        Once *any* rotation happened this cycle, the journal cannot say
-        which writes landed before the swap — so every slot ships its
-        authoritative blob replace-mode, which is exact regardless of
-        how writes interleaved with the rotation.
-        """
-        gens = store.generations
-        if rotated:
-            return [(slot, protocol.MODE_REPLACE, persistence.dumps(gen))
-                    for slot, gen in enumerate(gens)]
-        head = gens[0]
-        can_merge = (hasattr(head, "empty_like")
-                     and all(c is None for _, c in pending))
-        if not can_merge:
-            return [(0, protocol.MODE_REPLACE, persistence.dumps(head))]
-        delta = head.empty_like()
-        for chunk, _ in pending:
-            delta.add_batch(chunk)
-        return [(0, protocol.MODE_MERGE, persistence.dumps(delta))]
 
     # ------------------------------------------------------------------
     # Standby management
@@ -393,12 +356,10 @@ class ReplicatedFilterService:
     # ------------------------------------------------------------------
     def _dirty(self) -> bool:
         target = self.service.target
-        if id(target) != self._target_id:
+        shipped_target, slots = self._shipped
+        if target is not shipped_target or self._swapped_slots(target):
             return True
-        ids = self._identity_map(target)
-        if ids != self._shard_ids:
-            return True
-        if (isinstance(target, (ShardedFilterStore, GenerationalStore))
+        if (slots is not None
                 and self._idem_version
                 and any(link.keys_version_acked != self._idem_version
                         for link in self._links)):
@@ -425,28 +386,22 @@ class ReplicatedFilterService:
 
     async def _ship_locked(self, force_full: bool) -> dict:
         self._write_batches = 0
+        if not self._links:
+            # Nobody to miss a swap: stop holding retired filters.
+            self._shipped = self._identities(self.service.target)
         if not self._links or (not force_full and not self._dirty()):
             return {"epoch": self._epoch, "shipped": 0}
         target = self.service.target
-        prior = (self._target_id, self._shard_ids,
-                 self._ships, self._epoch)
-        target_changed = id(target) != self._target_id
-        ids = self._identity_map(target)
-        rotated = set()
-        if (not target_changed and ids is not None
-                and self._shard_ids is not None
-                and len(ids) == len(self._shard_ids)):
-            rotated = {i for i, shard_id in enumerate(ids)
-                       if shard_id != self._shard_ids[i]}
-        self._target_id = id(target)
-        self._shard_ids = ids
+        prior = (self._shipped, self._ships, self._epoch)
+        swapped = self._swapped_slots(target)
+        target_changed = target is not self._shipped[0]
+        self._shipped = self._identities(target)
         self._ships += 1
         self._epoch += 1
         epoch = self._epoch
         full_due = bool(
             force_full or target_changed
-            or not isinstance(target,
-                              (ShardedFilterStore, GenerationalStore))
+            or not isinstance(target, SlotStore)
             or (self.config.full_snapshot_every
                 and self._ships % self.config.full_snapshot_every == 0))
         # Build every link's payload before the first send so a failure
@@ -478,7 +433,7 @@ class ReplicatedFilterService:
                     if key != memo_key:
                         memo_key = key
                         memo_entries = self._build_entries(
-                            target, pending, rotated)
+                            target, pending, swapped)
                     link_entries = memo_entries
                     keys_version = None
                     keys_count = 0
@@ -498,8 +453,7 @@ class ReplicatedFilterService:
         except BaseException:
             for link, pending in taken:
                 link.pending = pending + link.pending
-            (self._target_id, self._shard_ids,
-             self._ships, self._epoch) = prior
+            self._shipped, self._ships, self._epoch = prior
             raise
         results = await asyncio.gather(
             *(self._send(link, epoch, entries=entries, full_blob=blob,

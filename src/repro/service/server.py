@@ -76,6 +76,7 @@ from repro.obs.tracing import Tracer
 from repro.service import protocol
 from repro.store.generational import GenerationalStore, RotationEvent
 from repro.store.sharded import ShardedFilterStore
+from repro.store.slots import SlotStore
 
 __all__ = [
     "CoalescerConfig",
@@ -705,16 +706,14 @@ class FilterService:
                 # absorbed, not applied a second time.
                 self.idempotency.install(protocol.IDEM_KEYS.decode(blob))
                 state.bytes_received += len(blob)
-            if entries and not isinstance(
-                    self._target, (ShardedFilterStore, GenerationalStore)):
+            # Any slot store applies the entry modes through
+            # merge_shard/replace_shard; a ring's slot 0 is its head.
+            store = self._target
+            if entries and not isinstance(store, SlotStore):
                 raise ReplicationError(
                     "shard-level delta against a non-sharded target "
                     "(%s); only full deltas apply here"
-                    % type(self._target).__name__)
-            # A generational ring speaks the same slot protocol:
-            # n_shards is the ring size, slot 0 the head, and
-            # merge_shard/replace_shard apply the entry modes.
-            store = self._target
+                    % type(store).__name__)
             for shard_id, mode, blob in entries:
                 if not 0 <= shard_id < store.n_shards:
                     raise ReplicationError(

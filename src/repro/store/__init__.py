@@ -6,6 +6,9 @@ horizontally partitioned store:
 
 * :class:`~repro.store.router.ShardRouter` — deterministic, seeded
   element → shard hashing, vectorised for whole batches;
+* :class:`~repro.store.slots.SlotStore` — the base both stores share:
+  a tuple of slot filters with the aggregate views, the replication
+  slot operations and the container snapshot written once;
 * :class:`~repro.store.sharded.ShardedFilterStore` — N shard filters
   behind one router, with batch-routed inserts/queries, aggregated
   access accounting, shard rotation for capacity growth, shard-wise

@@ -27,13 +27,17 @@ Design decisions that matter to correctness:
   probes the head with the full batch, then only the still-negative
   elements against each older generation: an element that hits stops
   probing (scalar early exit), a miss sweeps every live generation.
-* **Replication speaks the shard delta protocol.**  Ring slots are
-  addressed like shard ids (:attr:`n_shards`, :meth:`merge_shard`,
-  :meth:`replace_shard`), so the standby apply path and the
-  replace-mode rotation blobs of :mod:`repro.replication` work on a
-  generational target unchanged: between rotations the head slot
-  receives merge deltas, a rotation shifts every slot's identity and
-  ships each slot's authoritative blob.
+* **A ring is a slot store.**  Generations are the slots of
+  :class:`~repro.store.slots.SlotStore` (slot 0 is the head), so
+  replication ships a ring exactly like a sharded store: every write
+  lands in slot 0 (:meth:`GenerationalStore.write_slots`), between
+  rotations the head receives merge deltas, and a rotation shifts every
+  slot's identity, so each slot ships its authoritative blob.
+* **A restored ring keeps rotating.**  A snapshot cannot carry the
+  construction factory; a ring without one builds each new head with
+  the current head's ``empty_like()`` (same ``m``, ``k`` and hash
+  family), so RESTORE, SUBSCRIBE and a full resync leave the trigger
+  working.
 
 Snapshots (:meth:`snapshot`/:meth:`restore`) use the ``SHBG`` container
 of :mod:`repro.persistence`: per-generation blobs head-first plus the
@@ -50,8 +54,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import ElementLike, require_positive
-from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.harness.metrics import AggregateMemory
+from repro.errors import ConfigurationError
+from repro.store.slots import SlotStore
 
 __all__ = ["GenerationalStore", "GenerationStats", "RotationEvent"]
 
@@ -82,27 +86,7 @@ class RotationEvent:
     stall_s: float
 
 
-def _check_triggers(rotate_after_items, rotate_after_s) -> None:
-    if rotate_after_items < 0:
-        raise ConfigurationError(
-            "rotate_after_items must be >= 0, got %d" % rotate_after_items)
-    if rotate_after_s < 0:
-        raise ConfigurationError(
-            "rotate_after_s must be >= 0, got %r" % rotate_after_s)
-
-
-class _Generation:
-    """One ring slot: the filter plus its birth reading and sequence."""
-
-    __slots__ = ("filt", "seq", "born")
-
-    def __init__(self, filt, seq: int, born: float):
-        self.filt = filt
-        self.seq = seq
-        self.born = born
-
-
-class GenerationalStore:
+class GenerationalStore(SlotStore):
     """G generation filters over one keyspace, rotated on a trigger.
 
     Args:
@@ -154,7 +138,13 @@ class GenerationalStore:
                 "a generational store needs >= 2 generations (got %d); "
                 "with one, every rotation would drop the entire window"
                 % generations)
-        _check_triggers(rotate_after_items, rotate_after_s)
+        if rotate_after_items < 0:
+            raise ConfigurationError(
+                "rotate_after_items must be >= 0, got %d"
+                % rotate_after_items)
+        if rotate_after_s < 0:
+            raise ConfigurationError(
+                "rotate_after_s must be >= 0, got %r" % rotate_after_s)
         self._factory = factory
         self._clock = clock if clock is not None else time.monotonic
         self._rotate_after_items = rotate_after_items
@@ -163,11 +153,11 @@ class GenerationalStore:
         now = self._clock()
         # Head first; initial seqs descend G-1..0 so `seq` orders
         # generations by recency even before the first rotation.
-        self._generations: Tuple[_Generation, ...] = tuple(
-            _Generation(factory(generations - 1 - i),
-                        generations - 1 - i, now)
-            for i in range(generations)
-        )
+        seqs = range(generations - 1, -1, -1)
+        self._slots = tuple(factory(seq) for seq in seqs)
+        #: ``(seq, born)`` per slot, parallel to ``_slots``: slot
+        #: operations swap a slot's filter and keep its birth.
+        self._births = tuple((seq, now) for seq in seqs)
         self._rotations = 0
         self._swap_count = 0
 
@@ -180,29 +170,16 @@ class GenerationalStore:
         factory: Optional[Callable[[int], object]] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> "GenerationalStore":
-        """Adopt pre-built generation filters (the restore constructor).
+        """Adopt pre-built generation filters, head first (the restore
+        constructor).
 
         Birth readings restart at the adopting process's clock — age is
         process-local state, deliberately absent from snapshots.
         """
-        if len(filters) < 2:
-            raise ConfigurationError(
-                "a generational store needs >= 2 generations, got %d"
-                % len(filters))
-        _check_triggers(rotate_after_items, rotate_after_s)
-        store = cls.__new__(cls)
+        store = cls(lambda seq: filters[len(filters) - 1 - seq],
+                    len(filters), rotate_after_items, rotate_after_s,
+                    clock)
         store._factory = factory
-        store._clock = clock if clock is not None else time.monotonic
-        store._rotate_after_items = rotate_after_items
-        store._rotate_after_s = rotate_after_s
-        store.on_rotate = None
-        now = store._clock()
-        store._generations = tuple(
-            _Generation(filt, len(filters) - 1 - i, now)
-            for i, filt in enumerate(filters)
-        )
-        store._rotations = 0
-        store._swap_count = 0
         return store
 
     # ------------------------------------------------------------------
@@ -211,27 +188,17 @@ class GenerationalStore:
     @property
     def n_generations(self) -> int:
         """Ring size ``G``."""
-        return len(self._generations)
-
-    @property
-    def n_shards(self) -> int:
-        """Ring size again: slots speak the shard delta protocol.
-
-        The replication layer addresses ring slots exactly like shard
-        ids (0 = head), so the standby apply path validates against
-        this the same way it does for a sharded store.
-        """
-        return len(self._generations)
+        return len(self._slots)
 
     @property
     def generations(self) -> Tuple[object, ...]:
         """The generation filters, head (newest) first."""
-        return tuple(gen.filt for gen in self._generations)
+        return self._slots
 
     @property
     def head(self):
         """The generation currently absorbing writes."""
-        return self._generations[0].filt
+        return self._slots[0]
 
     @property
     def rotate_after_items(self) -> int:
@@ -246,52 +213,24 @@ class GenerationalStore:
         """Rotations performed by this instance (not persisted)."""
         return self._rotations
 
-    @property
-    def swap_count(self) -> int:
-        """Bumped whenever served geometry may have changed (rotation
-        or slot replacement); the service keys its STATS static-fragment
-        cache on this."""
-        return self._swap_count
-
-    @property
-    def n_items(self) -> int:
-        """Total elements across the live generations.
-
-        An element re-inserted while still live counts once per
-        generation that absorbed it, exactly as the underlying filters
-        bill repeated ``add`` calls.
-        """
-        return sum(gen.filt.n_items for gen in self._generations)
-
-    @property
-    def size_bits(self) -> int:
-        """Total memory footprint in bits across the ring."""
-        return sum(gen.filt.size_bits for gen in self._generations)
-
-    @property
-    def memory(self) -> AggregateMemory:
-        """Aggregate access-model view (sum over the generations)."""
-        return AggregateMemory(lambda: self.generations)
-
     def generation_stats(self) -> List[GenerationStats]:
         """Per-generation ``(seq, n_items, age_s)`` rows, head first."""
         now = self._clock()
         return [
-            GenerationStats(seq=gen.seq, n_items=gen.filt.n_items,
-                            age_s=max(0.0, now - gen.born))
-            for gen in self._generations
+            GenerationStats(seq=seq, n_items=filt.n_items,
+                            age_s=max(0.0, now - born))
+            for filt, (seq, born) in zip(self._slots, self._births)
         ]
 
     # ------------------------------------------------------------------
     # Rotation
     # ------------------------------------------------------------------
     def _due(self) -> bool:
-        head = self._generations[0]
-        if (self._rotate_after_s > 0
-                and self._clock() - head.born >= self._rotate_after_s):
+        if (self._rotate_after_s > 0 and self._clock()
+                - self._births[0][1] >= self._rotate_after_s):
             return True
         if (self._rotate_after_items > 0
-                and head.filt.n_items >= self._rotate_after_items):
+                and self._slots[0].n_items >= self._rotate_after_items):
             return True
         return False
 
@@ -310,32 +249,40 @@ class GenerationalStore:
     def rotate(self):
         """Retire the oldest generation and publish a fresh empty head.
 
-        The replacement head is built off to the side, then the ring is
-        republished in one tuple assignment — queries racing the
-        rotation see the old ring or the new one, never a mixture.
-        Returns the retired filter.
+        The replacement head is built off to the side — by the
+        construction factory, or for a restored ring by the head's
+        ``empty_like()`` — then the ring is republished in one tuple
+        assignment: queries racing the rotation see the old ring or the
+        new one, never a mixture.  Returns the retired filter.
+
+        Raises:
+            ConfigurationError: the ring has no factory and its head no
+                ``empty_like`` (1Mem-BF); restore with ``factory=``.
         """
-        if self._factory is None:
-            raise ConfigurationError(
-                "store has no construction factory (restored stores "
-                "drop it); restore with factory= to rotate")
         stall0 = time.perf_counter()
-        head = self._generations[0]
-        fresh = _Generation(
-            self._factory(head.seq + 1), head.seq + 1, self._clock())
-        retired = self._generations[-1]
-        self._generations = (fresh,) + self._generations[:-1]
+        head = self._slots[0]
+        if self._factory is None and not hasattr(head, "empty_like"):
+            raise ConfigurationError(
+                "store has no construction factory and its %s head has "
+                "no empty_like(); restore with factory= to rotate"
+                % type(head).__name__)
+        seq = self._births[0][0] + 1
+        fresh = (self._factory(seq) if self._factory is not None
+                 else head.empty_like())
+        retired, (retired_seq, _) = self._slots[-1], self._births[-1]
+        self._births = ((seq, self._clock()),) + self._births[:-1]
+        self._slots = (fresh,) + self._slots[:-1]
         self._rotations += 1
         self._swap_count += 1
         if self.on_rotate is not None:
             self.on_rotate(RotationEvent(
-                seq=fresh.seq,
-                retired_seq=retired.seq,
-                retired_n_items=retired.filt.n_items,
-                live_generations=len(self._generations),
+                seq=seq,
+                retired_seq=retired_seq,
+                retired_n_items=retired.n_items,
+                live_generations=len(self._slots),
                 stall_s=time.perf_counter() - stall0,
             ))
-        return retired.filt
+        return retired
 
     # ------------------------------------------------------------------
     # Scalar path
@@ -347,22 +294,11 @@ class GenerationalStore:
         (ShBF_x takes the element's multiplicity).
         """
         self.maybe_rotate()
-        self._generations[0].filt.add(element, *args)
+        self._slots[0].add(element, *args)
 
     def query(self, element: ElementLike) -> bool:
         """OR across the live generations, early-exiting on a hit."""
-        for gen in self._generations:
-            if gen.filt.query(element):
-                return True
-        return False
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return bool(self.query(element))
-
-    def update(self, elements) -> None:
-        """Insert every element of an iterable (scalar path)."""
-        for element in elements:
-            self.add(element)
+        return any(filt.query(element) for filt in self._slots)
 
     # ------------------------------------------------------------------
     # Batch path
@@ -387,7 +323,7 @@ class GenerationalStore:
         if not elements:
             return
         self.maybe_rotate()
-        head = self._generations[0].filt
+        head = self._slots[0]
         if counts is None:
             head.add_batch(elements)
         else:
@@ -402,116 +338,25 @@ class GenerationalStore:
         would, and a miss in all generations costs the full sweep —
         short-circuiting bills like :meth:`query` element for element.
         """
-        gens = self._generations
+        gens = self._slots
         elements = list(elements)
         if not elements:
-            return np.asarray(
-                gens[0].filt.query_batch([]), dtype=bool)
-        out = np.asarray(gens[0].filt.query_batch(elements), dtype=bool)
-        for gen in gens[1:]:
+            return np.asarray(gens[0].query_batch([]), dtype=bool)
+        out = np.asarray(gens[0].query_batch(elements), dtype=bool)
+        for filt in gens[1:]:
             pending = np.flatnonzero(~out)
             if pending.size == 0:
                 break
             sub = [elements[i] for i in pending]
-            out[pending] = np.asarray(
-                gen.filt.query_batch(sub), dtype=bool)
+            out[pending] = np.asarray(filt.query_batch(sub), dtype=bool)
         return out
 
-    # ------------------------------------------------------------------
-    # Replication slot operations (shard delta protocol)
-    # ------------------------------------------------------------------
-    def replace_shard(self, slot: int, replacement):
-        """Swap *replacement* in for one ring slot; returns the retired
-        filter.
-
-        The replace-mode half of the shard delta protocol: after a
-        rotation every slot's identity shifts, so the primary ships
-        each slot's authoritative blob and the standby swaps them in
-        here.  Slot 0 is the head.
-        """
-        if not 0 <= slot < len(self._generations):
-            raise ConfigurationError(
-                "slot %d out of range for %d generations"
-                % (slot, len(self._generations))
-            )
-        old = self._generations[slot]
-        fresh = _Generation(replacement, old.seq, old.born)
-        ring = list(self._generations)
-        ring[slot] = fresh
-        self._generations = tuple(ring)
-        self._swap_count += 1
-        return old.filt
-
-    def merge_shard(self, slot: int, incoming) -> None:
-        """Union *incoming* into one ring slot in place.
-
-        The merge-mode half of the shard delta protocol: between
-        rotations every journalled write landed in the primary's head,
-        so the standby folds the shipped ``empty_like`` delta into its
-        own slot 0.  Geometry incompatibility surfaces as
-        :class:`~repro.errors.ConfigurationError`, the caller's signal
-        to fall back to a full resync.
-        """
-        if not 0 <= slot < len(self._generations):
-            raise ConfigurationError(
-                "slot %d out of range for %d generations"
-                % (slot, len(self._generations))
-            )
-        gen = self._generations[slot]
-        union = getattr(gen.filt, "union", None)
-        if union is None:
-            raise UnsupportedOperationError(
-                "generation %d (%s) does not support union"
-                % (slot, type(gen.filt).__name__)
-            )
-        merged = union(incoming)
-        # Same contract as the sharded store: a merge is an in-place
-        # state update of a serving filter, so the live access model
-        # carries across (union() builds its result with a fresh one).
-        if hasattr(gen.filt, "bits") and hasattr(merged, "bits"):
-            merged.bits.memory = gen.filt.bits.memory
-        ring = list(self._generations)
-        ring[slot] = _Generation(merged, gen.seq, gen.born)
-        self._generations = tuple(ring)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def snapshot(self) -> bytes:
-        """Serialise the ring to one ``SHBG`` container blob.
-
-        The header carries the trigger config and per-generation blob
-        sizes but no clock state or rotation counter — ages restart on
-        restore, and a quiesced primary and its standby snapshot
-        byte-identically.
-        """
-        from repro import persistence
-
-        return persistence.dumps(self)
-
-    @classmethod
-    def restore(
-        cls,
-        blob: bytes,
-        factory: Optional[Callable[[int], object]] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> "GenerationalStore":
-        """Rebuild a store from :meth:`snapshot` output.
-
-        Restored stores drop the construction factory (the blob cannot
-        carry a callable); pass *factory* to make the restored store
-        rotate again — read-only standbys don't need one.
-        """
-        from repro import persistence
-
-        store = persistence.load_target(blob, factory=factory, clock=clock)
-        if not isinstance(store, GenerationalStore):
-            raise ConfigurationError(
-                "not a generational-store container (bad magic)")
-        return store
+    def write_slots(self, elements: Sequence[ElementLike]):
+        """Every write lands in the head: one slot-0 group."""
+        return [(0, range(len(elements)))] if len(elements) else []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return ("GenerationalStore(generations=%d, n_items=%d, "
                 "rotations=%d)"
-                % (len(self._generations), self.n_items,
+                % (len(self._slots), self.n_items,
                    self._rotations))

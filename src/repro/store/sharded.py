@@ -40,8 +40,9 @@ import numpy as np
 from repro._util import ElementLike, require_positive
 from repro.bitarray.memory import AccessStats
 from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.harness.metrics import AggregateMemory, aggregate_access_stats
+from repro.harness.metrics import aggregate_access_stats
 from repro.store.router import ShardRouter
+from repro.store.slots import SlotStore
 
 __all__ = ["ShardAccessReport", "ShardedFilterStore", "StoreAccessReport"]
 
@@ -81,7 +82,7 @@ class StoreAccessReport:
         return max(loads) / mean if mean else 0.0
 
 
-class ShardedFilterStore:
+class ShardedFilterStore(SlotStore):
     """N shard filters behind one hash router, batch-routed.
 
     Args:
@@ -123,9 +124,7 @@ class ShardedFilterStore:
             )
         self._router = router
         self._factory = factory
-        self._shards: List[object] = [
-            factory(shard) for shard in range(n_shards)
-        ]
+        self._slots = tuple(factory(shard) for shard in range(n_shards))
         self._swap_count = 0
 
     @classmethod
@@ -144,7 +143,7 @@ class ShardedFilterStore:
         store = cls.__new__(cls)
         store._router = router
         store._factory = factory
-        store._shards = list(shards)
+        store._slots = tuple(shards)
         store._swap_count = 0
         return store
 
@@ -152,43 +151,13 @@ class ShardedFilterStore:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def n_shards(self) -> int:
-        """Number of shards."""
-        return len(self._shards)
-
-    @property
     def router(self) -> ShardRouter:
         """The element → shard router."""
         return self._router
 
-    @property
-    def shards(self) -> Tuple[object, ...]:
-        """The shard filters, indexed by shard id."""
-        return tuple(self._shards)
-
-    @property
-    def swap_count(self) -> int:
-        """Bumped whenever a shard object is swapped out
-        (:meth:`replace_shard`, and therefore :meth:`rotate_shard`),
-        i.e. whenever served geometry may have changed without the
-        store's own identity changing; the service keys its STATS
-        static-fragment cache on this."""
-        return self._swap_count
-
-    @property
-    def n_items(self) -> int:
-        """Total elements across all shards."""
-        return sum(shard.n_items for shard in self._shards)
-
-    @property
-    def size_bits(self) -> int:
-        """Total memory footprint in bits across all shards."""
-        return sum(shard.size_bits for shard in self._shards)
-
-    @property
-    def memory(self) -> AggregateMemory:
-        """Aggregate access-model view (sum of the per-shard models)."""
-        return AggregateMemory(lambda: self._shards)
+    def write_slots(self, elements: Sequence[ElementLike]):
+        """The router's ``(shard_id, indices)`` groups."""
+        return self._router.group(elements)
 
     def report(self) -> StoreAccessReport:
         """Store-level access report with per-shard breakdown."""
@@ -199,7 +168,7 @@ class ShardedFilterStore:
                 size_bits=shard.size_bits,
                 stats=shard.memory.stats.snapshot(),
             )
-            for i, shard in enumerate(self._shards)
+            for i, shard in enumerate(self._slots)
         )
         return StoreAccessReport(
             shards=per_shard,
@@ -215,19 +184,11 @@ class ShardedFilterStore:
         Extra positional arguments pass through to the shard's ``add``
         (ShBF_x takes the element's multiplicity).
         """
-        self._shards[self._router.route(element)].add(element, *args)
+        self._slots[self._router.route(element)].add(element, *args)
 
     def query(self, element: ElementLike):
         """Query *element* against its owning shard."""
-        return self._shards[self._router.route(element)].query(element)
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return bool(self.query(element))
-
-    def update(self, elements) -> None:
-        """Insert every element of an iterable (scalar routing)."""
-        for element in elements:
-            self.add(element)
+        return self._slots[self._router.route(element)].query(element)
 
     # ------------------------------------------------------------------
     # Batch path
@@ -253,9 +214,9 @@ class ShardedFilterStore:
             )
         if not elements:
             return
-        for shard_id, idx in self._router.group(elements):
+        for shard_id, idx in self.write_slots(elements):
             chunk = [elements[i] for i in idx]
-            shard = self._shards[shard_id]
+            shard = self._slots[shard_id]
             if counts is None:
                 shard.add_batch(chunk)
             else:
@@ -271,10 +232,10 @@ class ShardedFilterStore:
         """
         elements = list(elements)
         if not elements:
-            return self._shards[0].query_batch([])
+            return self._slots[0].query_batch([])
         groups = list(self._router.group(elements))
         results = [
-            self._shards[shard_id].query_batch([elements[i] for i in idx])
+            self._slots[shard_id].query_batch([elements[i] for i in idx])
             for shard_id, idx in groups
         ]
         if isinstance(results[0], np.ndarray):
@@ -304,7 +265,7 @@ class ShardedFilterStore:
         parts2 = partition_by_shard(s2, self._router)
         for shard_id in range(self.n_shards):
             if parts1[shard_id] or parts2[shard_id]:
-                self._shards[shard_id].build_batch(
+                self._slots[shard_id].build_batch(
                     parts1[shard_id], parts2[shard_id])
 
     # ------------------------------------------------------------------
@@ -337,11 +298,7 @@ class ShardedFilterStore:
                 larger ``m`` to grow the shard's capacity.
             counts: per-element multiplicities for ShBF_x shards.
         """
-        if not 0 <= shard_id < self.n_shards:
-            raise ConfigurationError(
-                "shard_id %d out of range for %d shards"
-                % (shard_id, self.n_shards)
-            )
+        self._slot(shard_id)  # bounds check before anything is built
         elements = list(elements)
         if counts is not None and len(counts) != len(elements):
             # Validated before any filter is built: a misaligned rebuild
@@ -374,58 +331,6 @@ class ShardedFilterStore:
                 replacement.add_batch(elements, counts)
         return self.replace_shard(shard_id, replacement)
 
-    def replace_shard(self, shard_id: int, replacement):
-        """Swap *replacement* in for one shard; returns the retired
-        filter.
-
-        The atomic swap primitive under :meth:`rotate_shard` and the
-        replication layer's replace-mode delta application: the caller
-        supplies an authoritative filter for the shard's keyspace slice
-        (a rebuild, or the primary's shipped copy) and it takes over
-        serving instantly.
-        """
-        if not 0 <= shard_id < self.n_shards:
-            raise ConfigurationError(
-                "shard_id %d out of range for %d shards"
-                % (shard_id, self.n_shards)
-            )
-        retired, self._shards[shard_id] = (
-            self._shards[shard_id], replacement)
-        self._swap_count += 1
-        return retired
-
-    def merge_shard(self, shard_id: int, incoming) -> None:
-        """Union *incoming* into one shard in place.
-
-        The shard-wise half of :meth:`merge`, exposed for replication:
-        a standby folds a primary's delta filter (an
-        ``empty_like`` clone holding only the writes since the last
-        ship) into its copy of the shard.  Geometry incompatibility
-        (e.g. the primary rotated the shard to a new ``m``) surfaces as
-        :class:`~repro.errors.ConfigurationError`, which callers treat
-        as the signal to fall back to :meth:`replace_shard`.
-        """
-        if not 0 <= shard_id < self.n_shards:
-            raise ConfigurationError(
-                "shard_id %d out of range for %d shards"
-                % (shard_id, self.n_shards)
-            )
-        shard = self._shards[shard_id]
-        union = getattr(shard, "union", None)
-        if union is None:
-            raise UnsupportedOperationError(
-                "shard %d (%s) does not support union"
-                % (shard_id, type(shard).__name__)
-            )
-        merged = union(incoming)
-        # A merge is an in-place state update of a *serving* shard, not
-        # a fresh deployment: carry the live access model across so the
-        # paper's first-class counters stay monotonic (union() builds
-        # its result with a brand-new MemoryModel).
-        if hasattr(shard, "bits") and hasattr(merged, "bits"):
-            merged.bits.memory = shard.bits.memory
-        self._shards[shard_id] = merged
-
     def merge(self, other: "ShardedFilterStore") -> "ShardedFilterStore":
         """Union-merge two stores with identical geometry, shard-wise.
 
@@ -444,7 +349,7 @@ class ShardedFilterStore:
             )
         merged = []
         for shard_id, (ours, theirs) in enumerate(
-                zip(self._shards, other._shards)):
+                zip(self._slots, other._slots)):
             union = getattr(ours, "union", None)
             if union is None:
                 raise UnsupportedOperationError(
@@ -454,34 +359,6 @@ class ShardedFilterStore:
             merged.append(union(theirs))
         return ShardedFilterStore._from_shards(
             merged, self._router, factory=self._factory)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def snapshot(self) -> bytes:
-        """Serialise the whole store to one container blob.
-
-        Delegates to :func:`repro.persistence.dumps`: an ``SHBS``
-        container with a header (shard count, router family + seed,
-        per-shard blob sizes), the per-shard snapshots — each carrying
-        its filter's hash-family kind and seed — and a BLAKE2 digest
-        over everything.  A restore therefore hashes *and* routes
-        bit-identically whatever family the shards were wired with.
-        """
-        from repro import persistence
-
-        return persistence.dumps(self)
-
-    @classmethod
-    def restore(cls, blob: bytes) -> "ShardedFilterStore":
-        """Rebuild a store from :meth:`snapshot` output."""
-        from repro import persistence
-
-        store = persistence.load_target(blob)
-        if not isinstance(store, ShardedFilterStore):
-            raise ConfigurationError(
-                "not a ShBF store container (bad magic)")
-        return store
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ShardedFilterStore(n_shards=%d, n_items=%d, router=%r)" % (

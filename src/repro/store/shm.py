@@ -3,16 +3,16 @@
 The multi-process serving mode (:mod:`repro.mpserve`) publishes the
 hosted structure as *generations*: immutable byte images that read-only
 worker processes attach without copying.  This module is the
-format half of that protocol — it turns a hosted target (a
-:class:`~repro.store.ShardedFilterStore` or a single snapshot-capable
-filter) into
+format half of that protocol — it turns a hosted target (a slot store
+or a single snapshot-capable filter) into
 
-* a JSON-able **meta** dict describing the geometry: filter type,
-  ``m``/``k``/``w_bar``/``word_bits``, the hash family ``(kind, seed)``
-  spec, per-shard ``n_items``, and each shard's byte ``offset`` and
-  length inside the payload, plus the router spec for stores; and
-* a flat **payload**: the shards' raw :class:`~repro.bitarray.BitArray`
-  buffers concatenated in shard order.
+* a JSON-able **meta** dict describing the geometry: per member filter
+  its type, ``m``/``k``/``w_bar``/``word_bits``, the hash family
+  ``(kind, seed)`` spec, ``n_items``, and its byte ``offset`` and
+  length inside the payload, plus for a store its container header;
+  and
+* a flat **payload**: the members' raw
+  :class:`~repro.bitarray.BitArray` buffers concatenated in slot order.
 
 ``export_into`` writes the payload into any writable buffer (in
 practice a ``multiprocessing.shared_memory`` segment); ``attach_target``
@@ -23,13 +23,15 @@ physical copy of the bits.  Attached targets answer ``query_batch``
 bit-identically to the original; writes fail at the buffer layer.
 
 Each shard's meta entry *is* its :func:`repro.persistence.filter_header`
-plus ``nbits``/``nbytes``/``offset``, and attaching goes through
+plus ``nbits``/``nbytes``/``offset``, and a store's meta carries its
+:func:`repro.persistence.container_header`; attaching goes through
 :func:`repro.persistence.filter_from_header` with a zero-copy
-``bits_of`` — one type switch, one family round-trip, one counting-type
-refusal for both.  What shm skips is the framing and digest: a
-generation lives in page-cache-speed shared memory guarded by the
-seqlock header (:mod:`repro.mpserve.genheader`), not on disk where torn
-writes survive restarts.
+``bits_of`` and :func:`repro.persistence.target_from_header` — one type
+switch, one family and router round-trip, one counting-type refusal
+for both.  What shm skips is the framing and digest: a generation lives
+in page-cache-speed shared memory guarded by the seqlock header
+(:mod:`repro.mpserve.genheader`), not on disk where torn writes survive
+restarts.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from typing import Tuple
 from repro import persistence
 from repro.bitarray import BitArray
 from repro.errors import ConfigurationError
-from repro.store.router import ShardRouter
-from repro.store.sharded import ShardedFilterStore
 
 __all__ = [
     "snapshot_meta",
@@ -59,10 +59,10 @@ def _filter_meta(filt, offset: int) -> dict:
     return meta
 
 
-def _shard_filters(target) -> Tuple:
-    if isinstance(target, ShardedFilterStore):
-        return target.shards
-    return (target,)
+def _parts(target) -> Tuple:
+    """``(container header or None, member filters)`` of *target*."""
+    header = persistence.container_header(target)
+    return header, (target,) if header is None else target.shards
 
 
 def snapshot_meta(target) -> dict:
@@ -72,24 +72,19 @@ def snapshot_meta(target) -> dict:
     rebuild the structure — including each shard's byte ``offset`` into
     the flat payload, assigned here in shard order.
     """
+    header, members = _parts(target)
     shards, offset = [], 0
-    for filt in _shard_filters(target):
+    for filt in members:
         shards.append(_filter_meta(filt, offset))
         offset += filt.bits.nbytes
-    if not isinstance(target, ShardedFilterStore):
+    if header is None:
         return {"kind": "filter", "shards": shards}
-    return {
-        "kind": "sharded_store",
-        "n_shards": target.n_shards,
-        "router_seed": target.router.seed,
-        "router_family": target.router.family_kind,
-        "shards": shards,
-    }
+    return {"kind": "store", "store": header, "shards": shards}
 
 
 def snapshot_nbytes(target) -> int:
     """Total payload bytes a generation of *target* occupies."""
-    return sum(filt.bits.nbytes for filt in _shard_filters(target))
+    return sum(filt.bits.nbytes for filt in _parts(target)[1])
 
 
 def export_into(target, buffer) -> dict:
@@ -111,7 +106,7 @@ def export_into(target, buffer) -> dict:
         raise ConfigurationError(
             "generation buffer of %d bytes cannot hold a %d-byte "
             "snapshot" % (len(view), needed))
-    for shard, shard_meta in zip(_shard_filters(target), meta["shards"]):
+    for shard, shard_meta in zip(_parts(target)[1], meta["shards"]):
         start = shard_meta["offset"]
         end = start + shard_meta["nbytes"]
         view[start:end] = shard.bits.export_readonly()
@@ -141,14 +136,12 @@ def attach_target(meta: dict, buffer):
     """
     view = memoryview(buffer)
     shards = [_attach_filter(m, view) for m in meta["shards"]]
-    if meta["kind"] == "sharded_store":
-        router = ShardRouter(
-            meta["n_shards"], seed=meta["router_seed"],
-            family_kind=meta["router_family"])
-        return ShardedFilterStore._from_shards(shards, router)
-    if meta["kind"] != "filter":
+    if meta["kind"] == "store":
+        return persistence.target_from_header(meta["store"], shards)
+    if meta["kind"] != "filter" or len(shards) != 1:
         raise ConfigurationError(
-            "unknown generation kind %r" % meta.get("kind"))
+            "unknown generation kind %r over %d filters"
+            % (meta.get("kind"), len(shards)))
     return shards[0]
 
 

@@ -182,3 +182,17 @@ class TestMetaValidation:
         meta["shards"][0]["type"] = "exotic"
         with pytest.raises(ConfigurationError):
             store_shm.attach_target(meta, payload)
+
+    def test_unknown_router_family_is_refused_like_load_target(self):
+        """A store meta rebuilds through persistence's one container
+        rebuilder, so an unknown router family is refused exactly as a
+        snapshot blob declaring it would be."""
+        store = ShardedFilterStore(
+            lambda shard: ShiftingBloomFilter(m=1024, k=4), n_shards=2)
+        payload = bytearray(store_shm.snapshot_nbytes(store))
+        meta = store_shm.export_into(store, payload)
+        meta["store"]["router_family"] = "no-such-family"
+        with pytest.raises(ConfigurationError,
+                           match="router family 'no-such-family' which "
+                                 "cannot be reconstructed"):
+            store_shm.attach_target(meta, payload)

@@ -6,7 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.membership import ShiftingBloomFilter
-from repro.store import GenerationalStore
+from repro.service import protocol
+from repro.store import GenerationalStore, StoreSpec
 from tests.conftest import make_elements
 
 MEMBERS = make_elements(600, "repl-gen-member")
@@ -174,3 +175,107 @@ class TestAttach:
 
         pair_run(scenario, primary_target=primary_target,
                  standby_target=standby_target)
+
+
+def _record_deltas(service) -> list:
+    """Wrap *service*'s dispatch; returns the list each DELTA's
+    ``(slot, mode)`` entry shapes are appended to."""
+    shapes = []
+    dispatch = service._dispatch
+
+    async def recording(op, payload, trace_id=None):
+        if op == protocol.OP_DELTA:
+            _, _, entries = protocol.DELTA.decode(payload)
+            shapes.append([(slot, mode) for slot, mode, _ in entries])
+        return await dispatch(op, payload, trace_id)
+
+    service._dispatch = recording
+    return shapes
+
+
+class TestSlotEntries:
+    def test_idem_only_ship_carries_only_the_idem_entry(self, pair_run):
+        """An ADD_IDEM with no elements leaves every slot untouched, so
+        the ship holds the dedup window and no (empty) head merge."""
+        primary_target, standby_target = gen_pair()
+        probe = MEMBERS[:100] + ABSENT[:100]
+
+        async def scenario(ctx):
+            shapes = _record_deltas(ctx.standby_service)
+            primary = await ctx.connect_primary()
+            standby = await ctx.connect_standby()
+            try:
+                await primary.add(MEMBERS[:100])
+                await ctx.repl.ship()
+                before = await standby.stats()
+                verdicts = await standby.query(probe)
+                await primary.add_idem(0xAB, 1, [])
+                assert (await ctx.repl.ship())["shipped"] == 1
+                after = await standby.stats()
+                assert shapes[-1] == [(0, protocol.MODE_IDEM)]
+                assert after["replication"]["shards_merged"] == \
+                    before["replication"]["shards_merged"]
+                assert after["n_items"] == before["n_items"] == 100
+                assert after["idempotency"]["window"] == 1
+                assert ((await standby.query(probe)) == verdicts).all()
+            finally:
+                await primary.close()
+                await standby.close()
+
+        pair_run(scenario, primary_target=primary_target,
+                 standby_target=standby_target)
+
+    def test_more_rotations_than_slots_between_ships(self, pair_run):
+        """Every slot holds a fresh filter after G+ rotations; each one
+        must ship replace-mode, whatever addresses the retired filters
+        had."""
+        primary_target, standby_target = gen_pair()
+
+        async def scenario(ctx):
+            shapes = _record_deltas(ctx.standby_service)
+            primary = await ctx.connect_primary()
+            try:
+                await primary.add(MEMBERS[:50])
+                await ctx.repl.ship()
+                for start in range(50, 300, 50):
+                    ctx.primary_service.target.rotate()
+                    await primary.add(MEMBERS[start:start + 50])
+                await ctx.repl.ship()
+                assert shapes[-1] == [
+                    (slot, protocol.MODE_REPLACE) for slot in range(3)]
+                assert await primary.snapshot() == \
+                    ctx.standby_service.target.snapshot()
+            finally:
+                await primary.close()
+
+        pair_run(scenario, primary_target=primary_target,
+                 standby_target=standby_target)
+
+
+class TestRotationAfterInstall:
+    def test_promoted_standby_rotates_past_the_trigger(self, pair_run):
+        """Regression: a standby's ring arrives through SUBSCRIBE without
+        its factory; once promoted, the first write past the trigger
+        used to fail with "store has no construction factory"."""
+        spec = StoreSpec(generations=3, rotate_items=50, m=8192, k=4)
+
+        async def scenario(ctx):
+            primary = await ctx.connect_primary()
+            standby = await ctx.connect_standby()
+            try:
+                await primary.add(MEMBERS[:60])
+                await ctx.repl.ship()
+                await ctx.kill_primary()
+                await standby.promote()
+                await standby.add(MEMBERS[60:120])
+                stats = await standby.stats()
+                assert [row["n_items"] for row in stats["generations"]] \
+                    == [60, 60, 0]
+                assert stats["size_bits"] == spec.build().size_bits
+                assert (await standby.query(MEMBERS[:120])).all()
+            finally:
+                await primary.close()
+                await standby.close()
+
+        pair_run(scenario, primary_target=spec.build(),
+                 standby_target=spec.build())

@@ -192,6 +192,35 @@ class TestMissedRotation:
         pair_run(scenario)
 
 
+class TestRepeatedRotation:
+    def test_double_rotate_between_ships_always_replaces(self, pair_run):
+        """Two rotate_shard calls between ships free the original shard
+        before the second replacement is built, so the replacement may
+        land at the original's address.  The swap must still ship
+        replace-mode every time: slot identity is the object, not its
+        ``id()``."""
+        workload = build_service_workload(300, seed=23)
+
+        async def scenario(ctx):
+            primary = await ctx.connect_primary()
+            try:
+                await primary.add(list(workload.members))
+                await ctx.repl.ship()
+                store = ctx.primary_service.target
+                part = partition_by_shard(workload.members, store.router)[1]
+                for _ in range(40):
+                    store.rotate_shard(1, part)
+                    store.rotate_shard(1, part[:5])
+                    await primary.add([b"between-rotations"])
+                    await ctx.repl.ship()
+                    assert await primary.snapshot() == \
+                        ctx.standby_service.target.snapshot()
+            finally:
+                await primary.close()
+
+        pair_run(scenario)
+
+
 class TestWrongKindReplaceEntry:
     def test_container_blob_as_replace_entry_is_refused(self, pair_run):
         """A replace entry installs one filter into one slot; a whole

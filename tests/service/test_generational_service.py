@@ -10,7 +10,7 @@ import numpy as np
 from repro.core.membership import ShiftingBloomFilter
 from repro.service.client import ServiceClient
 from repro.service.server import FilterService
-from repro.store import GenerationalStore
+from repro.store import GenerationalStore, StoreSpec
 from tests.conftest import make_elements
 
 MEMBERS = make_elements(400, "svc-gen-member")
@@ -146,6 +146,26 @@ class TestServing:
         assert stats["structure"] == "GenerationalStore"
         assert stats["ttl"]["rotate_after_items"] == 500
         assert verdicts.tolist() == store.query_batch(probe).tolist()
+
+
+    def test_restored_ring_keeps_rotating(self, service_run):
+        """Regression: RESTORE installs a ring without its factory, and
+        the first write past the trigger used to fail with "store has no
+        construction factory"."""
+        spec = StoreSpec(generations=3, rotate_items=50, m=8192, k=4)
+
+        async def scenario(client, service, port):
+            await client.add(MEMBERS[:61])
+            await client.restore(await client.snapshot())
+            await client.add(MEMBERS[61:121])
+            await client.add(MEMBERS[121:140])
+            return await client.stats(), await client.query(MEMBERS[:140])
+
+        stats, verdicts = service_run(spec.build(), scenario)
+        assert [row["n_items"] for row in stats["generations"]] \
+            == [19, 60, 61]
+        assert stats["size_bits"] == spec.build().size_bits
+        assert verdicts.all()
 
 
 class TestRotationMetrics:

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.one_mem_bloom import OneMemoryBloomFilter
 from repro.core import ShiftingBloomFilter
 from repro.errors import ConfigurationError, UnsupportedOperationError
+from repro.hashing.family import family_spec
 from repro.store import GenerationalStore, RotationEvent
 from tests.conftest import make_elements
 
@@ -144,12 +146,25 @@ class TestExpiry:
         store = make_store()
         store.add_batch(ELEMENTS[:20])
         clone = GenerationalStore.restore(store.snapshot())
-        with pytest.raises(ConfigurationError, match="factory"):
-            clone.rotate()
+        old_head = clone.head
+        clone.rotate()
+        # Without a factory the new head is the old head's empty_like().
+        assert (clone.head.m, clone.head.k) == (old_head.m, old_head.k)
+        assert family_spec(clone.head.family) == \
+            family_spec(old_head.family)
+        assert clone.head.n_items == 0 and clone.generations[1] is old_head
         again = GenerationalStore.restore(
             store.snapshot(), factory=shbf_factory)
         again.rotate()
         assert again.rotations == 1
+
+    def test_restored_ring_without_empty_like_refuses_to_rotate(self):
+        store = GenerationalStore(
+            lambda seq: OneMemoryBloomFilter(m=8192, k=4), generations=2)
+        clone = GenerationalStore.restore(store.snapshot())
+        with pytest.raises(ConfigurationError, match="factory"):
+            clone.rotate()
+        assert clone.rotations == 0
 
 
 class TestQueryPaths:
