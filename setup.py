@@ -18,5 +18,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    # np.bitwise_count (the multiplicity kernel's bit length) needs 2.0.
+    install_requires=["numpy>=2.0"],
 )

@@ -7,7 +7,7 @@ one place so every filter behaves identically for equivalent inputs.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Iterable, List
 
 from repro.errors import ConfigurationError
 
@@ -47,6 +47,20 @@ def to_bytes(element: ElementLike) -> bytes:
         "unsupported element type %r; pass bytes, str or int"
         % type(element).__name__
     )
+
+
+def to_bytes_batch(elements: Iterable[ElementLike]) -> List[bytes]:
+    """Canonicalise a batch with :func:`to_bytes`, as a new list.
+
+    A batch whose elements are all exactly ``bytes`` — what the wire and
+    the serving path carry — is copied as is after one type scan, with
+    no per-element call; any other batch takes :func:`to_bytes` element
+    by element.
+    """
+    elements = list(elements)
+    if set(map(type, elements)) <= {bytes}:
+        return elements
+    return [to_bytes(e) for e in elements]
 
 
 def require_positive(name: str, value: int) -> int:

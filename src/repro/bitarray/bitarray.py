@@ -475,19 +475,23 @@ class BitArray:
         """
         starts = as_batch_int64(starts)
         require_positive("nbits", nbits)
-        self._check_batch(starts)
-        if starts.size and int(starts.max()) + nbits > self._nbits:
+        if starts.size == 0:
+            return np.empty(0, dtype=np.uint64)
+        # One min and one max check both the starts and the window ends;
+        # ``_check_batch`` runs only to raise its own error.
+        lo, hi = int(starts.min()), int(starts.max())
+        if lo < 0 or hi >= self._nbits:
+            self._check_batch(starts)
+        if hi + nbits > self._nbits:
             raise IndexError(
                 "window of %d bits exceeds BitArray of %d bits"
                 % (nbits, self._nbits)
             )
-        if record and starts.size:
+        if record:
             costs = self.memory.read_cost_batch(starts, nbits)
             self.memory.record_reads(starts.size, int(costs.sum()))
-        if starts.size == 0:
-            return np.empty(0, dtype=np.uint64)
-        misalign = starts & 7
-        if nbits + int(misalign.max()) > 64:
+        # Any byte misalignment fits one word when nbits + 7 <= 64.
+        if nbits + 7 > 64 and nbits + int((starts & 7).max()) > 64:
             return np.array(
                 [self.read_window(int(s), nbits, record=False)
                  for s in starts],

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import ElementLike, to_bytes
+from repro._util import ElementLike, to_bytes_batch
 from repro.cluster.shardmap import ShardMap
 from repro.core.association_types import AssociationAnswer
 from repro.errors import WrongOwnerError
@@ -260,7 +260,7 @@ class ClusterClient:
     # ------------------------------------------------------------------
     async def query(self, elements: Sequence[ElementLike]) -> np.ndarray:
         """Batch verdicts across the fleet, in request order."""
-        data = [to_bytes(e) for e in elements]
+        data = to_bytes_batch(elements)
         if not data:
             return np.zeros(0, dtype=bool)
         out: List[object] = [None] * len(data)
@@ -283,7 +283,7 @@ class ClusterClient:
         self, elements: Sequence[ElementLike],
     ) -> List[AssociationAnswer]:
         """ShBF_A association answers across the fleet, request order."""
-        data = [to_bytes(e) for e in elements]
+        data = to_bytes_batch(elements)
         out: List[object] = [None] * len(data)
 
         async def submit(conn: ServiceClient, chunk, trace_id):
@@ -309,7 +309,7 @@ class ClusterClient:
         retries with fresh keys — safe because refusal precedes
         application, always.
         """
-        data = [to_bytes(e) for e in elements]
+        data = to_bytes_batch(elements)
         if not data:
             return 0
         count_by_slot = None if counts is None else dict(

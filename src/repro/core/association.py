@@ -29,8 +29,9 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro._util import ElementLike, require_positive, to_bytes
-from repro._vector import billed_prefix, prefix_cost_sum
+from repro._util import (ElementLike, require_positive, to_bytes,
+                         to_bytes_batch)
+from repro._vector import record_early_exit
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
@@ -61,6 +62,9 @@ _ANSWERS = tuple(
         clear=code in (1, 2, 4))
     for code in range(8)
 )
+#: ``_ANSWERS`` as an object array, so a batch of codes maps to its
+#: answers with one gather.
+_ANSWER_ARRAY = np.fromiter(_ANSWERS, dtype=object, count=8)
 
 
 class _AssociationBase:
@@ -195,8 +199,8 @@ class _AssociationBase:
         ``B[h_i]``, ``B[h_i + o1]``, ``B[h_i + o2]`` are shifted out of it
         into a 3-bit survivor code ``c0 + 2·c1 + 4·c2`` per hash, and
         AND-accumulating the codes along the ``k`` hashes leaves each
-        element's final code, which indexes the shared answers in
-        ``_ANSWERS``.  Bills the SRAM model exactly what the scalar
+        element's final code, which gathers its shared answer from
+        ``_ANSWER_ARRAY``.  Bills the SRAM model exactly what the scalar
         early-exit loop would — triple reads spanning ``o2 + 1`` bits up
         to and including the first hash at which the code reaches 0.
         """
@@ -213,11 +217,9 @@ class _AssociationBase:
         codes = (windows & 1) | (windows >> o1 & 1) << 1 \
             | (windows >> o2 & 1) << 2
         codes = np.bitwise_and.accumulate(codes.astype(np.uint8), axis=1)
-        billed = billed_prefix(codes != 0)
         costs = bits.memory.read_cost_batch(bases, o2.astype(np.int64) + 1)
-        bits.memory.record_reads(
-            int(billed.sum()), prefix_cost_sum(costs, billed))
-        return list(map(_ANSWERS.__getitem__, codes[:, -1].tolist()))
+        record_early_exit(bits.memory, codes != 0, costs)
+        return _ANSWER_ARRAY[codes[:, -1]].tolist()
 
     def _region_offset(self, data: bytes, o1: int, o2: int) -> int:
         """Offset for the element's current region per the §4.1 rules."""
@@ -305,8 +307,8 @@ class ShiftingAssociationFilter(_AssociationBase):
         word_bits: int = 64,
     ) -> "ShiftingAssociationFilter":
         """Build an optimally-sized filter from two sets (Table 2 sizing)."""
-        s1 = [to_bytes(e) for e in s1]
-        s2 = [to_bytes(e) for e in s2]
+        s1 = to_bytes_batch(s1)
+        s2 = to_bytes_batch(s2)
         n3 = len(set(s1) & set(s2))
         m = cls.optimal_m(len(set(s1)), len(set(s2)), n3, k)
         m = max(k, math.ceil(m * memory_scale))
@@ -342,8 +344,8 @@ class ShiftingAssociationFilter(_AssociationBase):
         ``T1`` are skipped (their intersection encoding exists), the rest
         take ``o2``.
         """
-        self._t1 = {to_bytes(e) for e in s1}
-        self._t2 = {to_bytes(e) for e in s2}
+        self._t1 = set(to_bytes_batch(s1))
+        self._t2 = set(to_bytes_batch(s2))
         for data in self._t1 | self._t2:
             bases, o1, o2 = self._bases_and_offsets(data)
             offset = self._region_offset(data, o1, o2)
@@ -359,8 +361,8 @@ class ShiftingAssociationFilter(_AssociationBase):
         distinct element still pays ``k`` single-bit writes at its
         region's offset.
         """
-        t1 = self._t1 = {to_bytes(e) for e in s1}
-        t2 = self._t2 = {to_bytes(e) for e in s2}
+        t1 = self._t1 = set(to_bytes_batch(s1))
+        t2 = self._t2 = set(to_bytes_batch(s2))
         # Region by set algebra, in C: offset 0 for S1 - S2, o1 for
         # S1 ∩ S2, o2 for S2 - S1.  Bits are OR-ed, so the encode order
         # (set iteration order) cannot change the result.

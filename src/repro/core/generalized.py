@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import ElementLike, require_positive
-from repro._vector import billed_prefix, prefix_cost_sum
+from repro._vector import record_early_exit
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.memory import MemoryModel
 from repro.core.offsets import OffsetPolicy
@@ -236,13 +236,11 @@ class GeneralizedShiftingBloomFilter:
             np.repeat(group, self._groups, axis=0),
             record=False,
         ).reshape(bases.shape + (self._t + 1,))
-        ok = probes.all(axis=2)
-        billed = billed_prefix(ok)
+        alive = np.logical_and.accumulate(probes.all(axis=2), axis=1)
         spans = group.max(axis=1) + 1
         costs = self.memory.read_cost_batch(bases, spans[:, None])
-        self.memory.record_reads(
-            int(billed.sum()), prefix_cost_sum(costs, billed))
-        return ok.all(axis=1)
+        record_early_exit(self.memory, alive, costs)
+        return alive[:, -1]
 
     def query(self, element: ElementLike) -> bool:
         """Membership test: one word fetch per base, early exit."""

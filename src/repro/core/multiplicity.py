@@ -33,8 +33,9 @@ from typing import (
 
 import numpy as np
 
-from repro._util import ElementLike, require_positive, to_bytes
-from repro._vector import billed_prefix, bit_length_u64, prefix_cost_sum
+from repro._util import (ElementLike, require_positive, to_bytes,
+                         to_bytes_batch)
+from repro._vector import bit_length_u64, record_early_exit
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
@@ -164,10 +165,8 @@ class _MultiplicityBase:
             bases.ravel(), self._c_max, record=False,
         ).reshape(bases.shape)
         masks = np.bitwise_and.accumulate(windows, axis=1)
-        billed = billed_prefix(masks != 0)
         costs = bits.memory.read_cost_batch(bases, self._c_max)
-        bits.memory.record_reads(
-            int(billed.sum()), prefix_cost_sum(costs, billed))
+        record_early_exit(bits.memory, masks != 0, costs)
         final = masks[:, -1]
         if self._report == "largest":
             return bit_length_u64(final)
@@ -293,7 +292,7 @@ class ShiftingMultiplicityFilter(_MultiplicityBase):
         if not elements:
             return
         counts = self._checked_counts(counts)
-        datas = [to_bytes(e) for e in elements]
+        datas = to_bytes_batch(elements)
         if (len(set(datas)) != len(datas)
                 or not self._counts.keys().isdisjoint(datas)):
             raise ConfigurationError(

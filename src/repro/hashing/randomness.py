@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import ElementLike, require_positive, to_bytes
+from repro._util import ElementLike, require_positive, to_bytes_batch
 from repro.hashing.family import HashFamily
 
 __all__ = [
@@ -414,7 +414,7 @@ def avalanche_report(
     Zero-length elements are skipped (no input bit to flip); the sample
     must contain at least one non-empty element.
     """
-    datas = [to_bytes(e) for e in elements][:max_elements]
+    datas = to_bytes_batch(elements)[:max_elements]
     bits_out = family.output_bits
     deltas: List[int] = []
     for data in datas:

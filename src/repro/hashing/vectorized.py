@@ -41,7 +41,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro._util import ElementLike, require_non_negative, to_bytes
+from repro._util import (ElementLike, require_non_negative, to_bytes,
+                         to_bytes_batch)
 from repro.hashing.family import HashFamily
 
 __all__ = ["VectorizedFamily"]
@@ -195,7 +196,7 @@ class VectorizedFamily(HashFamily):
             # join, no per-element Python.
             blob = b"".join(elements)
         except TypeError:
-            return self._ingest_batch([to_bytes(e) for e in elements])
+            return self._ingest_batch(to_bytes_batch(elements))
         lens = list(map(len, elements))
         # One width <= 32?  The O(1) size test fails for almost every
         # mixed-width batch, which then skips the ``count`` pass.
@@ -207,7 +208,7 @@ class VectorizedFamily(HashFamily):
                 # A bytes-like whose len() is not its byte count (e.g. a
                 # cast memoryview) takes the canonical path, matching
                 # the scalar entry points.
-                return self._ingest_batch([to_bytes(e) for e in elements])
+                return self._ingest_batch(to_bytes_batch(elements))
         long_rows = ()
         if uniform:
             # One width: the join is already a dense (n, width) matrix;

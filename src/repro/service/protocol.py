@@ -140,7 +140,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import ElementLike, to_bytes
+from repro._util import ElementLike, to_bytes_batch
 from repro.core.association_types import Association, AssociationAnswer
 from repro.errors import ProtocolError
 
@@ -395,7 +395,7 @@ def encode_elements(
     Elements pass through :func:`~repro._util.to_bytes` here, so both
     peers hash the identical canonical byte string.
     """
-    data = [to_bytes(e) for e in elements]
+    data = to_bytes_batch(elements)
     if counts is not None and len(counts) != len(data):
         raise ProtocolError(
             "counts length %d != elements length %d"

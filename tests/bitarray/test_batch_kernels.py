@@ -386,6 +386,24 @@ def test_read_windows_batch_wide_fallback_mixed_alignment(rng):
     assert batch.memory.stats == scalar.memory.stats
 
 
+@pytest.mark.parametrize("starts, nbits, message", [
+    ([3, -1, 7], 4, "bit index -1 out of range for BitArray of 64 bits"),
+    ([3, 64, -2], 4, "bit index -2 out of range for BitArray of 64 bits"),
+    ([0, 64], 1, "bit index 64 out of range for BitArray of 64 bits"),
+    ([0, 61], 4, "window of 4 bits exceeds BitArray of 64 bits"),
+    ([0], 65, "window of 65 bits exceeds BitArray of 64 bits"),
+])
+def test_read_windows_batch_bounds_errors(starts, nbits, message):
+    """Each bad batch raises the error of the first failing check, bills
+    nothing, and a window ending on the last bit is still accepted."""
+    bits = BitArray(64)
+    with pytest.raises(IndexError) as raised:
+        bits.read_windows_batch(starts, nbits)
+    assert str(raised.value) == message
+    assert bits.memory.stats == AccessStats()
+    assert bits.read_windows_batch([60, 0], 4).tolist() == [0, 0]
+
+
 def test_batch_bounds_checks():
     bits = BitArray(64)
     with pytest.raises(IndexError):

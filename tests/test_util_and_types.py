@@ -10,6 +10,7 @@ from repro._util import (
     require_positive,
     require_probability,
     to_bytes,
+    to_bytes_batch,
 )
 from repro.core.association_types import Association, AssociationAnswer
 from repro.core.interfaces import (
@@ -64,6 +65,40 @@ class TestToBytes:
     @given(value=st.integers())
     def test_property_int_injective(self, value):
         assert to_bytes(value) != to_bytes(value + 1)
+
+
+class TestToBytesBatch:
+    def test_all_bytes_batch_is_a_fresh_equal_list(self):
+        batch = [b"a", b"", b"\x00" * 40]
+        got = to_bytes_batch(batch)
+        assert got == batch and got is not batch
+        assert all(a is b for a, b in zip(got, batch))
+
+    def test_mixed_batch_matches_to_bytes(self):
+        batch = [b"a", "b", 7, -1, True, bytearray(b"c"), memoryview(b"d"),
+                 "héllo"]
+        got = to_bytes_batch(batch)
+        assert got == [to_bytes(e) for e in batch]
+        assert all(type(e) is bytes for e in got)
+
+    def test_iterables_and_empty(self):
+        assert to_bytes_batch(iter([b"x", "y"])) == [b"x", b"y"]
+        assert to_bytes_batch(()) == []
+
+    def test_bytes_subclass_is_canonicalised(self):
+        class Tagged(bytes):
+            pass
+
+        got = to_bytes_batch([b"a", Tagged(b"b")])
+        assert got == [b"a", b"b"]
+
+    def test_unsupported_type_rejected(self):
+        with pytest.raises(TypeError):
+            to_bytes_batch([b"a", 1.5])
+
+    @given(batch=st.lists(st.one_of(st.binary(), st.text(), st.integers())))
+    def test_property_matches_to_bytes(self, batch):
+        assert to_bytes_batch(batch) == [to_bytes(e) for e in batch]
 
 
 class TestValidators:
