@@ -21,6 +21,7 @@ __all__ = [
     "as_batch_int64",
     "bit_length_u64",
     "group_indices",
+    "mod_int64",
     "record_early_exit",
     "row_spans",
 ]
@@ -29,6 +30,17 @@ __all__ = [
 def as_batch_int64(values) -> np.ndarray:
     """Coerce positions/offsets to an ``int64`` array (no copy if possible)."""
     return np.asarray(values, dtype=np.int64)
+
+
+def mod_int64(values: np.ndarray, m) -> np.ndarray:
+    """``values % m`` for a ``uint64`` array, as ``int64`` positions.
+
+    The remainder is below ``m < 2**63``, so reinterpreting its bits as
+    ``int64`` is exact and skips the copy ``astype`` would make.  *m*
+    goes through ``np.uint64`` first: NumPy 2 promotes ``uint64 %
+    int64`` to ``float64``, where the reinterpretation would be wrong.
+    """
+    return (values % np.uint64(m)).view(np.int64)
 
 
 def record_early_exit(memory, alive: np.ndarray, costs: np.ndarray) -> None:

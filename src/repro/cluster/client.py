@@ -29,7 +29,6 @@ the target before the flip.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import itertools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,7 +41,7 @@ from repro.core.association_types import AssociationAnswer
 from repro.errors import WrongOwnerError
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Tracer, maybe_span
 from repro.replication.failover import parse_endpoint
 from repro.retry import BackoffPolicy
 from repro.service.client import (
@@ -197,11 +196,6 @@ class ClusterClient:
             return None
         return self.tracer.new_trace_id()
 
-    def _span(self, name: str, trace_id: Optional[int], **fields):
-        if self.tracer is not None and trace_id is not None:
-            return self.tracer.span(name, trace_id, **fields)
-        return contextlib.nullcontext()
-
     # ------------------------------------------------------------------
     # Fan-out core
     # ------------------------------------------------------------------
@@ -232,7 +226,7 @@ class ClusterClient:
             self.counters["sub_requests"] += 1
             self._m_subs.inc()
             try:
-                with self._span("client.sub_request", trace_id,
+                with maybe_span(self.tracer, "client.sub_request", trace_id,
                                 owner=owner, n_elements=len(group),
                                 attempt=attempt):
                     conn = await self._conn(owner)
@@ -270,7 +264,7 @@ class ClusterClient:
 
         self._m_reads.inc()
         trace_id = self._new_trace()
-        with self._span("client.request", trace_id, kind="query",
+        with maybe_span(self.tracer, "client.request", trace_id, kind="query",
                         n_elements=len(data)):
             await self._scatter(list(enumerate(data)), submit, out,
                                 trace_id=trace_id)
@@ -291,8 +285,8 @@ class ClusterClient:
 
         self._m_reads.inc()
         trace_id = self._new_trace()
-        with self._span("client.request", trace_id, kind="query_multi",
-                        n_elements=len(data)):
+        with maybe_span(self.tracer, "client.request", trace_id,
+                        kind="query_multi", n_elements=len(data)):
             await self._scatter(list(enumerate(data)), submit, out,
                                 trace_id=trace_id)
         return out  # type: ignore[return-value]
@@ -319,7 +313,7 @@ class ClusterClient:
         trace_id = self._new_trace()
         # Writes need per-sub-batch idempotency keys and count slices,
         # so they use a dedicated scatter instead of `_scatter`.
-        with self._span("client.request", trace_id, kind="add",
+        with maybe_span(self.tracer, "client.request", trace_id, kind="add",
                         n_elements=len(data)):
             await self._scatter_write(
                 list(enumerate(data)), count_by_slot, applied, 0,
@@ -339,7 +333,7 @@ class ClusterClient:
                 count_by_slot[slot] for slot, _ in group]
             write_id = next(self._write_seq)
             try:
-                with self._span("client.sub_request", trace_id,
+                with maybe_span(self.tracer, "client.sub_request", trace_id,
                                 owner=owner, n_elements=len(group),
                                 attempt=attempt):
                     conn = await self._conn(owner)

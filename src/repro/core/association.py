@@ -31,7 +31,7 @@ import numpy as np
 
 from repro._util import (ElementLike, require_positive, to_bytes,
                          to_bytes_batch)
-from repro._vector import record_early_exit
+from repro._vector import mod_int64, record_early_exit
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
@@ -160,7 +160,7 @@ class _AssociationBase:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batch twin of :meth:`_bases_and_offsets`."""
         values = self._family.values_batch(elements, self._k + 2)
-        bases = (values[:, : self._k] % self._m).astype(np.int64)
+        bases = mod_int64(values[:, : self._k], self._m)
         o1, o2 = self._policy.association_offsets_batch(
             values[:, self._k], values[:, self._k + 1])
         return bases, o1, o2

@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import ElementLike, require_positive
-from repro._vector import record_early_exit
+from repro._vector import mod_int64, record_early_exit
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.memory import MemoryModel
 from repro.core.offsets import OffsetPolicy
@@ -183,7 +183,7 @@ class GeneralizedShiftingBloomFilter:
         """
         values = self._family.values_batch(
             elements, self._groups + self._t)
-        bases = (values[:, : self._groups] % self._m).astype(np.int64)
+        bases = mod_int64(values[:, : self._groups], self._m)
         group = np.zeros((len(elements), self._t + 1), dtype=np.int64)
         for j in range(1, self._t + 1):
             group[:, j] = self._policy.partitioned_offset_batch(

@@ -27,6 +27,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import ElementLike, require_even, require_positive
+from repro._vector import mod_int64
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
@@ -44,7 +45,7 @@ def _bases_and_offsets_batch(filt, elements):
     ``_m``, ``_half`` and ``_policy`` with identical §3.1 semantics).
     """
     values = filt._family.values_batch(elements, filt._half + 1)
-    bases = (values[:, : filt._half] % filt._m).astype(np.int64)
+    bases = mod_int64(values[:, : filt._half], filt._m)
     offsets = filt._policy.membership_offset_batch(values[:, filt._half])
     return bases, offsets
 
@@ -66,7 +67,7 @@ def _query_pairs_batch(filt, bits, elements) -> np.ndarray:
     memory = bits.memory
     ops = words = 0
     for j in range(filt._half):
-        bases = (values[rows, j] % filt._m).astype(np.int64)
+        bases = mod_int64(values[rows, j], filt._m)
         ok = bits.test_pairs_batch(bases, offsets, record=False)
         ops += len(rows)
         words += int(memory.read_cost_batch(bases, offsets + 1).sum())

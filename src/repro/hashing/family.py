@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import ElementLike, require_non_negative, to_bytes
+from repro._vector import mod_int64
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -139,8 +140,7 @@ class HashFamily(abc.ABC):
         equals ``positions(elements[i], count, m, start)``.
         """
         require_non_negative("count", count)
-        return (self.values_batch(elements, count, start=start) % m).astype(
-            np.int64)
+        return mod_int64(self.values_batch(elements, count, start=start), m)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "%s(name=%r)" % (type(self).__name__, self.name)

@@ -341,32 +341,30 @@ class MultiWorkerSupervisor:
         return merged
 
     # ------------------------------------------------------------------
-    # Control protocol (PING / STATS / METRICS only)
+    # Control protocol: the observability rows of the op table only
     # ------------------------------------------------------------------
     async def _control_dispatch(self, op: int, payload: bytes) -> bytes:
-        if op == protocol.OP_PING:
-            return ("repro.mpserve supervisor: %d/%d workers, "
-                    "generation %d, serve port %d"
-                    % (sum(1 for c in self._workers if c.alive),
-                       len(self._workers), self.generation(),
-                       self.serve_port)).encode("utf-8")
-        if op == protocol.OP_STATS:
-            return json.dumps(self.stats(), sort_keys=True).encode()
-        if op == protocol.OP_METRICS:
-            merged = await self.aggregate_metrics()
-            if payload == b"json":
-                return json.dumps(
-                    merged.to_dict(), sort_keys=True).encode("utf-8")
-            if payload not in (b"", b"text"):
-                raise ProtocolError(
-                    "METRICS accepts an empty payload (text "
-                    "exposition) or b'json', got %d unexpected bytes"
-                    % len(payload))
-            return merged.render_prometheus().encode("utf-8")
-        raise UnsupportedOperationError(
-            "the supervisor control port serves PING/STATS/METRICS "
-            "only; data ops go to the fleet serve port %d"
-            % self.serve_port)
+        row = protocol.OPS.get(op)
+        if row is None or row.kind != "observability":
+            raise UnsupportedOperationError(
+                "the supervisor control port serves PING/STATS/METRICS "
+                "only; data ops go to the fleet serve port %d"
+                % self.serve_port)
+        return await getattr(self, row.handler)(payload)
+
+    async def _op_ping(self, payload: bytes) -> bytes:
+        return ("repro.mpserve supervisor: %d/%d workers, "
+                "generation %d, serve port %d"
+                % (sum(1 for c in self._workers if c.alive),
+                   len(self._workers), self.generation(),
+                   self.serve_port)).encode("utf-8")
+
+    async def _op_stats(self, payload: bytes) -> bytes:
+        return json.dumps(self.stats(), sort_keys=True).encode()
+
+    async def _op_metrics(self, payload: bytes) -> bytes:
+        return protocol.metrics_payload(
+            await self.aggregate_metrics(), payload)
 
     async def _handle_control(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
@@ -381,10 +379,8 @@ class MultiWorkerSupervisor:
                     response = protocol.encode_frame(
                         request_id, protocol.STATUS_OK, body, trace_id)
                 except Exception as exc:  # noqa: BLE001 - typed reply
-                    response = protocol.encode_frame(
-                        request_id, protocol.STATUS_ERR,
-                        protocol.ERROR.pack((type(exc).__name__, str(exc))),
-                        trace_id)
+                    response = protocol.error_frame(
+                        request_id, exc, trace_id)
                 writer.write(response)
                 await writer.drain()
         except (ConnectionError, OSError, ProtocolError):

@@ -2,25 +2,27 @@
 
 Each worker is an ordinary :class:`~repro.service.FilterService` — same
 coalescer, same backpressure, same METRICS — whose hosted target is a
-zero-copy read-only attach of the latest published generation.  Three
-behaviours differ from a standalone service:
+zero-copy read-only attach of the latest published generation.  It
+answers each op by its class in the op table
+(:data:`repro.service.protocol.OPS`; see :func:`route`):
 
-* **Generation refresh**: before admitting a QUERY/QUERY_MULTI the
-  worker peeks the seqlock header (one 8-byte read); when the writer
-  has published a newer generation it attaches it, swaps ``_target``
-  (the same atomic swap RESTORE uses) and releases the old segment.
-  Queries already parked in the coalescer flush against the *new*
-  target — verdicts are monotonic, never stale-then-fresh interleaved
-  within one batch.
-* **Write forwarding**: ADD/ADD_IDEM (and SNAPSHOT, which must reflect
-  the authoritative mutable store) are relayed verbatim to the writer
-  process over one pipelined :class:`~repro.service.ServiceClient`
-  connection.  The writer's answer — including a typed error — is the
-  worker's answer.  Transport failures surface as
-  :class:`~repro.errors.WriterUnavailableError`; only ADD_IDEM relays
-  are retried automatically (they are idempotent by construction; a
-  retried plain ADD could double-apply).
-* **Refused ops**: RESTORE/SUBSCRIBE/DELTA/PROMOTE and the cluster ops
+* **Reads, refreshed**: before serving an element read (QUERY,
+  QUERY_MULTI) the worker peeks the seqlock header (one 8-byte read);
+  when the writer has published a newer generation it attaches it,
+  swaps ``_target`` (the same atomic swap RESTORE uses) and releases
+  the old segment.  Queries already parked in the coalescer flush
+  against the *new* target — verdicts are monotonic, never
+  stale-then-fresh interleaved within one batch.  Observability ops
+  (PING, STATS, METRICS) are served locally too.
+* **Writes, forwarded**: element writes (ADD/ADD_IDEM) and the state
+  read SNAPSHOT, which must reflect the authoritative mutable store,
+  are relayed verbatim to the writer process over one pipelined
+  :class:`~repro.service.ServiceClient` connection.  The writer's
+  answer — including a typed error — is the worker's answer.  Transport
+  failures surface as :class:`~repro.errors.WriterUnavailableError`;
+  only ADD_IDEM relays are retried automatically (they are idempotent
+  by construction; a retried plain ADD could double-apply).
+* **The rest, refused**: RESTORE and the replication and cluster ops
   would mutate or re-role a process that owns no state; they are
   refused with :class:`~repro.errors.UnsupportedOperationError`.
 
@@ -50,15 +52,23 @@ from repro.service import protocol
 from repro.service.client import ServiceClient
 from repro.service.server import CoalescerConfig, FilterService
 
-__all__ = ["ReadWorkerService", "worker_main"]
+__all__ = ["ReadWorkerService", "route", "worker_main"]
 
-_FORWARDED_OPS = frozenset({
-    protocol.OP_ADD, protocol.OP_ADD_IDEM, protocol.OP_SNAPSHOT,
-})
-_REFUSED_OPS = frozenset({
-    protocol.OP_RESTORE, protocol.OP_SUBSCRIBE, protocol.OP_DELTA,
-    protocol.OP_PROMOTE, protocol.OP_SHARD_MAP, protocol.OP_MIGRATE,
-})
+
+def route(row: protocol.Op) -> str:
+    """How a read worker answers an op, by its class: ``"local"``,
+    ``"forward"`` (to the writer) or ``"refuse"``.
+
+    A state op goes to the writer if a standby would serve it (it reads
+    the authoritative store) and is refused if a standby would refuse
+    it (it replaces the store).
+    """
+    if row.kind in ("read", "observability"):
+        return "local"
+    if row.kind == "write" or (row.kind == "state"
+                               and row.standby == "serve"):
+        return "forward"
+    return "refuse"
 
 
 class ReadWorkerService(FilterService):
@@ -90,16 +100,12 @@ class ReadWorkerService(FilterService):
         self._writer_port = writer_port
         self._forward_client: Optional[ServiceClient] = None
         registry = self.metrics
-        if registry.enabled:
-            registry.gauge(metric_names.MPSERVE_GENERATION).set_fn(
-                lambda: self._attached.generation)
-            self._m_forwarded = {
-                op: registry.counter(
-                    metric_names.MPSERVE_WRITES_FORWARDED,
-                    op=protocol.OP_NAMES[op])
-                for op in _FORWARDED_OPS}
-        else:
-            self._m_forwarded = {}
+        registry.gauge(metric_names.MPSERVE_GENERATION).set_fn(
+            lambda: self._attached.generation)
+        self._m_forwarded = {
+            op: registry.counter(
+                metric_names.MPSERVE_WRITES_FORWARDED, op=row.name)
+            for op, row in protocol.OPS.items() if route(row) == "forward"}
 
     @property
     def generation(self) -> int:
@@ -153,9 +159,7 @@ class ReadWorkerService(FilterService):
     async def _forward(self, op: int, payload: bytes,
                        trace_id: Optional[int]) -> bytes:
         """Relay one request to the writer; relay its answer back."""
-        counter = self._m_forwarded.get(op)
-        if counter is not None:
-            counter.inc()
+        self._m_forwarded[op].inc()
         attempts = 2 if op == protocol.OP_ADD_IDEM else 1
         last: Exception = WriterUnavailableError("no attempt made")
         for _attempt in range(attempts):
@@ -181,17 +185,17 @@ class ReadWorkerService(FilterService):
     # ------------------------------------------------------------------
     async def _dispatch(self, op: int, payload: bytes,
                         trace_id: Optional[int] = None) -> bytes:
-        if op in (protocol.OP_QUERY, protocol.OP_QUERY_MULTI):
-            self.refresh_generation()
-            return await super()._dispatch(op, payload, trace_id)
-        if op in _FORWARDED_OPS:
+        row = protocol.OPS.get(op)
+        action = "local" if row is None else route(row)
+        if action == "forward":
             return await self._forward(op, payload, trace_id)
-        if op in _REFUSED_OPS:
+        if action == "refuse":
             raise UnsupportedOperationError(
                 "%s is not served by an mpserve read worker: workers "
                 "hold read-only generation attaches (state changes go "
-                "through the writer/supervisor)"
-                % protocol.OP_NAMES.get(op, op))
+                "through the writer/supervisor)" % row.name)
+        if row is not None and row.kind == "read":
+            self.refresh_generation()
         return await super()._dispatch(op, payload, trace_id)
 
     def _dynamic_stats(self) -> dict:

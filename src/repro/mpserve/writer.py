@@ -46,10 +46,8 @@ class WriterService(FilterService):
         self._pending_writes = 0
         self._dirty = asyncio.Event()
         self.on_write = self._note_write
-        if self.metrics.enabled:
-            self.metrics.gauge(
-                metric_names.MPSERVE_PENDING_WRITES).set_fn(
-                lambda: self._pending_writes)
+        self.metrics.gauge(metric_names.MPSERVE_PENDING_WRITES).set_fn(
+            lambda: self._pending_writes)
 
     def _note_write(self, elements, counts) -> None:
         self._pending_writes += len(elements)

@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 __all__ = [
     "Tracer",
     "format_trace_id",
+    "maybe_span",
     "parse_trace_id",
     "reconstruct",
     "render_trace",
@@ -165,6 +166,15 @@ class Tracer:
             extra.update(fields)
             self.emit(name, trace_id, start,
                       time.perf_counter() - t0, mono=t0, **extra)
+
+
+def maybe_span(tracer: Optional[Tracer], name: str,
+               trace_id: Optional[int], **fields):
+    """:meth:`Tracer.span` when *tracer* and *trace_id* are both set,
+    else a no-op context, so an untraced request pays one check."""
+    if tracer is None or trace_id is None:
+        return contextlib.nullcontext()
+    return tracer.span(name, trace_id, **fields)
 
 
 # ----------------------------------------------------------------------

@@ -176,23 +176,33 @@ class ServiceClient:
                 timer.cancel()
             self._pending.pop(request_id, None)
 
+    async def _op(self, op: int, value=b"", timeout=_UNSET,
+                  trace_id: Optional[int] = None):
+        """One request typed by its row of :data:`protocol.OPS`: *value*
+        is packed with the row's request entry and the answer decoded
+        with its response entry; free-form payloads pass as bytes."""
+        row = protocol.OPS[op]
+        payload = await self._request(
+            op, value if row.request is None else row.request.pack(value),
+            timeout=timeout, trace_id=trace_id)
+        return (payload if row.response is None
+                else row.response.decode(payload))
+
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
     async def ping(self, timeout=_UNSET) -> str:
         """Round-trip liveness probe; returns the server banner."""
-        payload = await self._request(protocol.OP_PING, timeout=timeout)
-        return payload.decode("utf-8")
+        return (await self._op(protocol.OP_PING, timeout=timeout)).decode(
+            "utf-8")
 
     async def add(self, elements: Sequence[ElementLike],
                   counts: Optional[Sequence[int]] = None,
                   timeout=_UNSET,
                   trace_id: Optional[int] = None) -> int:
         """Insert a batch (with optional multiplicities); returns count."""
-        payload = await self._request(
-            protocol.OP_ADD, protocol.ELEMENTS.pack((elements, counts)),
-            timeout=timeout, trace_id=trace_id)
-        return protocol.COUNT.decode(payload)
+        return await self._op(
+            protocol.OP_ADD, (elements, counts), timeout, trace_id)
 
     async def add_idem(self, client_id: int, write_id: int,
                        elements: Sequence[ElementLike],
@@ -205,45 +215,36 @@ class ServiceClient:
         server's dedup window answers the duplicate with the original
         insert count instead of inserting again.
         """
-        payload = await self._request(
-            protocol.OP_ADD_IDEM,
-            protocol.ADD_IDEM.pack((client_id, write_id, (elements, counts))),
-            timeout=timeout, trace_id=trace_id)
-        return protocol.COUNT.decode(payload)
+        return await self._op(
+            protocol.OP_ADD_IDEM, (client_id, write_id, (elements, counts)),
+            timeout, trace_id)
 
     async def query(self, elements: Sequence[ElementLike],
                     timeout=_UNSET,
                     trace_id: Optional[int] = None) -> np.ndarray:
         """Batch verdicts: bool array (membership) or int64 (counts)."""
-        payload = await self._request(
-            protocol.OP_QUERY, protocol.ELEMENTS.pack((elements, None)),
-            timeout=timeout, trace_id=trace_id)
-        return protocol.VERDICTS.decode(payload)
+        return await self._op(
+            protocol.OP_QUERY, (elements, None), timeout, trace_id)
 
     async def query_multi(
         self, elements: Sequence[ElementLike], timeout=_UNSET,
         trace_id: Optional[int] = None,
     ) -> List[AssociationAnswer]:
         """ShBF_A association answers, one per element."""
-        payload = await self._request(
-            protocol.OP_QUERY_MULTI, protocol.ELEMENTS.pack((elements, None)),
-            timeout=timeout, trace_id=trace_id)
-        return protocol.ANSWERS.decode(payload)
+        return await self._op(
+            protocol.OP_QUERY_MULTI, (elements, None), timeout, trace_id)
 
     async def snapshot(self, timeout=_UNSET) -> bytes:
         """The hosted structure as a persistence blob."""
-        return await self._request(protocol.OP_SNAPSHOT, timeout=timeout)
+        return await self._op(protocol.OP_SNAPSHOT, timeout=timeout)
 
     async def restore(self, blob: bytes, timeout=_UNSET) -> int:
         """Replace the hosted structure; returns its item count."""
-        payload = await self._request(
-            protocol.OP_RESTORE, blob, timeout=timeout)
-        return protocol.COUNT.decode(payload)
+        return await self._op(protocol.OP_RESTORE, blob, timeout)
 
     async def stats(self, timeout=_UNSET) -> dict:
         """Server-side queue, coalescer and access accounting."""
-        payload = await self._request(protocol.OP_STATS, timeout=timeout)
-        return json.loads(payload.decode("utf-8"))
+        return json.loads(await self._op(protocol.OP_STATS, timeout=timeout))
 
     async def metrics(self, format: str = "text", timeout=_UNSET):
         """Scrape the server's metrics registry (METRICS op).
@@ -254,13 +255,11 @@ class ServiceClient:
         into a cross-process aggregate.
         """
         if format == "text":
-            payload = await self._request(
-                protocol.OP_METRICS, timeout=timeout)
+            payload = await self._op(protocol.OP_METRICS, timeout=timeout)
             return payload.decode("utf-8")
         if format == "json":
-            payload = await self._request(
-                protocol.OP_METRICS, b"json", timeout=timeout)
-            return json.loads(payload.decode("utf-8"))
+            return json.loads(
+                await self._op(protocol.OP_METRICS, b"json", timeout))
         raise ValueError(
             "metrics format must be 'text' or 'json', got %r" % (format,))
 
@@ -272,9 +271,7 @@ class ServiceClient:
         ``standby`` role and records *epoch* as its replication
         position; returns its item count after the restore.
         """
-        payload = await self._request(
-            protocol.OP_SUBSCRIBE, protocol.SUBSCRIBE.pack((epoch, blob)))
-        return protocol.COUNT.decode(payload)
+        return await self._op(protocol.OP_SUBSCRIBE, (epoch, blob))
 
     async def delta(
         self,
@@ -287,15 +284,13 @@ class ServiceClient:
         Returns the standby's item count after application.  See
         :data:`repro.service.protocol.DELTA` for the two kinds.
         """
-        payload = await self._request(
-            protocol.OP_DELTA,
-            protocol.DELTA.pack((epoch, full_blob, entries)))
-        return protocol.COUNT.decode(payload)
+        return await self._op(
+            protocol.OP_DELTA, (epoch, full_blob, entries))
 
     async def promote(self, timeout=_UNSET) -> str:
         """Flip a standby back to the writable primary role."""
-        payload = await self._request(protocol.OP_PROMOTE, timeout=timeout)
-        return payload.decode("utf-8")
+        return (await self._op(protocol.OP_PROMOTE, timeout=timeout)).decode(
+            "utf-8")
 
     # --- cluster ops (shard-map publication / live migration) ---------
     async def shard_map(self, blob: bytes = b"", timeout=_UNSET) -> bytes:
@@ -306,8 +301,7 @@ class ServiceClient:
         install of an older epoch fails typed with
         :class:`~repro.errors.StaleShardMapError`.
         """
-        return await self._request(
-            protocol.OP_SHARD_MAP, blob, timeout=timeout)
+        return await self._op(protocol.OP_SHARD_MAP, blob, timeout)
 
     async def migrate(self, action: int, shard_id: int,
                       body: bytes = b"", timeout=_UNSET) -> bytes:
@@ -319,10 +313,8 @@ class ServiceClient:
         :mod:`repro.service.protocol`.  Driven by
         :func:`repro.cluster.coordinator.migrate_shard`.
         """
-        return await self._request(
-            protocol.OP_MIGRATE,
-            protocol.MIGRATE.pack((action, shard_id, body)),
-            timeout=timeout)
+        return await self._op(
+            protocol.OP_MIGRATE, (action, shard_id, body), timeout)
 
     async def close(self) -> None:
         """Close the connection and stop the reader task."""

@@ -125,6 +125,15 @@ offers ``encode(value)`` and a whole-payload ``decode(payload)``.  The
 element batch, the verdict array and the association answers keep
 specialised leaf codecs, declared in the same table.
 
+Every opcode is declared once too, as one :class:`Op` row of the op
+table :data:`OPS` beside it: its request and response entries, its
+class (element read or write, whole-store state, replication, cluster
+or observability), whether a standby refuses it, whether adaptive
+shedding may refuse it, its coalescer and its handler.  The server,
+the mpserve read worker and the supervisor dispatch on these rows, the
+client packs requests and decodes answers through them, and the
+``OP_<NAME>`` constants and :data:`OP_NAMES` are views of the table.
+
 Decoding is strict and total: declared lengths must match the bytes
 present, trailing bytes are refused, and frames above
 :data:`MAX_FRAME_BYTES` are rejected before allocation, so any byte
@@ -135,7 +144,9 @@ the payload and field path — never a silently-wrong verdict or an OOM.
 from __future__ import annotations
 
 import asyncio
+import json
 import struct
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -182,6 +193,8 @@ __all__ = [
     "OP_SNAPSHOT",
     "OP_STATS",
     "OP_SUBSCRIBE",
+    "OPS",
+    "Op",
     "PAYLOADS",
     "STATUS_ERR",
     "STATUS_OK",
@@ -193,25 +206,12 @@ __all__ = [
     "encode_elements",
     "encode_frame",
     "encode_verdicts",
+    "error_frame",
+    "metrics_payload",
     "read_frame",
 ]
 
-# --- opcodes (requests) and statuses (responses) ----------------------
-OP_PING = 1
-OP_ADD = 2
-OP_QUERY = 3
-OP_QUERY_MULTI = 4
-OP_SNAPSHOT = 5
-OP_RESTORE = 6
-OP_STATS = 7
-OP_SUBSCRIBE = 8
-OP_DELTA = 9
-OP_PROMOTE = 10
-OP_ADD_IDEM = 11
-OP_SHARD_MAP = 12
-OP_MIGRATE = 13
-OP_METRICS = 14
-
+# --- response statuses -----------------------------------------------
 STATUS_OK = 0
 STATUS_ERR = 1
 
@@ -219,26 +219,6 @@ STATUS_ERR = 1
 #: code (see :mod:`repro.obs.tracing`).  Frames without it are
 #: byte-identical to the pre-tracing format.
 TRACE_FLAG = 0x80
-
-#: Opcode -> canonical name, used by metric labels, trace spans and
-#: tooling output.  Its keys are the known request opcodes: a server
-#: refuses any other code.
-OP_NAMES = {
-    OP_PING: "PING",
-    OP_ADD: "ADD",
-    OP_QUERY: "QUERY",
-    OP_QUERY_MULTI: "QUERY_MULTI",
-    OP_SNAPSHOT: "SNAPSHOT",
-    OP_RESTORE: "RESTORE",
-    OP_STATS: "STATS",
-    OP_SUBSCRIBE: "SUBSCRIBE",
-    OP_DELTA: "DELTA",
-    OP_PROMOTE: "PROMOTE",
-    OP_ADD_IDEM: "ADD_IDEM",
-    OP_SHARD_MAP: "SHARD_MAP",
-    OP_MIGRATE: "MIGRATE",
-    OP_METRICS: "METRICS",
-}
 
 # --- migration protocol actions (first byte of a MIGRATE payload) -----
 MIGRATE_BEGIN = 0
@@ -773,3 +753,96 @@ ERROR = _Map(_Seq(type=_Bytes(U16), message=_Bytes()),
 PAYLOADS = {entry.name: entry for entry in (
     COUNT, ELEMENTS, VERDICTS, ANSWERS, ADD_IDEM, IDEM_KEYS, SUBSCRIBE,
     DELTA, MIGRATE, JOURNAL, ERROR)}
+
+
+# ----------------------------------------------------------------------
+# The op table: every request opcode the protocol defines
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Op:
+    """One request opcode: how it is framed and how a node treats it.
+
+    Attributes:
+        code: the frame code byte.
+        name: canonical name, used by metric labels, trace spans and
+            tooling output.
+        request / response: the :data:`PAYLOADS` entries of the request
+            and of the OK answer, or ``None`` for a free-form payload
+            (empty, utf-8 text, JSON or a persistence blob).
+        kind: the op's class: element ``read`` or ``write`` (the ops
+            that carry an element batch), whole-store ``state``,
+            ``replication``, ``cluster`` or ``observability``.
+        standby: ``"refuse"`` if a standby refuses the op because it
+            would diverge from the replication stream, else ``"serve"``.
+        sheddable: adaptive shedding may refuse it under load (a read
+            any standby could answer instead).
+        coalescer: the coalescer that batches its elements, or ``None``.
+    """
+
+    code: int
+    name: str
+    request: Optional[_Field]
+    response: Optional[_Field]
+    kind: str
+    standby: str = "serve"
+    sheddable: bool = False
+    coalescer: Optional[str] = None
+
+    @property
+    def carries_elements(self) -> bool:
+        """Whether the request carries an element batch."""
+        return self.kind in ("read", "write")
+
+    @property
+    def handler(self) -> str:
+        """Name of the node method that executes the op."""
+        return "_op_" + self.name.lower()
+
+
+#: Opcode -> :class:`Op`, in code order.  A node refuses any other code.
+OPS = {op.code: op for op in (
+    Op(1, "PING", None, None, "observability"),
+    Op(2, "ADD", ELEMENTS, COUNT, "write", standby="refuse",
+       coalescer="add"),
+    Op(3, "QUERY", ELEMENTS, VERDICTS, "read", sheddable=True,
+       coalescer="query"),
+    Op(4, "QUERY_MULTI", ELEMENTS, ANSWERS, "read", sheddable=True,
+       coalescer="query_multi"),
+    Op(5, "SNAPSHOT", None, None, "state"),
+    Op(6, "RESTORE", None, COUNT, "state", standby="refuse"),
+    Op(7, "STATS", None, None, "observability"),
+    Op(8, "SUBSCRIBE", SUBSCRIBE, COUNT, "replication"),
+    Op(9, "DELTA", DELTA, COUNT, "replication"),
+    Op(10, "PROMOTE", None, None, "replication"),
+    Op(11, "ADD_IDEM", ADD_IDEM, COUNT, "write", standby="refuse",
+       coalescer="add"),
+    Op(12, "SHARD_MAP", None, None, "cluster"),
+    Op(13, "MIGRATE", MIGRATE, None, "cluster"),
+    Op(14, "METRICS", None, None, "observability"),
+)}
+
+# The OP_<NAME> constants and OP_NAMES are views of the table.
+(OP_PING, OP_ADD, OP_QUERY, OP_QUERY_MULTI, OP_SNAPSHOT, OP_RESTORE,
+ OP_STATS, OP_SUBSCRIBE, OP_DELTA, OP_PROMOTE, OP_ADD_IDEM, OP_SHARD_MAP,
+ OP_MIGRATE, OP_METRICS) = OPS
+#: Opcode -> canonical name.
+OP_NAMES = {code: op.name for code, op in OPS.items()}
+
+
+def error_frame(request_id: int, exc: BaseException,
+                trace_id: Optional[int] = None) -> bytes:
+    """An ERR response frame carrying *exc*'s type name and message."""
+    return encode_frame(request_id, STATUS_ERR, ERROR.pack(
+        (type(exc).__name__, str(exc))), trace_id)
+
+
+def metrics_payload(registry, payload: bytes) -> bytes:
+    """The METRICS answer for *registry*: the Prometheus text exposition
+    for an empty or ``text`` payload, the JSON snapshot for ``json``."""
+    if payload == b"json":
+        return json.dumps(registry.to_dict(), sort_keys=True).encode("utf-8")
+    if payload not in (b"", b"text"):
+        raise ProtocolError(
+            "METRICS accepts an empty payload (text exposition) or "
+            "b'json', got %d unexpected bytes" % len(payload))
+    return registry.render_prometheus().encode("utf-8")

@@ -16,9 +16,18 @@ The coalescer window is bounded two ways (whichever trips first flushes):
 Requests are atomic: a request's elements are never split across two
 executed batches, so a flush may overshoot ``max_batch`` by at most one
 request.  Setting ``max_batch=1`` disables coalescing entirely and
-executes each request through the **scalar** per-element path — the
+executes each request through the target's **scalar** per-element
+``add``/``query`` (one place, :meth:`FilterService._execute`) — the
 pre-batching serving architecture, kept as a live baseline so the
 benchmark's coalesced-vs-uncoalesced comparison is a one-flag switch.
+
+Dispatch is one lookup in the op table
+:data:`repro.service.protocol.OPS` plus one handler per op
+(``_op_<name>``).  The element ops (the ``read`` and ``write`` rows)
+share one preamble — decode the batch, observe its size, check cluster
+ownership, then the standby guard — and their handlers return values
+the row's response entry packs.  The per-op metrics, the coalescers and
+the adaptive-shed set are built from the same rows.
 
 Backpressure is explicit: at most ``max_inflight`` requests may be
 admitted concurrently (requests parked in the coalescer included);
@@ -39,11 +48,11 @@ Every service also carries a replication **role**
 SUBSCRIBE frame turns one into a read-only *standby* that applies the
 subscribed primary's DELTA stream (shard-wise union merges, shard
 replacements after a rotation, or full-snapshot resyncs), and PROMOTE
-flips it back to primary after a failover.  While following, ADD and
-RESTORE are refused with
-:class:`~repro.errors.StandbyReadOnlyError` so standby state can never
-diverge from the stream.  The primary-side shipping logic lives in
-:mod:`repro.replication`.
+flips it back to primary after a failover.  While following, the ops
+whose row says ``standby="refuse"`` (ADD, ADD_IDEM, RESTORE) are refused
+with :class:`~repro.errors.StandbyReadOnlyError` so standby state can
+never diverge from the stream.  The primary-side shipping logic lives
+in :mod:`repro.replication`.
 """
 
 from __future__ import annotations
@@ -53,7 +62,8 @@ import json
 import logging
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,7 +82,7 @@ from repro.errors import (
 from repro.harness.metrics import access_stats_dict
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Tracer, maybe_span
 from repro.service import protocol
 from repro.store.generational import GenerationalStore, RotationEvent
 from repro.store.sharded import ShardedFilterStore
@@ -88,12 +98,8 @@ __all__ = [
 
 logger = logging.getLogger("repro.service")
 
-#: Ops that adaptive shedding may refuse before the hard admission
-#: limit: reads are retryable elsewhere (any standby can answer), so
-#: they yield admission slots to writes and replication traffic first.
-#: PING and STATS stay admitted — an overloaded server must remain
-#: observable.
-_SHEDDABLE_OPS = frozenset((protocol.OP_QUERY, protocol.OP_QUERY_MULTI))
+_NOT_ASSOCIATION = ("QUERY_MULTI needs an association store (%s answers "
+                    "scalar verdicts; use QUERY)")
 
 
 @dataclass(frozen=True)
@@ -242,13 +248,13 @@ class _Coalescer:
     untouched, so coalescing is invisible to clients.
     """
 
-    def __init__(self, service: "FilterService", run_batch, kind: str):
+    def __init__(self, service: "FilterService", kind: str):
         self._service = service
-        self._run_batch = run_batch
         self._kind = kind
         # (elements, counts, future, trace_id, enqueue perf_counter)
         self._pending: List[tuple] = []
-        self._n_queued = 0
+        #: Elements currently waiting for a flush.
+        self.queued_elements = 0
         self._timer: Optional[asyncio.TimerHandle] = None
         registry = service.metrics
         self._m_batch = registry.histogram(
@@ -262,11 +268,6 @@ class _Coalescer:
             for cause in ("size", "timer", "forced")
         }
 
-    @property
-    def queued_elements(self) -> int:
-        """Elements currently waiting for a flush."""
-        return self._n_queued
-
     def submit(self, elements: Sequence[bytes],
                counts: Optional[Sequence[int]],
                trace_id: Optional[int] = None) -> "asyncio.Future":
@@ -276,9 +277,9 @@ class _Coalescer:
             self._service.counters.coalesced_requests += 1
         enqueued = time.perf_counter() if self._service.observing else 0.0
         self._pending.append((elements, counts, future, trace_id, enqueued))
-        self._n_queued += len(elements)
+        self.queued_elements += len(elements)
         config = self._service.config
-        if self._n_queued >= config.max_batch:
+        if self.queued_elements >= config.max_batch:
             self._flush("size")
         elif self._timer is None:
             self._timer = loop.call_later(
@@ -290,7 +291,7 @@ class _Coalescer:
             self._timer.cancel()
             self._timer = None
         pending, self._pending = self._pending, []
-        self._n_queued = 0
+        self.queued_elements = 0
         if not pending:
             return
         observing = self._service.observing
@@ -305,27 +306,21 @@ class _Coalescer:
         # signature, so one client's malformed counts request (or a
         # counts request against a membership filter) would fail other
         # clients' well-formed ADDs.
-        groups = [
-            [entry for entry in pending if (entry[1] is None) == countless]
-            for countless in (True, False)
-        ]
-        for group in groups:
+        for countless in (True, False):
+            group = [entry for entry in pending
+                     if (entry[1] is None) == countless]
             if not group:
                 continue
-            elements: List[bytes] = []
-            counts: List[int] = []
-            with_counts = group[0][1] is not None
-            for chunk, chunk_counts, _, _, _ in group:
-                elements.extend(chunk)
-                if with_counts:
-                    counts.extend(chunk_counts)
+            elements = list(chain.from_iterable(e[0] for e in group))
+            counts = (None if countless
+                      else list(chain.from_iterable(e[1] for e in group)))
             traced = (tracer is not None
                       and any(entry[3] is not None for entry in group))
             start_wall = time.time() if traced else 0.0
             exec_t0 = time.perf_counter() if (observing or traced) else 0.0
             try:
-                results = self._run_batch(
-                    elements, counts if with_counts else None)
+                results = self._service._run_batch(
+                    self._kind, elements, counts)
             except Exception as exc:  # delivered per request
                 for _, _, future, _, _ in group:
                     if not future.done():
@@ -427,22 +422,19 @@ class FilterService:
         # when the registry is disabled.
         registry = self.metrics
         self.observing = registry.enabled
-        self._m_requests = {
-            op: registry.counter(metric_names.SERVER_REQUESTS, op=label)
-            for op, label in protocol.OP_NAMES.items()}
-        self._m_errors = {
-            op: registry.counter(metric_names.SERVER_ERRORS, op=label)
-            for op, label in protocol.OP_NAMES.items()}
-        self._m_latency = {
-            op: registry.histogram(
-                metric_names.SERVER_OP_LATENCY, op=label)
-            for op, label in protocol.OP_NAMES.items()}
-        self._m_elements = {
-            op: registry.histogram(
-                metric_names.SERVER_OP_ELEMENTS, resolution=1.0,
-                op=protocol.OP_NAMES[op])
-            for op in (protocol.OP_ADD, protocol.OP_QUERY,
-                       protocol.OP_QUERY_MULTI, protocol.OP_ADD_IDEM)}
+        self._m_requests, self._m_errors = {}, {}
+        self._m_latency, self._m_elements = {}, {}
+        for op, row in protocol.OPS.items():
+            self._m_requests[op] = registry.counter(
+                metric_names.SERVER_REQUESTS, op=row.name)
+            self._m_errors[op] = registry.counter(
+                metric_names.SERVER_ERRORS, op=row.name)
+            self._m_latency[op] = registry.histogram(
+                metric_names.SERVER_OP_LATENCY, op=row.name)
+            if row.carries_elements:
+                self._m_elements[op] = registry.histogram(
+                    metric_names.SERVER_OP_ELEMENTS, resolution=1.0,
+                    op=row.name)
         self._m_shed_hard = registry.counter(
             metric_names.SERVER_SHEDS, kind="hard")
         self._m_shed_adaptive = registry.counter(
@@ -457,10 +449,12 @@ class FilterService:
             metric_names.TTL_ROTATION_STALL)
         registry.gauge(metric_names.TTL_LIVE_GENERATIONS).set_fn(
             lambda: getattr(self._target, "n_generations", 0))
-        self._query = _Coalescer(self, self._run_query_batch, "query")
-        self._query_multi = _Coalescer(
-            self, self._run_query_multi_batch, "query_multi")
-        self._add = _Coalescer(self, self._run_add_batch, "add")
+        #: One coalescer per kind the rows name, in op-code order, so
+        #: the add coalescer flushes first (see :meth:`flush_pending`).
+        self._coalescers = {
+            kind: _Coalescer(self, kind) for kind in dict.fromkeys(
+                row.coalescer for row in protocol.OPS.values()
+                if row.coalescer)}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -516,9 +510,8 @@ class FilterService:
                 for g in target.generation_stats()
             ] if isinstance(target, GenerationalStore) else None),
             "queue_depth": self.queue_depth,
-            "queued_elements": (self._query.queued_elements
-                                + self._query_multi.queued_elements
-                                + self._add.queued_elements),
+            "queued_elements": sum(coalescer.queued_elements for coalescer
+                                   in self._coalescers.values()),
             "idempotency": {
                 "window": len(self.idempotency),
                 "capacity": self.idempotency.capacity,
@@ -587,29 +580,24 @@ class FilterService:
     # ------------------------------------------------------------------
     # Batch executors (called by the coalescers)
     # ------------------------------------------------------------------
-    def _run_query_batch(self, elements, counts):
+    def _run_batch(self, kind: str, elements, counts):
+        """Execute one coalesced batch of *kind* against the target."""
+        target = self._target
+        if kind == "add":
+            self.counters.elements_added += len(elements)
+            if counts is None:
+                target.add_batch(elements)
+            else:
+                target.add_batch(elements, counts)
+            if self.on_write is not None:
+                self.on_write(elements, counts)
+            return [None] * len(elements)
         self.counters.elements_queried += len(elements)
-        return self._target.query_batch(elements)
-
-    def _run_query_multi_batch(self, elements, counts):
-        self.counters.elements_queried += len(elements)
-        results = self._target.query_batch(elements)
-        if isinstance(results, np.ndarray):
+        results = target.query_batch(elements)
+        if kind == "query_multi" and isinstance(results, np.ndarray):
             raise UnsupportedOperationError(
-                "QUERY_MULTI needs an association store (%s answers "
-                "scalar verdicts; use QUERY)" % type(self._target).__name__
-            )
+                _NOT_ASSOCIATION % type(target).__name__)
         return results
-
-    def _run_add_batch(self, elements, counts):
-        self.counters.elements_added += len(elements)
-        if counts is None:
-            self._target.add_batch(elements)
-        else:
-            self._target.add_batch(elements, counts)
-        if self.on_write is not None:
-            self.on_write(elements, counts)
-        return [None] * len(elements)
 
     def flush_pending(self) -> None:
         """Force-flush every coalescer immediately (synchronously).
@@ -621,50 +609,61 @@ class FilterService:
         journal is complete; queued reads flush too, answering from the
         still-complete shard copy before it is retired.
         """
-        self._add._flush("forced")
-        self._query._flush("forced")
-        self._query_multi._flush("forced")
+        for coalescer in self._coalescers.values():
+            coalescer._flush("forced")
 
-    # --- scalar fallbacks (max_batch=1: the uncoalesced baseline) -----
-    def _scalar_query(self, elements):
-        verdicts = [self._target.query(e) for e in elements]
-        self.counters.elements_queried += len(elements)
-        self.counters.batches_executed += 1
-        if verdicts and not isinstance(verdicts[0], (bool, np.bool_)):
-            return verdicts
-        return np.asarray(verdicts, dtype=bool)
+    async def _execute(self, kind: str, elements, counts, trace_id):
+        """Run one request's elements through the *kind* coalescer.
 
-    def _scalar_add(self, elements, counts):
-        for i, element in enumerate(elements):
-            if counts is None:
-                self._target.add(element)
-            else:
-                self._target.add(element, counts[i])
-        self.counters.elements_added += len(elements)
-        self.counters.batches_executed += 1
-        if self.on_write is not None:
-            self.on_write(elements, counts)
+        An empty batch executes nothing.  With ``max_batch=1`` the
+        request instead runs here, through the target's scalar
+        ``add``/``query`` one element at a time: the uncoalesced
+        baseline.
+        """
+        if not elements:
+            return np.zeros(0, dtype=bool) if kind == "query" else []
+        if self.config.max_batch > 1:
+            return await self._coalescers[kind].submit(
+                elements, counts, trace_id)
+        target, counters = self._target, self.counters
+        if kind == "add":
+            for i, element in enumerate(elements):
+                if counts is None:
+                    target.add(element)
+                else:
+                    target.add(element, counts[i])
+            counters.elements_added += len(elements)
+            counters.batches_executed += 1
+            if self.on_write is not None:
+                self.on_write(elements, counts)
+            return None
+        answers = [target.query(e) for e in elements]
+        if kind == "query_multi" and not isinstance(
+                answers[0], AssociationAnswer):
+            raise UnsupportedOperationError(
+                _NOT_ASSOCIATION % type(target).__name__)
+        counters.elements_queried += len(elements)
+        counters.batches_executed += 1
+        if kind == "query" and isinstance(answers[0], (bool, np.bool_)):
+            return np.asarray(answers, dtype=bool)
+        return answers
 
     # ------------------------------------------------------------------
     # Replication apply path (standby side)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _load_snapshot(blob: bytes, op_name: str):
-        """Materialise any persistence blob; bytes that are no snapshot
-        at all are a malformed request, not a damaged snapshot."""
+    def _adopt_snapshot(self, blob: bytes, op_name: str) -> None:
+        """Materialise any persistence blob and adopt it as the target,
+        atomically.  Bytes that are no snapshot at all are a malformed
+        request, not a damaged snapshot."""
         try:
-            return persistence.load_target(blob)
+            self._target = persistence.load_target(blob)
         except NotASnapshotError as exc:
             raise ProtocolError(
                 "%s payload: %s" % (op_name, exc)) from None
+        self._wire_rotation_hook(self._target)
 
-    def _swap_target(self, target) -> None:
-        """Adopt a freshly restored/subscribed target atomically."""
-        self._target = target
-        self._wire_rotation_hook(target)
-
-    def _apply_delta(self, payload: bytes) -> bytes:
-        """Apply one DELTA frame; returns the OK payload (new n_items).
+    async def _op_delta(self, payload: bytes) -> int:
+        """Apply one DELTA frame; returns the new n_items.
 
         Application is synchronous on the event loop, so queries never
         observe a torn store: each request sees the fleet either wholly
@@ -684,9 +683,9 @@ class FilterService:
         if epoch <= state.epoch:
             # A retry of a delta this standby already applied; re-applying
             # a merge would inflate n_items, so acknowledge and move on.
-            return protocol.COUNT.pack(getattr(self._target, "n_items", 0))
+            return getattr(self._target, "n_items", 0)
         if full_blob is not None:
-            self._swap_target(self._load_snapshot(full_blob, "DELTA"))
+            self._adopt_snapshot(full_blob, "DELTA")
             state.full_snapshots_applied += 1
             state.bytes_received += len(full_blob)
         else:
@@ -743,150 +742,123 @@ class FilterService:
                     state.shards_replaced += 1
             state.deltas_applied += 1
         state.epoch = epoch
-        return protocol.COUNT.pack(getattr(self._target, "n_items", 0))
+        return getattr(self._target, "n_items", 0)
+
+    async def _op_subscribe(self, payload: bytes) -> int:
+        epoch, blob = protocol.SUBSCRIBE.decode(payload)
+        self._adopt_snapshot(blob, "SUBSCRIBE")
+        self.replica.role = "standby"
+        self.replica.epoch = epoch
+        self.replica.full_snapshots_applied += 1
+        self.replica.bytes_received += len(blob)
+        return self._target.n_items
+
+    async def _op_promote(self, payload: bytes) -> bytes:
+        self.replica.role = "primary"
+        return ("promoted to primary at epoch %d (n_items=%d)"
+                % (self.replica.epoch,
+                   getattr(self._target, "n_items", 0))).encode("utf-8")
 
     # ------------------------------------------------------------------
-    # Request dispatch
+    # Request dispatch: one OPS lookup, one handler per op
     # ------------------------------------------------------------------
+    async def _dispatch(self, op: int, payload: bytes,
+                        trace_id: Optional[int] = None) -> bytes:
+        """Execute one request; returns the OK-response payload.
+
+        The element ops first run one preamble, in this order: decode
+        the batch, observe its size, check cluster ownership (refused
+        with a typed :class:`~repro.errors.WrongOwnerError`, so the
+        client refreshes its map; never silently served from a shard
+        this node does not own), then the standby guard.
+        """
+        row = protocol.OPS.get(op)
+        if row is None:
+            raise ProtocolError("unknown opcode %d" % op)
+        handler = getattr(self, row.handler)
+        if not row.carries_elements:
+            self._refuse_on_standby(row)
+            value = await handler(payload)
+        else:
+            # ADD_IDEM's batch follows its (client_id, write_id) key.
+            fields = row.request.decode(payload)
+            *key, (elements, counts) = (
+                fields if row.request is protocol.ADD_IDEM else (fields,))
+            if self.observing:
+                self._m_elements[op].observe(len(elements))
+            self._check_ownership(elements, trace_id)
+            self._refuse_on_standby(row)
+            value = await handler(elements, counts, trace_id, *key)
+        return value if row.response is None else row.response.pack(value)
+
     def _check_ownership(self, elements: Sequence[bytes],
                          trace_id: Optional[int]) -> None:
         """Cluster ownership contract, as a traced hop when asked."""
-        if self.cluster is None:
-            return
-        if trace_id is not None and self.tracer is not None:
-            with self.tracer.span("node.ownership_check", trace_id,
-                                  n_elements=len(elements)):
+        if self.cluster is not None:
+            with maybe_span(self.tracer, "node.ownership_check",
+                            trace_id, n_elements=len(elements)):
                 self.cluster.check_elements(elements)
-        else:
-            self.cluster.check_elements(elements)
 
-    async def _dispatch(self, op: int, payload: bytes,
-                        trace_id: Optional[int] = None) -> bytes:
-        """Execute one request; returns the OK-response payload."""
-        if op == protocol.OP_PING:
-            banner = self._banner or (
-                "repro.service %s n_items=%d"
-                % (type(self._target).__name__,
-                   getattr(self._target, "n_items", 0))
-            )
-            return banner.encode("utf-8")
-
-        if op == protocol.OP_STATS:
-            return self.stats_json()
-
-        if op == protocol.OP_METRICS:
-            if payload == b"json":
-                return json.dumps(
-                    self.metrics.to_dict(), sort_keys=True).encode("utf-8")
-            if payload not in (b"", b"text"):
-                raise ProtocolError(
-                    "METRICS accepts an empty payload (text exposition) "
-                    "or b'json', got %d unexpected bytes" % len(payload))
-            return self.metrics.render_prometheus().encode("utf-8")
-
-        if op == protocol.OP_SNAPSHOT:
-            return persistence.dumps(self._target)
-
-        if op == protocol.OP_RESTORE:
-            if self.replica.role == "standby":
-                raise StandbyReadOnlyError(
-                    "this server is a standby following a primary; "
-                    "RESTORE would diverge it from the replication "
-                    "stream (PROMOTE it first)")
-            self._swap_target(self._load_snapshot(payload, "RESTORE"))
-            return protocol.COUNT.pack(self._target.n_items)
-
-        if op == protocol.OP_SUBSCRIBE:
-            epoch, blob = protocol.SUBSCRIBE.decode(payload)
-            self._swap_target(self._load_snapshot(blob, "SUBSCRIBE"))
-            self.replica.role = "standby"
-            self.replica.epoch = epoch
-            self.replica.full_snapshots_applied += 1
-            self.replica.bytes_received += len(blob)
-            return protocol.COUNT.pack(self._target.n_items)
-
-        if op == protocol.OP_DELTA:
-            return self._apply_delta(payload)
-
-        if op == protocol.OP_PROMOTE:
-            self.replica.role = "primary"
-            return ("promoted to primary at epoch %d (n_items=%d)"
-                    % (self.replica.epoch,
-                       getattr(self._target, "n_items", 0))).encode("utf-8")
-
-        if op == protocol.OP_SHARD_MAP:
-            if self.cluster is None:
-                raise UnsupportedOperationError(
-                    "this server is not a cluster node; start it via "
-                    "python -m repro.cluster serve to install a shard "
-                    "map")
-            return self.cluster.handle_shard_map(payload)
-
-        if op == protocol.OP_MIGRATE:
-            if self.cluster is None:
-                raise UnsupportedOperationError(
-                    "this server is not a cluster node; MIGRATE only "
-                    "applies under an installed shard map")
-            return self.cluster.handle_migrate(payload)
-
-        if op == protocol.OP_ADD_IDEM:
-            return await self._apply_add_idem(payload, trace_id)
-
-        elements, counts = protocol.ELEMENTS.decode(payload)
-        if self.observing:
-            self._m_elements[op].observe(len(elements))
-        # The ownership contract: refuse (typed WrongOwnerError, so
-        # the client refreshes its map), never silently serve an
-        # element from a shard this node does not own.
-        self._check_ownership(elements, trace_id)
-
-        if op == protocol.OP_ADD:
-            if self.replica.role == "standby":
-                raise StandbyReadOnlyError(
-                    "this server is a standby following a primary; "
+    def _refuse_on_standby(self, row: protocol.Op) -> None:
+        """The read-only guard: a standby refuses the rows marked
+        ``standby="refuse"``, which would diverge it from the stream."""
+        if row.standby == "refuse" and self.replica.role == "standby":
+            raise StandbyReadOnlyError(
+                "this server is a standby following a primary; " + (
                     "writes must go to the primary (or PROMOTE this "
-                    "standby after a failover)")
-            if not elements:
-                return protocol.COUNT.pack(0)
-            if self.config.max_batch <= 1:
-                self._scalar_add(elements, counts)
-            else:
-                await self._add.submit(elements, counts, trace_id)
-            return protocol.COUNT.pack(len(elements))
+                    "standby after a failover)" if row.kind == "write"
+                    else "%s would diverge it from the replication "
+                    "stream (PROMOTE it first)" % row.name))
 
-        if op == protocol.OP_QUERY:
-            if not elements:
-                return protocol.VERDICTS.pack(np.zeros(0, dtype=bool))
-            if self.config.max_batch <= 1:
-                verdicts = self._scalar_query(elements)
-            else:
-                verdicts = await self._query.submit(
-                    elements, None, trace_id)
-            verdicts = np.asarray(verdicts)
-            return protocol.VERDICTS.pack(verdicts)
+    async def _op_ping(self, payload: bytes) -> bytes:
+        banner = self._banner or (
+            "repro.service %s n_items=%d"
+            % (type(self._target).__name__,
+               getattr(self._target, "n_items", 0))
+        )
+        return banner.encode("utf-8")
 
-        if op == protocol.OP_QUERY_MULTI:
-            if not elements:
-                return protocol.ANSWERS.pack([])
-            if self.config.max_batch <= 1:
-                answers = [self._target.query(e) for e in elements]
-                if not isinstance(answers[0], AssociationAnswer):
-                    raise UnsupportedOperationError(
-                        "QUERY_MULTI needs an association store (%s "
-                        "answers scalar verdicts; use QUERY)"
-                        % type(self._target).__name__
-                    )
-                self.counters.elements_queried += len(elements)
-                self.counters.batches_executed += 1
-            else:
-                answers = await self._query_multi.submit(
-                    elements, None, trace_id)
-            return protocol.ANSWERS.pack(list(answers))
+    async def _op_stats(self, payload: bytes) -> bytes:
+        return self.stats_json()
 
-        raise ProtocolError("unknown opcode %d" % op)
+    async def _op_metrics(self, payload: bytes) -> bytes:
+        return protocol.metrics_payload(self.metrics, payload)
 
-    async def _apply_add_idem(self, payload: bytes,
-                              trace_id: Optional[int] = None) -> bytes:
+    async def _op_snapshot(self, payload: bytes) -> bytes:
+        return persistence.dumps(self._target)
+
+    async def _op_restore(self, payload: bytes) -> int:
+        self._adopt_snapshot(payload, "RESTORE")
+        return self._target.n_items
+
+    async def _op_shard_map(self, payload: bytes) -> bytes:
+        if self.cluster is None:
+            raise UnsupportedOperationError(
+                "this server is not a cluster node; start it via "
+                "python -m repro.cluster serve to install a shard map")
+        return self.cluster.handle_shard_map(payload)
+
+    async def _op_migrate(self, payload: bytes) -> bytes:
+        if self.cluster is None:
+            raise UnsupportedOperationError(
+                "this server is not a cluster node; MIGRATE only "
+                "applies under an installed shard map")
+        return self.cluster.handle_migrate(payload)
+
+    async def _op_add(self, elements, counts, trace_id) -> int:
+        await self._execute("add", elements, counts, trace_id)
+        return len(elements)
+
+    async def _op_query(self, elements, counts, trace_id) -> np.ndarray:
+        return np.asarray(
+            await self._execute("query", elements, None, trace_id))
+
+    async def _op_query_multi(self, elements, counts, trace_id) -> list:
+        return list(
+            await self._execute("query_multi", elements, None, trace_id))
+
+    async def _op_add_idem(self, elements, counts, trace_id,
+                           client_id: int, write_id: int) -> int:
         """Execute one ADD_IDEM exactly once per ``(client, write)`` key.
 
         Three cases: the key is in the dedup window (the original
@@ -898,51 +870,31 @@ class FilterService:
         unobserved failure never trips asyncio's never-retrieved
         warning.
         """
-        client_id, write_id, (elements, counts) = (
-            protocol.ADD_IDEM.decode(payload))
-        if self.observing:
-            self._m_elements[protocol.OP_ADD_IDEM].observe(len(elements))
-        self._check_ownership(elements, trace_id)
-        if self.replica.role == "standby":
-            raise StandbyReadOnlyError(
-                "this server is a standby following a primary; writes "
-                "must go to the primary (or PROMOTE this standby after "
-                "a failover)")
+        key = (client_id, write_id)
         recorded = self.idempotency.get(client_id, write_id)
+        racing = self._idem_inflight.get(key)
+        if recorded is None and racing is not None:
+            status, recorded = await asyncio.shield(racing)
+            if status == "err":
+                raise recorded
         if recorded is not None:
             self.counters.dedup_hits += 1
             self._m_dedup_hits.inc()
-            return protocol.COUNT.pack(recorded)
-        key = (client_id, write_id)
-        racing = self._idem_inflight.get(key)
-        if racing is not None:
-            status, value = await asyncio.shield(racing)
-            if status == "err":
-                raise value
-            self.counters.dedup_hits += 1
-            self._m_dedup_hits.inc()
-            return protocol.COUNT.pack(value)
+            return recorded
         outcome = asyncio.get_running_loop().create_future()
         self._idem_inflight[key] = outcome
         try:
-            if elements:
-                if self.config.max_batch <= 1:
-                    self._scalar_add(elements, counts)
-                else:
-                    await self._add.submit(elements, counts, trace_id)
-            result = len(elements)
+            result = await self._op_add(elements, counts, trace_id)
         except Exception as exc:
-            if not outcome.done():
-                outcome.set_result(("err", exc))
+            outcome.set_result(("err", exc))
             raise
         finally:
             self._idem_inflight.pop(key, None)
         self.idempotency.put(client_id, write_id, result)
         if self.on_idempotent is not None:
             self.on_idempotent(client_id, write_id, result)
-        if not outcome.done():
-            outcome.set_result(("ok", result))
-        return protocol.COUNT.pack(result)
+        outcome.set_result(("ok", result))
+        return result
 
     async def _handle_request(
         self,
@@ -961,12 +913,8 @@ class FilterService:
         """
         started = time.perf_counter() if self.observing else 0.0
         try:
-            if trace_id is not None and self.tracer is not None:
-                with self.tracer.span(
-                        "server.request", trace_id,
-                        op=protocol.OP_NAMES.get(op, str(op))):
-                    body = await self._dispatch(op, payload, trace_id)
-            else:
+            with maybe_span(self.tracer, "server.request", trace_id,
+                            op=protocol.OP_NAMES.get(op, str(op))):
                 body = await self._dispatch(op, payload, trace_id)
             frame = protocol.encode_frame(
                 request_id, protocol.STATUS_OK, body, trace_id)
@@ -975,9 +923,7 @@ class FilterService:
                 self.counters.protocol_errors += 1
             if self.observing:
                 self._m_errors[op].inc()
-            frame = protocol.encode_frame(
-                request_id, protocol.STATUS_ERR,
-                protocol.ERROR.pack((type(exc).__name__, str(exc))), trace_id)
+            frame = protocol.error_frame(request_id, exc, trace_id)
         finally:
             self._inflight -= 1
             if self.observing:
@@ -1022,7 +968,8 @@ class FilterService:
                     break
                 request_id, op, payload, trace_id = frame
                 self.counters.requests_total += 1
-                if op not in protocol.OP_NAMES:
+                row = protocol.OPS.get(op)
+                if row is None:
                     # An opcode we never defined means the peer is not
                     # speaking this protocol (or the stream is damaged
                     # in a way the length prefix happened to survive);
@@ -1032,9 +979,7 @@ class FilterService:
                     exc = ProtocolError("unknown opcode %d" % op)
                     logger.warning(
                         "dropping connection %s: %s", peer, exc)
-                    writer.write(protocol.encode_frame(
-                        request_id, protocol.STATUS_ERR,
-                        protocol.ERROR.pack((type(exc).__name__, str(exc)))))
+                    writer.write(protocol.error_frame(request_id, exc))
                     await writer.drain()
                     break
                 if self.observing:
@@ -1046,7 +991,7 @@ class FilterService:
                     shed = ServiceOverloadedError(
                         "server at max_inflight=%d admitted requests; "
                         "retry after backoff" % config.max_inflight)
-                elif (config.adaptive_shed and op in _SHEDDABLE_OPS
+                elif (config.adaptive_shed and row.sheddable
                         and self._inflight >= config.soft_inflight):
                     self.counters.adaptive_sheds += 1
                     self._m_shed_adaptive.inc()
@@ -1057,10 +1002,8 @@ class FilterService:
                                        config.max_inflight))
                 if shed is not None:
                     self.counters.overload_rejections += 1
-                    writer.write(protocol.encode_frame(
-                        request_id, protocol.STATUS_ERR,
-                        protocol.ERROR.pack((type(shed).__name__, str(shed))),
-                        trace_id))
+                    writer.write(
+                        protocol.error_frame(request_id, shed, trace_id))
                     await writer.drain()
                     continue
                 self._inflight += 1

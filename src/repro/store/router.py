@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import ElementLike, require_non_negative, require_positive
-from repro._vector import group_indices
+from repro._vector import group_indices, mod_int64
 from repro.hashing.family import SERVING_FAMILY, make_family
 
 __all__ = ["ShardRouter"]
@@ -98,7 +98,7 @@ class ShardRouter:
         if not elements:
             return np.zeros(0, dtype=np.int64)
         values = self._family.values_batch(elements, 1)[:, 0]
-        return (values % np.uint64(self._n_shards)).astype(np.int64)
+        return mod_int64(values, self._n_shards)
 
     def group(self, elements):
         """Yield ``(shard_id, index_array)`` per non-empty shard bucket.

@@ -1,8 +1,9 @@
 """The docs stay honest: tools/check_docs.py gates them in tier-1 too.
 
-Runs the checker the same way CI does (a subprocess, no repro import)
-and also pins its detection logic: a doc referencing a flag or op the
-code does not define must fail.
+Runs the checker the same way CI does (a subprocess) and also pins its
+detection logic: a doc referencing a flag or op the code does not
+define, a wire-table row giving an op the wrong code, and a wire table
+missing an op must each fail.
 """
 
 from __future__ import annotations
@@ -53,6 +54,34 @@ class TestCheckerDetectsDrift:
         assert any("OP_TELEPORT" in p for p in problems)
         assert any("TELEPORT" in p and "wire table" in p
                    for p in problems)
+
+    def _problems(self, monkeypatch, doc):
+        checker = _load_checker()
+        monkeypatch.setattr(checker, "doc_files", lambda: [doc])
+        monkeypatch.setattr(
+            checker.pathlib.Path, "relative_to",
+            lambda self, other: self, raising=False)
+        return checker.check()
+
+    def test_wrong_wire_code_is_caught(self, tmp_path, monkeypatch):
+        bad = tmp_path / "BAD.md"
+        bad.write_text("| PROMOTE | 11 | empty | banner |\n"
+                       "| `ADD_IDEM` | 11 | key + elements | count |\n")
+        problems = self._problems(monkeypatch, bad)
+        assert len(problems) == 1
+        assert "PROMOTE code 11" in problems[0]
+        assert "op table 10" in problems[0]
+
+    def test_wire_table_missing_an_op_is_caught(self, tmp_path,
+                                                monkeypatch):
+        readme = tmp_path / "README.md"
+        readme.write_text("".join(
+            "| %s | %d | x | y |\n" % (name, code)
+            for name, code in _load_checker().op_codes().items()
+            if name != "METRICS"))
+        problems = self._problems(monkeypatch, readme)
+        assert len(problems) == 1
+        assert "no row for op METRICS" in problems[0]
 
     def test_known_references_pass(self, tmp_path, monkeypatch):
         checker = _load_checker()

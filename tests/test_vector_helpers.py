@@ -1,6 +1,7 @@
 """The shared batch helpers of ``repro._vector``, tested directly.
 
 ``bit_length_u64`` must equal ``int.bit_length`` on every ``uint64``;
+``mod_int64`` must equal ``(values % m).astype(np.int64)``;
 ``record_early_exit`` must bill what a scalar early-exit loop bills.
 The filter cases at the end run ShBF_A, ShBF_x and the generalized
 filter over a 32-bit memory model, so that many probe windows span two
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro._vector import bit_length_u64, record_early_exit
+from repro._vector import bit_length_u64, mod_int64, record_early_exit
 from repro.bitarray import MemoryModel
 from repro.core import (
     GeneralizedShiftingBloomFilter,
@@ -62,6 +63,34 @@ def test_bit_length_u64_keeps_the_shape():
                       dtype=np.uint64)
     assert bit_length_u64(values).tolist() == [[0, 1, 2], [2, 64, 64]]
     assert bit_length_u64(np.zeros(0, dtype=np.uint64)).shape == (0,)
+
+
+# ----------------------------------------------------------------------
+# mod_int64
+# ----------------------------------------------------------------------
+WORDS = np.array(
+    _edge_words() + np.random.default_rng(11).integers(
+        0, 2 ** 64, 4096, dtype=np.uint64).tolist(), dtype=np.uint64)
+
+
+@pytest.mark.parametrize("m", [1, 2 ** 20 + 7, 2 ** 32 + 15, 2 ** 62])
+@pytest.mark.parametrize("as_type", [int, np.int64, np.uint64])
+def test_mod_int64_matches_astype(m, as_type):
+    modulus = as_type(m)
+    got = mod_int64(WORDS, modulus)
+    assert got.dtype == np.int64
+    expected = (WORDS % np.uint64(m)).astype(np.int64)
+    assert np.array_equal(got, expected)
+    assert [int(v) for v in got[:200]] == [
+        int(w) % m for w in WORDS[:200]]
+
+
+def test_mod_int64_keeps_the_shape():
+    grid = WORDS[:4096].reshape(512, 8)
+    got = mod_int64(grid[:, :5], 2 ** 20 + 7)
+    assert got.shape == (512, 5)
+    assert np.array_equal(
+        got, (grid[:, :5] % np.uint64(2 ** 20 + 7)).astype(np.int64))
 
 
 # ----------------------------------------------------------------------

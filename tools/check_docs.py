@@ -2,18 +2,22 @@
 """Fail CI when docs reference CLI flags or protocol ops that don't exist.
 
 Documentation drifts: a renamed ``--flag`` or a retired wire op keeps
-living in prose long after the code moved on.  This checker greps the
-actual definitions out of the source — no imports, so it runs on a bare
-Python with no dependencies — and then sweeps the documentation for
-references to things that aren't defined:
+living in prose long after the code moved on.  This checker reads the
+actual definitions out of the source — the op table by importing
+``repro.service.protocol`` (NumPy is the one dependency), everything
+else by grepping — and then sweeps the documentation for references to
+things that aren't defined:
 
 * **CLI flags**: every ``--long-flag`` token in the docs must appear in
   some ``add_argument("--long-flag"...)`` across ``src/`` and
   ``benchmarks/`` (a small allowlist covers external tools like
   pytest/pip whose flags the docs legitimately mention);
-* **protocol ops**: every ``OP_NAME`` token, and every UPPERCASE first
-  cell of a wire-protocol markdown table row, must be a real opcode
-  constant in ``repro/service/protocol.py``;
+* **protocol ops**: every ``OP_NAME`` token must be an ``OP_*`` name of
+  ``repro.service.protocol`` (the constants are views of its op table
+  ``OPS``).  Every wire-protocol markdown
+  table row (an UPPERCASE first cell, a number second) must name a row
+  and give its code; the wire tables of ``README.md`` and
+  ``docs/ARCHITECTURE.md`` must also list every op;
 * **error types**: every ``SomethingError`` token must be a class
   defined in ``repro/errors.py`` or a Python builtin — docs promising
   a typed refusal must name a refusal that exists;
@@ -45,7 +49,6 @@ EXTERNAL_FLAGS = {
 }
 
 _ADD_ARGUMENT = re.compile(r"""add_argument\(\s*["'](--[a-z0-9][a-z0-9-]*)["']""")
-_OP_CONSTANT = re.compile(r"^(OP_[A-Z_]+)\s*=\s*\d+", re.MULTILINE)
 _DOC_FLAG = re.compile(r"(?<![\w.\-])(--[a-z0-9][a-z0-9-]*)")
 _DOC_OP = re.compile(r"\b(OP_[A-Z_]+)\b")
 #: A wire-table row: first cell is the op name (UPPERCASE + underscore),
@@ -53,6 +56,8 @@ _DOC_OP = re.compile(r"\b(OP_[A-Z_]+)\b")
 _TABLE_OP_ROW = re.compile(r"^\|\s*`?([A-Z][A-Z_]+)`?\s*\|\s*(\d+)\s*\|")
 _ERROR_CLASS = re.compile(r"^class\s+(\w+Error)\b", re.MULTILINE)
 _DOC_ERROR = re.compile(r"\b([A-Z][A-Za-z]*Error)\b")
+#: Docs whose wire table must list every op.
+WIRE_TABLE_DOCS = ("README.md", "ARCHITECTURE.md")
 #: A catalog entry in repro/obs/names.py — the module keeps the fixed
 #: ``"name": _spec("kind", ...)`` one-entry-per-line shape so this
 #: checker needs no imports.
@@ -72,12 +77,24 @@ def known_flags() -> set:
     return flags
 
 
+def _protocol():
+    if str(REPO / "src") not in sys.path:
+        sys.path.insert(0, str(REPO / "src"))
+    from repro.service import protocol
+
+    return protocol
+
+
+def op_codes() -> dict:
+    """Op name -> code, from the op table ``repro.service.protocol.OPS``."""
+    return {op.name: code for code, op in _protocol().OPS.items()}
+
+
 def known_ops() -> set:
-    protocol = REPO / "src" / "repro" / "service" / "protocol.py"
-    names = _OP_CONSTANT.findall(protocol.read_text())
-    ops = set(names)
-    ops.update(name[len("OP_"):] for name in names)
-    return ops
+    """Op names plus every ``OP_*`` name the protocol module defines:
+    the constants (views of the table) and ``OP_NAMES``."""
+    return set(op_codes()) | {
+        name for name in vars(_protocol()) if name.startswith("OP_")}
 
 
 def known_errors() -> set:
@@ -109,6 +126,7 @@ def doc_files() -> list:
 
 def check() -> list:
     flags = known_flags()
+    codes = op_codes()
     ops = known_ops()
     errors = known_errors()
     metrics = known_metrics()
@@ -116,6 +134,7 @@ def check() -> list:
     problems = []
     for path in doc_files():
         rel = path.relative_to(REPO)
+        tabled = set()
         for lineno, line in enumerate(
                 path.read_text().splitlines(), start=1):
             for name in _DOC_METRIC.findall(line):
@@ -140,10 +159,22 @@ def check() -> list:
                         "%s:%d: unknown error type %s"
                         % (rel, lineno, name))
             row = _TABLE_OP_ROW.match(line.strip())
-            if row and row.group(1) not in ops:
+            if not row:
+                continue
+            name, code = row.group(1), int(row.group(2))
+            tabled.add(name)
+            if name not in codes:
                 problems.append(
                     "%s:%d: wire table names unknown op %s"
-                    % (rel, lineno, row.group(1)))
+                    % (rel, lineno, name))
+            elif code != codes[name]:
+                problems.append(
+                    "%s:%d: wire table gives %s code %d, the op table %d"
+                    % (rel, lineno, name, code, codes[name]))
+        if path.name in WIRE_TABLE_DOCS:
+            for name in sorted(set(codes) - tabled):
+                problems.append(
+                    "%s: wire table has no row for op %s" % (rel, name))
     # The reverse direction is scoped to the runbook: only a sweep that
     # actually read OPERATIONS.md can claim a metric is undocumented.
     if any(path.name == "OPERATIONS.md" for path in doc_files()):
