@@ -8,9 +8,18 @@ including the early-exit behaviour of the paper's query procedures,
 where a negative stops probing at the first dead position.  The helpers
 here encode that early-exit accounting once so every filter bills the
 same way: a kernel AND-accumulates its per-probe survivor flags along
-each row into ``alive`` and hands it, with the per-probe word costs, to
-:func:`record_early_exit`, which bills the probes a scalar loop would
+each row into ``alive`` and hands it, with the word cost of its probes,
+to :func:`record_early_exit`, which bills the probes a scalar loop would
 have made without materialising any per-row probe count.
+
+Word costs follow one rule, :func:`word_costs`: the paper bounds every
+pair, triple and count window by ``w_bar = w - 7`` bits, so a probe of
+``span`` bits is one word fetch from any bit offset whenever
+``7 + span <= w``.  When a batch's widest span fits, the cost is the
+scalar ``1`` and no cost matrix is built; only configurations past the
+bound (a narrower ``MemoryModel`` than the offset policy, or
+``c_max > w - 7``) pay for the exact per-probe
+``MemoryModel.read_cost_batch``.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ __all__ = [
     "mod_int64",
     "record_early_exit",
     "row_spans",
+    "word_costs",
 ]
 
 
@@ -43,23 +53,44 @@ def mod_int64(values: np.ndarray, m) -> np.ndarray:
     return (values % np.uint64(m)).view(np.int64)
 
 
-def record_early_exit(memory, alive: np.ndarray, costs: np.ndarray) -> None:
+def word_costs(memory, starts, spans):
+    """Word costs of accesses of *spans* bits from *starts* bits.
+
+    A fetch starts at the byte holding its first bit, so it spends at
+    most 7 bits reaching it: every span fits one word from any start
+    exactly when the widest is at most
+    ``memory.max_single_read_offset() + 1`` (``7 + span <= w``).  Then
+    the cost is the scalar ``1``; otherwise it is the exact per-access
+    array ``memory.read_cost_batch(starts, spans)``.  *spans* is an int
+    or an array broadcasting with *starts*, and at least one access is
+    costed.
+    """
+    if int(np.max(spans)) <= memory.max_single_read_offset() + 1:
+        return 1
+    return memory.read_cost_batch(starts, spans)
+
+
+def record_early_exit(memory, alive: np.ndarray, costs) -> None:
     """Bill *memory* the reads a scalar early-exit loop would make.
 
     ``alive`` is an ``(n, r >= 1)`` boolean survivor mask,
     AND-accumulated along each row: ``alive[i, j]`` means element ``i``
     was still alive after probe ``j``.  ``costs`` holds the matching
-    per-probe word costs.  The scalar loops make probe 0 for every
+    per-probe word costs, or is one ``int`` that every probe costs (see
+    :func:`word_costs`).  The scalar loops make probe 0 for every
     element and probe ``j > 0`` only while ``alive[i, j - 1]`` holds, so
     the bill is ``n`` plus the survivors of the first ``r - 1`` columns,
     in ops and in words alike.
     """
     lived = alive[:, :-1]
+    ops = len(alive) + int(np.count_nonzero(lived))
+    if isinstance(costs, int):
+        memory.record_reads(ops, ops * costs)
+        return
     # A product with the mask sums about twice as fast as a masked
     # gather or ``sum(where=...)``.
     memory.record_reads(
-        len(alive) + int(np.count_nonzero(lived)),
-        int(costs[:, 0].sum()) + int((costs[:, 1:] * lived).sum()))
+        ops, int(costs[:, 0].sum()) + int((costs[:, 1:] * lived).sum()))
 
 
 def row_spans(offsets: np.ndarray, n: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro._util import require_positive
-from repro._vector import as_batch_int64, row_spans
+from repro._vector import as_batch_int64, row_spans, word_costs
 from repro.bitarray.memory import MemoryModel
 from repro.errors import ConfigurationError
 
@@ -297,8 +297,11 @@ class BitArray:
     # ------------------------------------------------------------------
     # Each kernel is the vectorised twin of a scalar operation above:
     # same bits touched, and (when ``record`` is true) the same logical
-    # accounting — n probes bill n ops whose word costs are computed per
-    # access with ``memory.read_cost_batch`` and recorded in one call.
+    # accounting — n probes bill n ops, recorded in one call, and the
+    # words :meth:`_bill_words` totals: n when the batch's widest span
+    # fits one word from any bit (``word_costs``, the paper's ``w_bar``
+    # bound), else the sum of ``memory.read_cost_batch``, access by
+    # access.
     # Query paths that need the scalar loops' *early-exit* billing call
     # the kernels with ``record=False`` and bill what they probed
     # themselves.  The write kernels share one scatter-OR, :func:`_or_bits`.
@@ -336,8 +339,8 @@ class BitArray:
         positions = as_batch_int64(positions)
         self._check_batch(positions)
         if record and positions.size:
-            costs = self.memory.read_cost_batch(positions, 1)
-            self.memory.record_reads(positions.size, int(costs.sum()))
+            self.memory.record_reads(
+                positions.size, self._bill_words(positions, 1))
         view = self.as_numpy()
         return ((view[positions >> 3] >> (positions & 7)) & 1).astype(bool)
 
@@ -349,21 +352,48 @@ class BitArray:
         (when recording) as one read spanning ``offset + 1`` bits from
         its base, matching the scalar pair billing.
         """
-        bases = as_batch_int64(bases)
-        offsets = as_batch_int64(offsets)
-        bases, offsets = np.broadcast_arrays(bases, offsets)
-        ends = bases + offsets
-        if offsets.size and int(offsets.min()) < 0:
-            raise IndexError("pair offsets must be non-negative")
-        self._check_batch(bases)
-        self._check_batch(ends)
+        bases, offsets, ends = self._pair_operands(bases, offsets)
         if record and bases.size:
-            costs = self.memory.read_cost_batch(bases, offsets + 1)
-            self.memory.record_reads(bases.size, int(costs.sum()))
+            self.memory.record_reads(
+                bases.size, self._bill_words(bases, offsets + 1))
         view = self.as_numpy()
         first = view[bases >> 3] >> (bases & 7)
         second = view[ends >> 3] >> (ends & 7)
         return ((first & second) & 1).astype(bool)
+
+    def _pair_operands(self, bases, offsets):
+        """``(bases, offsets, ends)`` of a pair kernel, bounds-checked.
+
+        Broadcasts *bases* and *offsets* together when their shapes
+        differ.  Offsets are non-negative, so ``min(bases) >= 0`` and
+        ``max(ends) < nbits`` put every base and every end in range;
+        :meth:`_check_batch` runs only when that bound fails, to raise
+        its own error for the offending index.
+        """
+        bases = as_batch_int64(bases)
+        offsets = as_batch_int64(offsets)
+        if bases.shape != offsets.shape:
+            bases, offsets = np.broadcast_arrays(bases, offsets)
+        ends = bases + offsets
+        if bases.size:
+            if int(offsets.min()) < 0:
+                raise IndexError("pair offsets must be non-negative")
+            if int(bases.min()) < 0 or int(ends.max()) >= self._nbits:
+                self._check_batch(bases)
+                self._check_batch(ends)
+        return bases, offsets, ends
+
+    def _bill_words(self, starts, spans) -> int:
+        """Word fetches of one access of ``spans`` bits per start.
+
+        *starts* is a non-empty array and *spans* an int or an array of
+        its shape; :func:`word_costs` decides whether each access costs
+        one word or its exact ``read_cost_batch`` cost.
+        """
+        costs = word_costs(self.memory, starts, spans)
+        if isinstance(costs, int):
+            return starts.size * costs
+        return int(costs.sum())
 
     def test_offsets_batch(self, bases, offsets,
                            record: bool = True) -> np.ndarray:
@@ -383,9 +413,9 @@ class BitArray:
         self._check_batch(bases)
         self._check_batch(positions)
         if record and bases.size:
-            costs = self.memory.read_cost_batch(
-                bases, row_spans(offsets, bases.size))
-            self.memory.record_reads(bases.size, int(costs.sum()))
+            self.memory.record_reads(
+                bases.size,
+                self._bill_words(bases, row_spans(offsets, bases.size)))
         view = self.as_numpy()
         return ((view[positions >> 3] >> (positions & 7)) & 1).astype(bool)
 
@@ -406,8 +436,8 @@ class BitArray:
         if positions.size == 0:
             return
         if record:
-            costs = self.memory.read_cost_batch(positions, 1)
-            self.memory.record_writes(positions.size, int(costs.sum()))
+            self.memory.record_writes(
+                positions.size, self._bill_words(positions, 1))
         _or_bits(self.as_numpy(), positions)
 
     def set_offsets_batch(self, bases, offsets,
@@ -429,9 +459,9 @@ class BitArray:
         self._check_batch(bases)
         self._check_batch(positions)
         if record:
-            costs = self.memory.read_cost_batch(
-                bases, row_spans(offsets, bases.size))
-            self.memory.record_writes(bases.size, int(costs.sum()))
+            self.memory.record_writes(
+                bases.size,
+                self._bill_words(bases, row_spans(offsets, bases.size)))
         _or_bits(self.as_numpy(), positions)
 
     def set_pairs_batch(self, bases, offsets) -> None:
@@ -445,17 +475,11 @@ class BitArray:
         offset matrix.
         """
         self._check_writable()
-        bases, offsets = np.broadcast_arrays(as_batch_int64(bases),
-                                             as_batch_int64(offsets))
+        bases, offsets, ends = self._pair_operands(bases, offsets)
         if bases.size == 0:
             return
-        if int(offsets.min()) < 0:
-            raise IndexError("pair offsets must be non-negative")
-        ends = bases + offsets
-        self._check_batch(bases)
-        self._check_batch(ends)
-        costs = self.memory.read_cost_batch(bases, offsets + 1)
-        self.memory.record_writes(bases.size, int(costs.sum()))
+        self.memory.record_writes(
+            bases.size, self._bill_words(bases, offsets + 1))
         view = self.as_numpy()
         _or_bits(view, bases.ravel())
         _or_bits(view, ends.ravel())
@@ -488,8 +512,8 @@ class BitArray:
                 % (nbits, self._nbits)
             )
         if record:
-            costs = self.memory.read_cost_batch(starts, nbits)
-            self.memory.record_reads(starts.size, int(costs.sum()))
+            self.memory.record_reads(
+                starts.size, self._bill_words(starts, nbits))
         # Any byte misalignment fits one word when nbits + 7 <= 64.
         if nbits + 7 > 64 and nbits + int((starts & 7).max()) > 64:
             return np.array(

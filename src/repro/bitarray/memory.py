@@ -139,7 +139,9 @@ class MemoryModel:
         broadcast together; the result is an int64 array of per-span word
         costs, elementwise equal to ``read_cost(start, n)``.  The batch
         kernels use this to bill *aggregate* traffic that matches the
-        scalar path access for access.
+        scalar path access for access when a batch's widest span is past
+        :meth:`max_single_read_offset`; below it every cost is 1 and
+        they skip the array.
         """
         start_bits = np.asarray(start_bits, dtype=np.int64)
         # ``& 7`` is ``% 8`` and ``(span + w - 1) // w`` is the ceiling,
@@ -157,6 +159,11 @@ class MemoryModel:
         (``j = 8`` in the paper's derivation), so the fetch spends ``7``
         bits reaching it and can cover offsets up to ``w - 8`` beyond it:
         ``(j - 1) + (o + 1) <= w``.
+
+        The batch kernels bill from this bound: when a batch's widest
+        span is at most ``max_single_read_offset() + 1`` bits, every
+        access costs one word and no per-access cost array is built
+        (:func:`repro._vector.word_costs`).
         """
         return self.word_bits - 8
 
@@ -190,8 +197,9 @@ class MemoryModel:
     def record_reads(self, n_ops: int, words: int) -> None:
         """Record *n_ops* logical reads totalling *words* word fetches.
 
-        The batch kernels pre-compute the per-access costs with
-        :meth:`read_cost_batch` (honouring early exits) and bill them in
+        The batch kernels total the per-access costs (one word each
+        within :meth:`max_single_read_offset`, else from
+        :meth:`read_cost_batch`, honouring early exits) and bill them in
         one call, so a batch of ``n`` probes updates the counters exactly
         as ``n`` scalar :meth:`record_read` calls would — without ``n``
         rounds of Python attribute churn.

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro._util import (ElementLike, require_positive, to_bytes,
                          to_bytes_batch)
-from repro._vector import mod_int64, record_early_exit
+from repro._vector import mod_int64, record_early_exit, word_costs
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
@@ -195,14 +195,17 @@ class _AssociationBase:
         """Batch §4.2 query: one 64-bit word load per base, 8-way answer.
 
         Each base's window — sized by the batch's largest ``o2`` — is one
-        :meth:`BitArray.read_windows_batch` load; the three probe bits
-        ``B[h_i]``, ``B[h_i + o1]``, ``B[h_i + o2]`` are shifted out of it
-        into a 3-bit survivor code ``c0 + 2·c1 + 4·c2`` per hash, and
-        AND-accumulating the codes along the ``k`` hashes leaves each
-        element's final code, which gathers its shared answer from
-        ``_ANSWER_ARRAY``.  Bills the SRAM model exactly what the scalar
-        early-exit loop would — triple reads spanning ``o2 + 1`` bits up
-        to and including the first hash at which the code reaches 0.
+        :meth:`BitArray.read_windows_batch` load.  AND-ing the windows
+        along the ``k`` hashes (as ShBF_x does) leaves, at bits ``0``,
+        ``o1`` and ``o2``, whether each candidate is still alive; the
+        element survives a hash while any of those three bits is set.
+        The 3-bit code ``c0 + 2·c1 + 4·c2`` is decoded once, from the
+        last column, and gathers the element's shared answer from
+        ``_ANSWER_ARRAY``.  The same steps serve ``uint64`` windows and
+        the Python-int windows of policies past 64 bits.  Bills the SRAM
+        model exactly what the scalar early-exit loop would — triple
+        reads spanning ``o2 + 1`` bits up to and including the first
+        hash at which no candidate survives.
         """
         elements = list(elements)
         if not elements:
@@ -211,15 +214,17 @@ class _AssociationBase:
         windows = bits.read_windows_batch(
             bases.ravel(), int(o2.max()) + 1, record=False,
         ).reshape(bases.shape)
-        # uint64 words on the fast path, Python ints past 64 bits.
-        o1 = o1.astype(windows.dtype)[:, None]
-        o2 = o2.astype(windows.dtype)[:, None]
-        codes = (windows & 1) | (windows >> o1 & 1) << 1 \
-            | (windows >> o2 & 1) << 2
-        codes = np.bitwise_and.accumulate(codes.astype(np.uint8), axis=1)
-        costs = bits.memory.read_cost_batch(bases, o2.astype(np.int64) + 1)
-        record_early_exit(bits.memory, codes != 0, costs)
-        return _ANSWER_ARRAY[codes[:, -1]].tolist()
+        costs = word_costs(bits.memory, bases, o2[:, None] + 1)
+        acc = np.bitwise_and.accumulate(windows, axis=1)
+        # uint64 words on the fast path, Python ints past 64 bits; the
+        # Python-int 1 takes the windows' dtype either way.
+        o1 = o1.astype(windows.dtype)
+        o2 = o2.astype(windows.dtype)
+        probe = 1 | 1 << o1 | 1 << o2
+        record_early_exit(bits.memory, (acc & probe[:, None]) != 0, costs)
+        final = acc[:, -1]
+        codes = (final & 1) | (final >> o1 & 1) << 1 | (final >> o2 & 1) << 2
+        return _ANSWER_ARRAY[codes.astype(np.intp)].tolist()
 
     def _region_offset(self, data: bytes, o1: int, o2: int) -> int:
         """Offset for the element's current region per the §4.1 rules."""

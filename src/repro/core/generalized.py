@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import ElementLike, require_positive
-from repro._vector import mod_int64, record_early_exit
+from repro._vector import mod_int64, record_early_exit, word_costs
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.memory import MemoryModel
 from repro.core.offsets import OffsetPolicy
@@ -238,7 +238,7 @@ class GeneralizedShiftingBloomFilter:
         ).reshape(bases.shape + (self._t + 1,))
         alive = np.logical_and.accumulate(probes.all(axis=2), axis=1)
         spans = group.max(axis=1) + 1
-        costs = self.memory.read_cost_batch(bases, spans[:, None])
+        costs = word_costs(self.memory, bases, spans[:, None])
         record_early_exit(self.memory, alive, costs)
         return alive[:, -1]
 

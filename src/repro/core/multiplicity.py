@@ -35,7 +35,7 @@ import numpy as np
 
 from repro._util import (ElementLike, require_positive, to_bytes,
                          to_bytes_batch)
-from repro._vector import bit_length_u64, record_early_exit
+from repro._vector import bit_length_u64, record_early_exit, word_costs
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
@@ -165,7 +165,7 @@ class _MultiplicityBase:
             bases.ravel(), self._c_max, record=False,
         ).reshape(bases.shape)
         masks = np.bitwise_and.accumulate(windows, axis=1)
-        costs = bits.memory.read_cost_batch(bases, self._c_max)
+        costs = word_costs(bits.memory, bases, self._c_max)
         record_early_exit(bits.memory, masks != 0, costs)
         final = masks[:, -1]
         if self._report == "largest":

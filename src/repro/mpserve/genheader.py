@@ -86,6 +86,15 @@ class GenerationHeader:
         self._view = view
         self._back_off = HEADER_BYTES - _BACK_SIZE
 
+    def release(self) -> None:
+        """Drop this view of the buffer.
+
+        A ``SharedMemory`` refuses ``close()`` while any view of its
+        mapping is alive, so the owner of a header segment calls this
+        before closing it.  The header is unusable afterwards.
+        """
+        self._view.release()
+
     @property
     def payload_capacity(self) -> int:
         """Largest payload :meth:`publish` accepts."""

@@ -103,10 +103,18 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
 
 
 def unlink_segment(seg: shared_memory.SharedMemory) -> None:
-    """Close and remove a fleet segment without notifying the tracker."""
+    """Close and remove a fleet segment without notifying the tracker.
+
+    The name is unlinked even when ``close()`` raises ``BufferError``
+    (a view of the mapping is still alive): the mapping then lives on
+    until that view goes, but no later process can attach the name.
+    """
     with _tracker_silenced():
         try:
             seg.close()
+        except BufferError:
+            pass
+        try:
             seg.unlink()
         except (FileNotFoundError, OSError):  # pragma: no cover - race
             pass
@@ -229,6 +237,7 @@ class GenerationPublisher:
 
     def close(self, unlink: bool = True) -> None:
         """Release segments; with *unlink*, remove them for good."""
+        self._header.release()
         for seg in list(self._segments.values()) + [self._header_seg]:
             if unlink:
                 unlink_segment(seg)
@@ -355,6 +364,8 @@ class GenerationReader:
             "attempts: %s" % (retries, last_error))
 
     def close(self) -> None:
+        if self._header is not None:
+            self._header.release()
         if self._header_seg is not None:
             try:
                 self._header_seg.close()
@@ -374,17 +385,14 @@ def recover_target(base_name: str) -> Optional[Tuple[int, object]]:
     writes that arrived after the last publish, a window bounded by the
     publish interval.
     """
+    reader = GenerationReader(base_name)
     try:
-        header_seg = attach_segment(_header_name(base_name))
-    except FileNotFoundError:
+        reader.connect(timeout_s=0.0)
+    except ProtocolError:
         return None
     try:
-        header = GenerationHeader(header_seg.buf)
-        if header.peek_generation() == 0:
+        if reader.peek_generation() == 0:
             return None
-        reader = GenerationReader(base_name)
-        reader._header_seg = header_seg
-        reader._header = header
         attached = reader.attach()
         try:
             return attached.generation, store_shm.materialize(
@@ -394,4 +402,4 @@ def recover_target(base_name: str) -> Optional[Tuple[int, object]]:
     except ProtocolError:
         return None
     finally:
-        header_seg.close()
+        reader.close()

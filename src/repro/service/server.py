@@ -584,11 +584,11 @@ class FilterService:
         """Execute one coalesced batch of *kind* against the target."""
         target = self._target
         if kind == "add":
-            self.counters.elements_added += len(elements)
             if counts is None:
                 target.add_batch(elements)
             else:
                 target.add_batch(elements, counts)
+            self.counters.elements_added += len(elements)
             if self.on_write is not None:
                 self.on_write(elements, counts)
             return [None] * len(elements)

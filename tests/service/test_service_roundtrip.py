@@ -237,6 +237,20 @@ class TestOperationalSurface:
 
         assert service_run(make_store(), scenario, config)
 
+    def test_failed_coalesced_add_counts_no_elements(self, service_run):
+        # STATS elements_added counts applied elements only: a batch
+        # the target rejects moves it by nothing, as on the scalar path.
+        async def scenario(client, service, port):
+            with pytest.raises(Exception):
+                await client.add([b"bad-1", b"bad-2"], [2, 3])
+            await client.add([b"good-elem"])
+            return await client.stats()
+
+        stats = service_run(make_store(), scenario)
+        assert stats["counters"]["elements_added"] == 1
+        assert stats["counters"]["batches_executed"] == 1
+        assert stats["n_items"] == 1
+
     def test_overload_backpressure(self, service_run):
         # One admission slot, a coalescer window far longer than the
         # test: the first query parks in the coalescer, every following

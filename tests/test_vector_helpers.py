@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro._vector import bit_length_u64, mod_int64, record_early_exit
+from repro._vector import (bit_length_u64, mod_int64, record_early_exit,
+                           word_costs)
 from repro.bitarray import MemoryModel
 from repro.core import (
     GeneralizedShiftingBloomFilter,
@@ -205,3 +206,38 @@ def test_generalized_batch_bills_multi_word_reads(k, t):
     assert got.tolist() == [scalar.query(q) for q in queries]
     assert batch.memory.stats == scalar.memory.stats
     assert_multi_word(batch)
+
+
+def test_record_early_exit_scalar_cost_matches_ones_matrix():
+    rng = np.random.default_rng(9)
+    ok = np.logical_and.accumulate(rng.random((300, 6)) < 0.7, axis=1)
+    for cost in (1, 3):
+        with_scalar, with_matrix = MemoryModel(), MemoryModel()
+        record_early_exit(with_scalar, ok, cost)
+        record_early_exit(with_matrix, ok, np.full(ok.shape, cost))
+        assert with_scalar.stats == with_matrix.stats
+
+
+# ----------------------------------------------------------------------
+# word_costs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("word_bits", [8, 16, 32, 64, 128])
+def test_word_costs_is_one_exactly_when_every_start_costs_one(word_bits):
+    memory = MemoryModel(word_bits=word_bits)
+    starts = np.arange(8)
+    for span in range(1, word_bits + 2):
+        exact = memory.read_cost_batch(starts, span)
+        costs = word_costs(memory, starts, span)
+        if int(exact.max()) == 1:
+            assert costs == 1
+        else:
+            assert np.array_equal(costs, exact)
+
+
+def test_word_costs_decides_on_the_widest_span():
+    memory = MemoryModel(word_bits=64)
+    starts = np.array([3, 7, 12])
+    assert word_costs(memory, starts, np.array([1, 57, 30])) == 1
+    spans = np.array([1, 58, 30])
+    assert np.array_equal(word_costs(memory, starts, spans),
+                          memory.read_cost_batch(starts, spans))
