@@ -14,20 +14,20 @@ precisely because negatives terminate early).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro._util import ElementLike, require_positive
-from repro.bitarray.bitarray import BitArray
 from repro.bitarray.memory import MemoryModel
+from repro.core.base import ElementFilter
 from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.hashing.family import HashFamily, default_family
+from repro.hashing.family import HashFamily
 
 __all__ = ["BloomFilter"]
 
 
-class BloomFilter:
+class BloomFilter(ElementFilter):
     """Standard Bloom filter over an ``m``-bit array with ``k`` hashes.
 
     Args:
@@ -51,13 +51,8 @@ class BloomFilter:
         family: Optional[HashFamily] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        require_positive("m", m)
-        require_positive("k", k)
-        self._m = m
-        self._k = k
-        self._family = family if family is not None else default_family()
-        self._bits = BitArray(m, memory=memory)
-        self._n_items = 0
+        super().__init__(m, k, family)
+        self._allocate(m, memory)
 
     # ------------------------------------------------------------------
     # Sizing helpers
@@ -82,52 +77,10 @@ class BloomFilter:
         k = max(1, round(m / n * math.log(2)))
         return cls(m=m, k=k, family=family, memory=memory)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def m(self) -> int:
-        """Number of bits in the array."""
-        return self._m
-
-    @property
-    def k(self) -> int:
-        """Number of hash functions."""
-        return self._k
-
-    @property
-    def n_items(self) -> int:
-        """Number of elements inserted so far."""
-        return self._n_items
-
-    @property
-    def family(self) -> HashFamily:
-        """The hash family in use."""
-        return self._family
-
-    @property
-    def bits(self) -> BitArray:
-        """The underlying bit array (exposed for tests and harnesses)."""
-        return self._bits
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The access-cost model of the underlying array."""
-        return self._bits.memory
-
-    @property
-    def size_bits(self) -> int:
-        """Total memory footprint in bits."""
-        return self._bits.nbits
-
     @property
     def hash_ops_per_query(self) -> int:
         """Worst-case hash computations per query (``k``)."""
         return self._k
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits currently set."""
-        return self._bits.fill_ratio()
 
     def fpr_estimate(self) -> float:
         """Estimated FPR from the observed fill ratio, ``fill**k``.
@@ -148,11 +101,6 @@ class BloomFilter:
         for position in self._positions(element):
             self._bits.set(position)
         self._n_items += 1
-
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Insert every element of an iterable."""
-        for element in elements:
-            self.add(element)
 
     def add_batch(self, elements: Sequence[ElementLike]) -> None:
         """Batch insert: ``k`` single-bit writes per element, vectorised.
@@ -207,9 +155,6 @@ class BloomFilter:
             if not bits.test(value % m):
                 return False
         return True
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.query(element)
 
     def remove(self, element: ElementLike) -> None:
         """Unsupported: plain Bloom filters cannot delete (§1.1)."""

@@ -15,20 +15,20 @@ multi-word generalisations, which ``words_per_element`` exposes.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro._util import ElementLike, require_positive
-from repro.bitarray.bitarray import BitArray
 from repro.bitarray.memory import MemoryModel
+from repro.core.base import ElementFilter
 from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.hashing.family import HashFamily, default_family
+from repro.hashing.family import HashFamily
 
 __all__ = ["OneMemoryBloomFilter"]
 
 
-class OneMemoryBloomFilter:
+class OneMemoryBloomFilter(ElementFilter):
     """Bloom filter whose ``k`` bits per element share one machine word.
 
     Args:
@@ -61,8 +61,7 @@ class OneMemoryBloomFilter:
         family: Optional[HashFamily] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        require_positive("m", m)
-        require_positive("k", k)
+        super().__init__(m, k, family)
         require_positive("words_per_element", words_per_element)
         if word_bits % 8 != 0 or word_bits <= 0:
             raise ConfigurationError(
@@ -73,32 +72,12 @@ class OneMemoryBloomFilter:
         self._group_bits = word_bits * words_per_element
         self._n_groups = -(-m // self._group_bits)  # ceil
         self._m = self._n_groups * self._group_bits
-        self._k = k
         self._words_per_element = words_per_element
-        self._family = family if family is not None else default_family()
-        if memory is None:
-            memory = MemoryModel(word_bits=word_bits)
-        self._bits = BitArray(self._m, memory=memory)
-        self._n_items = 0
+        self._allocate(self._m, memory, word_bits)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def m(self) -> int:
-        """Number of bits (after rounding up to whole words)."""
-        return self._m
-
-    @property
-    def k(self) -> int:
-        """Number of in-word bit positions per element."""
-        return self._k
-
-    @property
-    def n_items(self) -> int:
-        """Number of elements inserted so far."""
-        return self._n_items
-
     @property
     def word_bits(self) -> int:
         """Machine word size."""
@@ -115,28 +94,9 @@ class OneMemoryBloomFilter:
         return self._n_groups
 
     @property
-    def bits(self) -> BitArray:
-        """The underlying bit array."""
-        return self._bits
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The access-cost model of the underlying array."""
-        return self._bits.memory
-
-    @property
-    def size_bits(self) -> int:
-        """Total memory footprint in bits."""
-        return self._m
-
-    @property
     def hash_ops_per_query(self) -> int:
         """Hash computations per query: ``k`` in-word + 1 word selector."""
         return self._k + 1
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits currently set."""
-        return self._bits.fill_ratio()
 
     # ------------------------------------------------------------------
     # Core operations
@@ -157,11 +117,6 @@ class OneMemoryBloomFilter:
         base = group * self._group_bits
         self._bits.set_offsets(base, offsets)
         self._n_items += 1
-
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Insert every element of an iterable."""
-        for element in elements:
-            self.add(element)
 
     def _groups_and_offsets_batch(self, elements):
         values = self._family.values_batch(elements, self._k + 1)
@@ -218,9 +173,6 @@ class OneMemoryBloomFilter:
             if not window >> (value % group_bits) & 1:
                 return False
         return True
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.query(element)
 
     def remove(self, element: ElementLike) -> None:
         """Unsupported: 1MemBF is a plain bit filter (no deletion)."""

@@ -33,11 +33,10 @@ from repro._util import (ElementLike, require_positive, to_bytes,
                          to_bytes_batch)
 from repro._vector import mod_int64, record_early_exit, word_costs
 from repro.bitarray.bitarray import BitArray
-from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
 from repro.core.association_types import Association, AssociationAnswer
-from repro.core.offsets import OffsetPolicy
-from repro.hashing.family import HashFamily, default_family
+from repro.core.base import CountingTier, ShiftedFilter
+from repro.hashing.family import HashFamily
 
 __all__ = [
     "Association",
@@ -67,7 +66,7 @@ _ANSWERS = tuple(
 _ANSWER_ARRAY = np.fromiter(_ANSWERS, dtype=object, count=8)
 
 
-class _AssociationBase:
+class _AssociationBase(ShiftedFilter):
     """Hash/offset plumbing shared by the plain and counting variants.
 
     Both variants keep the two hash tables ``T1``/``T2`` the construction
@@ -84,16 +83,8 @@ class _AssociationBase:
         w_bar: Optional[int],
         cell_bits: int,
     ):
-        require_positive("m", m)
-        require_positive("k", k)
-        self._m = m
-        self._k = k
-        self._family = family if family is not None else default_family()
-        self._policy = OffsetPolicy(
-            word_bits=word_bits,
-            cell_bits=cell_bits,
-            w_bar=w_bar if w_bar is not None else -1,
-        )
+        super().__init__(m, k, family)
+        self._offset_policy(word_bits, cell_bits, w_bar)
         # Force the half-range computation so invalid w_bar fails eagerly.
         self._policy.association_half_range
         self._t1: Set[bytes] = set()
@@ -102,31 +93,6 @@ class _AssociationBase:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def m(self) -> int:
-        """Logical number of cells."""
-        return self._m
-
-    @property
-    def k(self) -> int:
-        """Number of position hash functions."""
-        return self._k
-
-    @property
-    def w_bar(self) -> int:
-        """The offset range parameter."""
-        return self._policy.w_bar
-
-    @property
-    def family(self) -> HashFamily:
-        """The hash family in use."""
-        return self._family
-
-    @property
-    def policy(self) -> OffsetPolicy:
-        """The offset policy in force."""
-        return self._policy
-
     @property
     def n_s1(self) -> int:
         """Current size of S1 (from the construction hash table)."""
@@ -297,9 +263,7 @@ class ShiftingAssociationFilter(_AssociationBase):
         memory: Optional[MemoryModel] = None,
     ):
         super().__init__(m, k, family, word_bits, w_bar, cell_bits=1)
-        if memory is None:
-            memory = MemoryModel(word_bits=word_bits)
-        self._bits = BitArray(m + self._policy.slack_cells, memory=memory)
+        self._allocate(m + self._policy.slack_cells, memory, word_bits)
 
     @classmethod
     def for_sets(
@@ -320,21 +284,6 @@ class ShiftingAssociationFilter(_AssociationBase):
         instance = cls(m=m, k=k, family=family, word_bits=word_bits)
         instance.build(s1, s2)
         return instance
-
-    @property
-    def bits(self) -> BitArray:
-        """The underlying bit array."""
-        return self._bits
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The access-cost model."""
-        return self._bits.memory
-
-    @property
-    def size_bits(self) -> int:
-        """Total memory footprint in bits, slack included."""
-        return self._bits.nbits
 
     # ------------------------------------------------------------------
     # Construction (§4.1)
@@ -400,7 +349,7 @@ class ShiftingAssociationFilter(_AssociationBase):
             self._m, self._k, self.n_s1, self.n_s2)
 
 
-class CountingShiftingAssociationFilter(_AssociationBase):
+class CountingShiftingAssociationFilter(CountingTier, _AssociationBase):
     """CShBF_A: the counting/updatable ShBF_A of §4.3.
 
     Maintains a DRAM-tier counter array for updates and an SRAM-tier bit
@@ -435,36 +384,8 @@ class CountingShiftingAssociationFilter(_AssociationBase):
         require_positive("counter_bits", counter_bits)
         super().__init__(m, k, family, word_bits, w_bar,
                          cell_bits=counter_bits)
-        size = m + self._policy.slack_cells
-        if sram is None:
-            sram = MemoryModel(word_bits=word_bits, tier="sram")
-        if dram is None:
-            dram = MemoryModel(word_bits=word_bits, tier="dram")
-        self._bits = BitArray(size, memory=sram)
-        self._counters = CounterArray(
-            size, bits_per_counter=counter_bits, memory=dram,
-            overflow=OverflowPolicy.SATURATE,
-        )
-
-    @property
-    def bits(self) -> BitArray:
-        """The SRAM-tier query array."""
-        return self._bits
-
-    @property
-    def counters(self) -> CounterArray:
-        """The DRAM-tier update array."""
-        return self._counters
-
-    @property
-    def memory(self) -> MemoryModel:
-        """Query-side (SRAM) access model."""
-        return self._bits.memory
-
-    @property
-    def size_bits(self) -> int:
-        """Total footprint: bit array plus counter array."""
-        return self._bits.nbits + self._counters.total_bits
+        self._allocate_tiers(m + self._policy.slack_cells, counter_bits,
+                             sram, dram, word_bits)
 
     # ------------------------------------------------------------------
     # Encoding primitives
@@ -562,13 +483,6 @@ class CountingShiftingAssociationFilter(_AssociationBase):
     def query(self, element: ElementLike) -> AssociationAnswer:
         """Association query against the SRAM bit array."""
         return self._query_bits(self._bits, element)
-
-    def check_synchronised(self) -> bool:
-        """Invariant: ``B[i]`` set iff ``C[i] > 0`` (tests hook)."""
-        return all(
-            self._bits.peek(i) == (self._counters.peek(i) > 0)
-            for i in range(self._bits.nbits)
-        )
 
     def build(
         self, s1: Iterable[ElementLike], s2: Iterable[ElementLike]

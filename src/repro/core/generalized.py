@@ -18,22 +18,21 @@ which the tests assert.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._util import ElementLike, require_positive
 from repro._vector import mod_int64, record_early_exit, word_costs
-from repro.bitarray.bitarray import BitArray
 from repro.bitarray.memory import MemoryModel
-from repro.core.offsets import OffsetPolicy
+from repro.core.base import ElementFilter, ShiftedFilter
 from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.hashing.family import HashFamily, default_family
+from repro.hashing.family import HashFamily
 
 __all__ = ["GeneralizedShiftingBloomFilter"]
 
 
-class GeneralizedShiftingBloomFilter:
+class GeneralizedShiftingBloomFilter(ElementFilter, ShiftedFilter):
     """ShBF_M generalised to ``t`` partitioned shifts per base hash.
 
     Args:
@@ -66,8 +65,7 @@ class GeneralizedShiftingBloomFilter:
         w_bar: Optional[int] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        require_positive("m", m)
-        require_positive("k", k)
+        super().__init__(m, k, family)
         require_positive("t", t)
         if t >= k:
             raise ConfigurationError(
@@ -78,36 +76,16 @@ class GeneralizedShiftingBloomFilter:
                 "k=%d must be divisible by t+1=%d so each base carries "
                 "t+1 probe bits" % (k, t + 1)
             )
-        self._m = m
-        self._k = k
         self._t = t
         self._groups = k // (t + 1)
-        self._family = family if family is not None else default_family()
-        self._policy = OffsetPolicy(
-            word_bits=word_bits,
-            cell_bits=1,
-            w_bar=w_bar if w_bar is not None else -1,
-        )
+        self._offset_policy(word_bits, 1, w_bar)
         # Validate that w_bar can host t partitions (raises otherwise).
         self._segment = self._policy.partition_segment(t)
-        if memory is None:
-            memory = MemoryModel(word_bits=word_bits)
-        self._bits = BitArray(m + self._policy.slack_cells, memory=memory)
-        self._n_items = 0
+        self._allocate(m + self._policy.slack_cells, memory, word_bits)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def m(self) -> int:
-        """Logical number of bits."""
-        return self._m
-
-    @property
-    def k(self) -> int:
-        """Total probe bits per element."""
-        return self._k
-
     @property
     def t(self) -> int:
         """Number of shifts per base hash."""
@@ -119,43 +97,14 @@ class GeneralizedShiftingBloomFilter:
         return self._groups
 
     @property
-    def w_bar(self) -> int:
-        """The offset range parameter."""
-        return self._policy.w_bar
-
-    @property
     def segment(self) -> int:
         """Width of each shift partition, ``(w_bar - 1) // t``."""
         return self._segment
 
     @property
-    def n_items(self) -> int:
-        """Number of elements inserted so far."""
-        return self._n_items
-
-    @property
-    def bits(self) -> BitArray:
-        """The underlying bit array."""
-        return self._bits
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The access-cost model."""
-        return self._bits.memory
-
-    @property
-    def size_bits(self) -> int:
-        """Total memory footprint in bits, slack included."""
-        return self._bits.nbits
-
-    @property
     def hash_ops_per_query(self) -> int:
         """Hash computations per query: ``k/(t+1)`` bases + ``t`` offsets."""
         return self._groups + self._t
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits currently set."""
-        return self._bits.fill_ratio()
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -201,11 +150,6 @@ class GeneralizedShiftingBloomFilter:
             self._bits.set_offsets(base, group)
         self._n_items += 1
 
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Insert every element of an iterable."""
-        for element in elements:
-            self.add(element)
-
     def add_batch(self, elements: Sequence[ElementLike]) -> None:
         """Batch insert: ``t + 1`` bits per base set with one write each.
 
@@ -250,9 +194,6 @@ class GeneralizedShiftingBloomFilter:
             if not all(self._bits.test_offsets(base, group)):
                 return False
         return True
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.query(element)
 
     def remove(self, element: ElementLike) -> None:
         """Unsupported; the counting construction of §3.3 generalises the

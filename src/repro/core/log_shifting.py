@@ -29,19 +29,18 @@ partitioned variant.  The A7 ablation quantifies exactly that.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro._util import ElementLike, require_positive
-from repro.bitarray.bitarray import BitArray
 from repro.bitarray.memory import MemoryModel
-from repro.core.offsets import OffsetPolicy
+from repro.core.base import ElementFilter, ShiftedFilter
 from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.hashing.family import HashFamily, default_family
+from repro.hashing.family import HashFamily
 
 __all__ = ["LogShiftingBloomFilter"]
 
 
-class LogShiftingBloomFilter:
+class LogShiftingBloomFilter(ElementFilter, ShiftedFilter):
     """ShBF_M recursively halved: ``2**levels`` probe bits per base hash.
 
     Args:
@@ -75,24 +74,16 @@ class LogShiftingBloomFilter:
         w_bar: Optional[int] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        require_positive("m", m)
-        require_positive("k", k)
+        super().__init__(m, k, family)
         require_positive("levels", levels)
         fanout = 1 << levels
         if k % fanout != 0:
             raise ConfigurationError(
                 "k=%d must be divisible by 2**levels=%d" % (k, fanout)
             )
-        self._m = m
-        self._k = k
         self._levels = levels
         self._bases_count = k // fanout
-        self._family = family if family is not None else default_family()
-        self._policy = OffsetPolicy(
-            word_bits=word_bits,
-            cell_bits=1,
-            w_bar=w_bar if w_bar is not None else -1,
-        )
+        self._offset_policy(word_bits, 1, w_bar)
         # Level ranges shrink geometrically so the max subset sum stays
         # below w_bar: range_l = (w_bar - 1) // 2**(L - l + 1).
         self._ranges = []
@@ -104,63 +95,21 @@ class LogShiftingBloomFilter:
                     % (self._policy.w_bar, levels)
                 )
             self._ranges.append(span)
-        if memory is None:
-            memory = MemoryModel(word_bits=word_bits)
-        self._bits = BitArray(m + self._policy.slack_cells, memory=memory)
-        self._n_items = 0
+        self._allocate(m + self._policy.slack_cells, memory, word_bits)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def m(self) -> int:
-        """Logical number of bits."""
-        return self._m
-
-    @property
-    def k(self) -> int:
-        """Total probe bits per element."""
-        return self._k
-
     @property
     def levels(self) -> int:
         """Recursion depth ``L``."""
         return self._levels
 
     @property
-    def w_bar(self) -> int:
-        """The offset range parameter."""
-        return self._policy.w_bar
-
-    @property
-    def n_items(self) -> int:
-        """Number of elements inserted so far."""
-        return self._n_items
-
-    @property
-    def bits(self) -> BitArray:
-        """The underlying bit array."""
-        return self._bits
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The access-cost model."""
-        return self._bits.memory
-
-    @property
-    def size_bits(self) -> int:
-        """Total memory footprint in bits, slack included."""
-        return self._bits.nbits
-
-    @property
     def hash_ops_per_query(self) -> int:
         """Hash computations per query: ``k/2**L + L`` (the paper's
         ``log(k) + 1`` when ``L = log2(k)``)."""
         return self._bases_count + self._levels
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits currently set."""
-        return self._bits.fill_ratio()
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -196,11 +145,6 @@ class LogShiftingBloomFilter:
             self._bits.set_offsets(base, offsets)
         self._n_items += 1
 
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Insert every element of an iterable."""
-        for element in elements:
-            self.add(element)
-
     def query(self, element: ElementLike) -> bool:
         """Membership test: one word fetch per base, early exit."""
         offsets = self._offsets(element)
@@ -210,9 +154,6 @@ class LogShiftingBloomFilter:
             if not all(bits.test_offsets(value % m, offsets)):
                 return False
         return True
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.query(element)
 
     def remove(self, element: ElementLike) -> None:
         """Unsupported (extension mirrors the plain ShBF_M contract)."""

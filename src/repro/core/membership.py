@@ -22,18 +22,16 @@ array that serves queries.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._util import ElementLike, require_even, require_positive
 from repro._vector import mod_int64
-from repro.bitarray.bitarray import BitArray
-from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
-from repro.core.offsets import OffsetPolicy
+from repro.core.base import CountingTier, ElementFilter, ShiftedFilter
 from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.hashing.family import HashFamily, default_family
+from repro.hashing.family import HashFamily
 
 __all__ = ["CountingShiftingBloomFilter", "ShiftingBloomFilter"]
 
@@ -81,7 +79,7 @@ def _query_pairs_batch(filt, bits, elements) -> np.ndarray:
     return verdicts
 
 
-class ShiftingBloomFilter:
+class ShiftingBloomFilter(ElementFilter, ShiftedFilter):
     """ShBF_M: membership filter probing ``k/2`` shifted bit pairs.
 
     Args:
@@ -116,78 +114,15 @@ class ShiftingBloomFilter:
         w_bar: Optional[int] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        require_positive("m", m)
-        require_even("k", k)
-        self._m = m
-        self._k = k
+        super().__init__(m, k, family, check_k=require_even)
         self._half = k // 2
-        self._family = family if family is not None else default_family()
-        self._policy = OffsetPolicy(
-            word_bits=word_bits,
-            cell_bits=1,
-            w_bar=w_bar if w_bar is not None else -1,
-        )
-        if memory is None:
-            memory = MemoryModel(word_bits=word_bits)
-        self._bits = BitArray(m + self._policy.slack_cells, memory=memory)
-        self._n_items = 0
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def m(self) -> int:
-        """Logical number of bits (excluding anti-wrap slack)."""
-        return self._m
-
-    @property
-    def k(self) -> int:
-        """Total probe bits per element."""
-        return self._k
-
-    @property
-    def w_bar(self) -> int:
-        """The offset range parameter (offsets lie in ``[1, w_bar-1]``)."""
-        return self._policy.w_bar
-
-    @property
-    def n_items(self) -> int:
-        """Number of elements inserted so far."""
-        return self._n_items
-
-    @property
-    def family(self) -> HashFamily:
-        """The hash family in use."""
-        return self._family
-
-    @property
-    def policy(self) -> OffsetPolicy:
-        """The offset policy in force."""
-        return self._policy
-
-    @property
-    def bits(self) -> BitArray:
-        """The underlying bit array (``m + w_bar - 1`` bits)."""
-        return self._bits
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The access-cost model of the underlying array."""
-        return self._bits.memory
-
-    @property
-    def size_bits(self) -> int:
-        """Total memory footprint in bits, slack included."""
-        return self._bits.nbits
+        self._offset_policy(word_bits, 1, w_bar)
+        self._allocate(m + self._policy.slack_cells, memory, word_bits)
 
     @property
     def hash_ops_per_query(self) -> int:
         """Worst-case hash computations per query: ``k/2 + 1`` (§3.1)."""
         return self._half + 1
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits currently set."""
-        return self._bits.fill_ratio()
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -214,11 +149,6 @@ class ShiftingBloomFilter:
         for base in bases:
             self._bits.set_offsets(base, pair)
         self._n_items += 1
-
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Insert every element of an iterable."""
-        for element in elements:
-            self.add(element)
 
     def add_batch(self, elements: Sequence[ElementLike]) -> None:
         """Batch insert: hashes, bit writes and accounting vectorised.
@@ -261,9 +191,6 @@ class ShiftingBloomFilter:
             if not bits.test_pair(value % m, offset):
                 return False
         return True
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.query(element)
 
     def remove(self, element: ElementLike) -> None:
         """Unsupported on the plain filter; §3.3's counting variant
@@ -337,7 +264,8 @@ class ShiftingBloomFilter:
             self._m, self._k, self.w_bar, self._n_items)
 
 
-class CountingShiftingBloomFilter:
+class CountingShiftingBloomFilter(CountingTier, ElementFilter,
+                                  ShiftedFilter):
     """CShBF_M: the counting/updatable ShBF_M of §3.3.
 
     Maintains **two** synchronised structures, exactly as the paper
@@ -377,86 +305,17 @@ class CountingShiftingBloomFilter:
         sram: Optional[MemoryModel] = None,
         dram: Optional[MemoryModel] = None,
     ):
-        require_positive("m", m)
-        require_even("k", k)
+        super().__init__(m, k, family, check_k=require_even)
         require_positive("counter_bits", counter_bits)
-        self._m = m
-        self._k = k
         self._half = k // 2
-        self._family = family if family is not None else default_family()
-        self._policy = OffsetPolicy(
-            word_bits=word_bits,
-            cell_bits=counter_bits,
-            w_bar=w_bar if w_bar is not None else -1,
-        )
-        size = m + self._policy.slack_cells
-        if sram is None:
-            sram = MemoryModel(word_bits=word_bits, tier="sram")
-        if dram is None:
-            dram = MemoryModel(word_bits=word_bits, tier="dram")
-        self._bits = BitArray(size, memory=sram)
-        self._counters = CounterArray(
-            size, bits_per_counter=counter_bits, memory=dram,
-            overflow=OverflowPolicy.SATURATE,
-        )
-        self._n_items = 0
+        self._offset_policy(word_bits, counter_bits, w_bar)
+        self._allocate_tiers(m + self._policy.slack_cells, counter_bits,
+                             sram, dram, word_bits)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def m(self) -> int:
-        """Logical number of cells."""
-        return self._m
-
-    @property
-    def k(self) -> int:
-        """Total probe bits per element."""
-        return self._k
-
-    @property
-    def w_bar(self) -> int:
-        """The (counting-bounded) offset range parameter."""
-        return self._policy.w_bar
-
-    @property
-    def n_items(self) -> int:
-        """Net number of elements represented."""
-        return self._n_items
-
-    @property
-    def bits(self) -> BitArray:
-        """The SRAM-tier query array ``B``."""
-        return self._bits
-
-    @property
-    def counters(self) -> CounterArray:
-        """The DRAM-tier update array ``C``."""
-        return self._counters
-
-    @property
-    def memory(self) -> MemoryModel:
-        """Query-side (SRAM) access model, for harness symmetry."""
-        return self._bits.memory
-
-    @property
-    def size_bits(self) -> int:
-        """Total footprint: bits of ``B`` plus bits of ``C``."""
-        return self._bits.nbits + self._counters.total_bits
-
-    @property
-    def hash_ops_per_query(self) -> int:
-        """Worst-case hash computations per query: ``k/2 + 1``."""
-        return self._half + 1
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    def _bases_and_offset(self, element: ElementLike) -> Tuple[List[int], int]:
-        values = self._family.values(element, self._half + 1)
-        bases = [v % self._m for v in values[: self._half]]
-        offset = self._policy.membership_offset(values[self._half])
-        return bases, offset
+    # ShBF_M's probe layout, and its query against the SRAM bit array.
+    hash_ops_per_query = ShiftingBloomFilter.hash_ops_per_query
+    _bases_and_offset = ShiftingBloomFilter._bases_and_offset
+    query = ShiftingBloomFilter.query
 
     # ------------------------------------------------------------------
     # Core operations
@@ -469,11 +328,6 @@ class CountingShiftingBloomFilter:
             self._counters.increment_offsets(base, pair)
             self._bits.set_offsets(base, pair)
         self._n_items += 1
-
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Insert every element of an iterable."""
-        for element in elements:
-            self.add(element)
 
     def add_batch(self, elements: Sequence[ElementLike]) -> None:
         """Batch insert updating both tiers with vectorised accounting.
@@ -519,32 +373,6 @@ class CountingShiftingBloomFilter:
                 if self._counters.peek(base + o) == 0:
                     self._bits.clear(base + o)
         self._n_items -= 1
-
-    def query(self, element: ElementLike) -> bool:
-        """Membership test against the SRAM bit array (ShBF_M query)."""
-        offset = self._policy.membership_offset(
-            self._family.hash(self._half, element))
-        m = self._m
-        bits = self._bits
-        for value in self._family.iter_values(element, self._half):
-            if not bits.test_pair(value % m, offset):
-                return False
-        return True
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.query(element)
-
-    def check_synchronised(self) -> bool:
-        """Invariant: ``B[i]`` is set iff ``C[i] > 0`` (tests hook).
-
-        Saturated counters are the one permitted divergence source, but
-        with saturating semantics a bit stays set while its counter is
-        stuck at max, so the equivalence still holds.
-        """
-        return all(
-            self._bits.peek(i) == (self._counters.peek(i) > 0)
-            for i in range(self._bits.nbits)
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -37,11 +37,11 @@ from repro._util import (ElementLike, require_positive, to_bytes,
                          to_bytes_batch)
 from repro._vector import bit_length_u64, record_early_exit, word_costs
 from repro.bitarray.bitarray import BitArray
-from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
+from repro.core.base import BitArrayFilter, CountingTier
 from repro.core.interfaces import MultiplicityAnswer
 from repro.errors import CapacityError, ConfigurationError
-from repro.hashing.family import HashFamily, default_family
+from repro.hashing.family import HashFamily
 
 __all__ = [
     "CountingShiftingMultiplicityFilter",
@@ -51,7 +51,7 @@ __all__ = [
 _REPORT_POLICIES = ("largest", "smallest")
 
 
-class _MultiplicityBase:
+class _MultiplicityBase(BitArrayFilter):
     """Hash plumbing and candidate-intersection query shared by variants."""
 
     def __init__(
@@ -62,29 +62,15 @@ class _MultiplicityBase:
         family: Optional[HashFamily],
         report: str,
     ):
-        require_positive("m", m)
-        require_positive("k", k)
+        super().__init__(m, k, family)
         require_positive("c_max", c_max)
         if report not in _REPORT_POLICIES:
             raise ConfigurationError(
                 "report must be one of %r, got %r"
                 % (_REPORT_POLICIES, report)
             )
-        self._m = m
-        self._k = k
         self._c_max = c_max
         self._report = report
-        self._family = family if family is not None else default_family()
-
-    @property
-    def m(self) -> int:
-        """Logical number of cells."""
-        return self._m
-
-    @property
-    def k(self) -> int:
-        """Number of hash functions."""
-        return self._k
 
     @property
     def c_max(self) -> int:
@@ -97,14 +83,16 @@ class _MultiplicityBase:
         return self._report
 
     @property
-    def family(self) -> HashFamily:
-        """The hash family in use."""
-        return self._family
-
-    @property
     def hash_ops_per_query(self) -> int:
         """Hash computations per query (``k``)."""
         return self._k
+
+    def estimate(self, element: ElementLike) -> int:
+        """Shortcut for ``query(element).reported``."""
+        return self.query(element).reported
+
+    def __contains__(self, element: ElementLike) -> bool:
+        return self.query(element).present
 
     def _bases(self, element: ElementLike) -> List[int]:
         return [v % self._m for v in self._family.values(element, self._k)]
@@ -209,24 +197,8 @@ class ShiftingMultiplicityFilter(_MultiplicityBase):
         memory: Optional[MemoryModel] = None,
     ):
         super().__init__(m, k, c_max, family, report)
-        self._bits = BitArray(m + c_max - 1 if c_max > 1 else m,
-                              memory=memory)
+        self._allocate(m + c_max - 1, memory)
         self._counts: Dict[bytes, int] = {}
-
-    @property
-    def bits(self) -> BitArray:
-        """The underlying bit array."""
-        return self._bits
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The access-cost model."""
-        return self._bits.memory
-
-    @property
-    def size_bits(self) -> int:
-        """Bit-array footprint (the on-chip part)."""
-        return self._bits.nbits
 
     @property
     def n_items(self) -> int:
@@ -346,19 +318,12 @@ class ShiftingMultiplicityFilter(_MultiplicityBase):
         """
         return self._query_bits_batch(self._bits, elements)
 
-    def estimate(self, element: ElementLike) -> int:
-        """Shortcut for ``query(element).reported``."""
-        return self.query(element).reported
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.query(element).present
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ShiftingMultiplicityFilter(m=%d, k=%d, c_max=%d, items=%d)" \
             % (self._m, self._k, self._c_max, len(self._counts))
 
 
-class CountingShiftingMultiplicityFilter(_MultiplicityBase):
+class CountingShiftingMultiplicityFilter(CountingTier, _MultiplicityBase):
     """CShBF_x: updatable ShBF_x with the two §5.3 update strategies.
 
     Maintains three structures, mirroring Fig. 5's pipeline:
@@ -404,42 +369,13 @@ class CountingShiftingMultiplicityFilter(_MultiplicityBase):
                 "source must be one of %r, got %r" % (self._SOURCES, source)
             )
         self._source = source
-        size = m + c_max - 1 if c_max > 1 else m
-        if sram is None:
-            sram = MemoryModel(tier="sram")
-        if dram is None:
-            dram = MemoryModel(tier="dram")
-        self._bits = BitArray(size, memory=sram)
-        self._counters = CounterArray(
-            size, bits_per_counter=counter_bits, memory=dram,
-            overflow=OverflowPolicy.SATURATE,
-        )
+        self._allocate_tiers(m + c_max - 1, counter_bits, sram, dram)
         self._table: Dict[bytes, int] = {}
 
     @property
     def source(self) -> str:
         """Where updates learn the current multiplicity."""
         return self._source
-
-    @property
-    def bits(self) -> BitArray:
-        """The SRAM-tier query array."""
-        return self._bits
-
-    @property
-    def counters(self) -> CounterArray:
-        """The DRAM-tier reference-count array."""
-        return self._counters
-
-    @property
-    def memory(self) -> MemoryModel:
-        """Query-side (SRAM) access model."""
-        return self._bits.memory
-
-    @property
-    def size_bits(self) -> int:
-        """Footprint of the on-chip and off-chip arrays (table excluded)."""
-        return self._bits.nbits + self._counters.total_bits
 
     @property
     def n_items(self) -> int:
@@ -537,13 +473,6 @@ class CountingShiftingMultiplicityFilter(_MultiplicityBase):
     def query_batch(self, elements: Sequence[ElementLike]) -> np.ndarray:
         """Batch query against the SRAM bit array (reported values)."""
         return self._query_bits_batch(self._bits, elements)
-
-    def estimate(self, element: ElementLike) -> int:
-        """Shortcut for ``query(element).reported``."""
-        return self.query(element).reported
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.query(element).present
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

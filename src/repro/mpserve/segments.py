@@ -263,6 +263,12 @@ class AttachedGeneration:
         self._segment = segment
 
     def close(self) -> None:
+        """Drop the target's views of the segment, then unmap it.
+
+        A view held elsewhere (a caller still serving the target) keeps
+        the mapping alive until it is collected.
+        """
+        self.target = None
         try:
             self._segment.close()
         except (BufferError, OSError):  # pragma: no cover - late views

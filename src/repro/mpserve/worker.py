@@ -128,7 +128,6 @@ class ReadWorkerService(FilterService):
         stale = self._attached
         self._attached = fresh
         self._target = fresh.target
-        stale.target = None
         stale.close()
         return True
 
@@ -210,6 +209,9 @@ class ReadWorkerService(FilterService):
 
     async def close(self) -> None:
         await self._drop_forward_connection()
+        # The served target views the segment too; drop it so the
+        # segment unmaps here.
+        self._target = None
         self._attached.close()
         self._reader.close()
 

@@ -195,9 +195,8 @@ def filter_header(filt) -> dict:
             "unsupported filter type %r" % type(filt).__name__)
     # Any registry family round-trips (family_spec <-> make_family); an
     # ad-hoc one raises rather than silently mis-hash after a restore.
-    family = filt.family if hasattr(filt, "family") else filt._family
     try:
-        kind, seed = family_spec(family)
+        kind, seed = family_spec(filt.family)
     except ConfigurationError as exc:
         raise ConfigurationError(
             "filter cannot be snapshotted: %s" % exc) from None

@@ -70,6 +70,7 @@ import numpy as np
 
 from repro import persistence
 from repro.core.association_types import AssociationAnswer
+from repro.core.interfaces import MultiplicityAnswer
 from repro.errors import (
     ConfigurationError,
     NotASnapshotError,
@@ -592,11 +593,11 @@ class FilterService:
             if self.on_write is not None:
                 self.on_write(elements, counts)
             return [None] * len(elements)
-        self.counters.elements_queried += len(elements)
         results = target.query_batch(elements)
         if kind == "query_multi" and isinstance(results, np.ndarray):
             raise UnsupportedOperationError(
                 _NOT_ASSOCIATION % type(target).__name__)
+        self.counters.elements_queried += len(elements)
         return results
 
     def flush_pending(self) -> None:
@@ -646,6 +647,9 @@ class FilterService:
         counters.batches_executed += 1
         if kind == "query" and isinstance(answers[0], (bool, np.bool_)):
             return np.asarray(answers, dtype=bool)
+        if kind == "query" and isinstance(answers[0], MultiplicityAnswer):
+            # The reported counts, as the coalesced path's query_batch.
+            return np.array([a.reported for a in answers], dtype=np.int64)
         return answers
 
     # ------------------------------------------------------------------

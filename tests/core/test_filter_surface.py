@@ -42,8 +42,21 @@ from repro.hashing.family import make_family
 
 GOLDEN = pathlib.Path(__file__).with_name("filter_surface_golden.json")
 
-#: Public names a class gained from the shared skeleton.
-ADDED_NAMES: dict = {}
+#: Public names a class gained from the shared skeleton
+#: (:mod:`repro.core.base`): ``family`` and ``fill_ratio`` from
+#: ``BitArrayFilter``, ``policy`` from ``ShiftedFilter`` and
+#: ``check_synchronised`` from ``CountingTier``.
+ADDED_NAMES = {
+    "CountingShiftingAssociationFilter": {"fill_ratio"},
+    "CountingShiftingBloomFilter": {"family", "fill_ratio", "policy"},
+    "CountingShiftingMultiplicityFilter": {"check_synchronised",
+                                           "fill_ratio"},
+    "GeneralizedShiftingBloomFilter": {"family", "policy"},
+    "LogShiftingBloomFilter": {"family", "policy"},
+    "OneMemoryBloomFilter": {"family"},
+    "ShiftingAssociationFilter": {"fill_ratio"},
+    "ShiftingMultiplicityFilter": {"fill_ratio"},
+}
 
 
 def _keys(prefix: str, count: int) -> list:
@@ -121,7 +134,7 @@ def _family():
     return make_family("blake2b", 0)
 
 
-#: class -> fixed instance factory and driver.
+#: class -> (factory of its fixed instance, the ops run on it).
 CASES = {
     ShiftingBloomFilter: (
         lambda: ShiftingBloomFilter(m=4096, k=8, family=_family()),

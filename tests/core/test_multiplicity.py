@@ -157,6 +157,7 @@ class TestCountingHashTable:
         for i, e in enumerate(members):
             expected = 2 if i < 50 else 3
             assert expected in filt.query(e).candidates
+        assert filt.check_synchronised()
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -203,6 +204,8 @@ class TestCountingSelfQuery:
                 pass  # a false positive pushed the estimate to c_max
         # structure remains queryable
         filt.query(b"anything")
+        # corrupted counts still keep B[i] set iff C[i] > 0
+        assert filt.check_synchronised()
 
     def test_invalid_source_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -10,6 +10,7 @@ nothing and unlinked names cannot be attached again.
 
 from __future__ import annotations
 
+import asyncio
 import os
 
 import pytest
@@ -18,7 +19,9 @@ from repro.mpserve.segments import (GenerationPublisher, GenerationReader,
                                     attach_segment, create_segment,
                                     purge_segments, recover_target,
                                     unlink_segment)
+from repro.mpserve.worker import ReadWorkerService
 from repro.store import StoreSpec
+from repro.store import shm as store_shm
 
 
 @pytest.fixture
@@ -66,6 +69,40 @@ def test_recover_target_returns_the_published_generation(base_name):
     assert target.snapshot() == store.snapshot()
     publisher.close(unlink=True)
     assert recover_target(base_name) is None
+
+
+def test_attached_generation_close_unmaps_its_segment(base_name):
+    # close() drops the attached target's views of the data segment
+    # itself, so the mapping goes at once, not at garbage collection.
+    store = small_store()
+    publisher = GenerationPublisher(base_name)
+    publisher.publish(store)
+    reader = GenerationReader(base_name)
+    reader.connect(timeout_s=1.0)
+    attached = reader.attach()
+    copy = store_shm.materialize(attached.target)
+    segment = attached._segment
+    attached.close()
+    assert segment._mmap is None
+    assert attached.target is None
+    assert copy.snapshot() == store.snapshot()
+    reader.close()
+    publisher.close(unlink=True)
+
+
+def test_worker_close_unmaps_its_generation(base_name):
+    # The worker serves the attached target; closing the worker drops
+    # that reference too, so the segment unmaps on close.
+    publisher = GenerationPublisher(base_name)
+    publisher.publish(small_store())
+    reader = GenerationReader(base_name)
+    reader.connect(timeout_s=1.0)
+    attached = reader.attach()
+    segment = attached._segment
+    worker = ReadWorkerService(attached, reader, "127.0.0.1", 1)
+    asyncio.run(worker.close())
+    assert segment._mmap is None
+    publisher.close(unlink=True)
 
 
 def test_unlink_segment_unlinks_a_segment_with_a_live_view(base_name):

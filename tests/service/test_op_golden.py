@@ -286,7 +286,7 @@ GOLDEN = {
          "requests_total": 2}),
     "primary/QUERY_MULTI": (
         ERR, "UnsupportedOperationError", "cd6904b6b11172a2",
-        {"elements_queried": 24, "peak_queue_depth": 1, "requests_total": 2}),
+        {"peak_queue_depth": 1, "requests_total": 2}),
     "primary/SNAPSHOT": (OK, None, "ff1fd757ff3e12c7", None),
     "primary/RESTORE": (OK, None, "17eb70034b5b7109", None),
     "primary/STATS": (OK, None, "e6c02f8af2efdf75", None),
@@ -316,7 +316,7 @@ GOLDEN = {
          "requests_total": 2}),
     "standby/QUERY_MULTI": (
         ERR, "UnsupportedOperationError", "cd6904b6b11172a2",
-        {"elements_queried": 24, "peak_queue_depth": 1, "requests_total": 2}),
+        {"peak_queue_depth": 1, "requests_total": 2}),
     "standby/SNAPSHOT": (OK, None, "ff1fd757ff3e12c7", None),
     "standby/RESTORE": (ERR, "StandbyReadOnlyError", "67fc28c5dec5a765", None),
     "standby/STATS": (OK, None, "462ae5421e99e3ef", None),
@@ -467,7 +467,7 @@ GOLDEN = {
          "requests_total": 2}),
     "count/QUERY_MULTI": (
         ERR, "UnsupportedOperationError", "290d0fb6dbba6205",
-        {"elements_queried": 24, "peak_queue_depth": 1, "requests_total": 2}),
+        {"peak_queue_depth": 1, "requests_total": 2}),
     "count/SNAPSHOT": (ERR, "ConfigurationError", "add6e4cd17b21023", None),
     "count/RESTORE": (OK, None, "17eb70034b5b7109", None),
     "count/STATS": (OK, None, "8b6701157a2c15fe", None),
@@ -492,9 +492,9 @@ GOLDEN = {
         {"batches_executed": 1, "elements_added": 24, "peak_queue_depth": 1,
          "requests_total": 2}),
     "count_scalar/QUERY": (
-        ERR, "ProtocolError", "410c0ce4f5b7681c",
+        OK, None, "550e9166e3fb9273",
         {"batches_executed": 1, "elements_queried": 24, "peak_queue_depth": 1,
-         "protocol_errors": 1, "requests_total": 2}),
+         "requests_total": 2}),
     "count_scalar/QUERY_MULTI": (
         ERR, "UnsupportedOperationError", "290d0fb6dbba6205",
         {"peak_queue_depth": 1, "requests_total": 2}),
@@ -555,7 +555,7 @@ GOLDEN = {
          "requests_total": 2}),
     "worker/QUERY_MULTI": (
         ERR, "UnsupportedOperationError", "cd6904b6b11172a2",
-        {"elements_queried": 24, "peak_queue_depth": 1, "requests_total": 2}),
+        {"peak_queue_depth": 1, "requests_total": 2}),
     "worker/SNAPSHOT": (OK, None, "ff1fd757ff3e12c7", None),
     "worker/RESTORE": (
         ERR, "UnsupportedOperationError", "fdb48ea088133ff8", None),

@@ -164,6 +164,22 @@ class TestOtherQueryTypes:
         assert wire.dtype == np.int64
         assert (wire == expected).all()
 
+    def test_multiplicity_counts_round_trip_scalar_path(self, service_run):
+        # With max_batch=1 each element runs through the scalar query;
+        # the wire still carries query_batch's int64 reported counts.
+        filt = ShiftingMultiplicityFilter(m=8192, k=4, c_max=16)
+        elements = [b"flow-%03d" % i for i in range(60)]
+        filt.add_batch(elements, [(i % 7) + 1 for i in range(60)])
+        probe = elements + [b"absent-%03d" % i for i in range(20)]
+        expected = filt.query_batch(probe)
+
+        async def scenario(client, service, port):
+            return await client.query(probe)
+
+        wire = service_run(filt, scenario, CoalescerConfig(max_batch=1))
+        assert wire.dtype == np.int64
+        assert wire.tolist() == expected.tolist()
+
 
 class TestOperationalSurface:
     def test_ping_and_stats(self, service_run):
@@ -201,6 +217,20 @@ class TestOperationalSurface:
             return True
 
         assert service_run(make_store(), scenario)
+
+    def test_refused_query_multi_counts_no_elements(self, service_run):
+        # STATS elements_queried counts answered elements only: a
+        # coalesced QUERY_MULTI the target refuses moves it by nothing,
+        # as on the scalar path.
+        async def scenario(client, service, port):
+            with pytest.raises(UnsupportedOperationError):
+                await client.query_multi([b"x-1", b"x-2", b"x-3"])
+            await client.query([b"y"])
+            return await client.stats()
+
+        stats = service_run(make_store(), scenario)
+        assert stats["counters"]["elements_queried"] == 1
+        assert stats["counters"]["batches_executed"] == 1
 
     def test_query_multi_typed_refusal_in_scalar_mode(self, service_run):
         # The uncoalesced path must refuse with the same typed error as

@@ -44,6 +44,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 #: Flags of external tools the docs may reference without defining.
 EXTERNAL_FLAGS = {
     "--cov", "--cov-report", "--cov-fail-under",  # pytest-cov
+    "--benchmark-disable",  # pytest-benchmark
     "--smoke-test",  # historical alias guard; harmless if unused
     "--version",
 }
