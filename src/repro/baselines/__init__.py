@@ -22,6 +22,19 @@ used in our ablations) is implemented here from scratch:
 * :class:`~repro.baselines.cuckoo.CuckooFilter` and
   :class:`~repro.baselines.dcf.DynamicCountFilter` — related-work schemes
   (§2.1, §2.3) used in ablation benches.
+
+Every baseline stands on the filter skeleton of :mod:`repro.core.base`,
+as the shifting filters do, and keeps only its own cells, probes and
+scalar ops.  BF and 1MemBF are bit-array filters
+(:class:`~repro.core.base.BitArrayFilter`).  The counter, sketch and
+fingerprint structures share the skeleton's root
+(:class:`~repro.core.base.HashedStructure`: checked sizes, the default
+hash family, ``memory``): CBF, Spectral BF and DCF add the ``m``-cell,
+``k``-probe :class:`~repro.core.base.ProbeGeometry`; CBF and the cuckoo
+filter are :class:`~repro.core.base.ElementFilter` s (``n_items``,
+``update``, ``in``); CM, Spectral BF and DCF are
+:class:`~repro.core.base.CountEstimator` s, whose ``query`` and ``in``
+come from their ``estimate``; iBF uses the root alone.
 """
 
 from repro.baselines.bloom import BloomFilter

@@ -18,16 +18,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro._util import ElementLike, require_positive
+from repro._util import ElementLike
 from repro.bitarray.memory import MemoryModel
-from repro.core.base import ElementFilter
+from repro.core.base import BitArrayFilter, ElementFilter, bloom_geometry
 from repro.errors import ConfigurationError, UnsupportedOperationError
 from repro.hashing.family import HashFamily
 
 __all__ = ["BloomFilter"]
 
 
-class BloomFilter(ElementFilter):
+class BloomFilter(ElementFilter, BitArrayFilter):
     """Standard Bloom filter over an ``m``-bit array with ``k`` hashes.
 
     Args:
@@ -65,16 +65,9 @@ class BloomFilter(ElementFilter):
         family: Optional[HashFamily] = None,
         memory: Optional[MemoryModel] = None,
     ) -> "BloomFilter":
-        """Size a filter for ``n`` elements at target false positive rate.
-
-        Uses the textbook optima ``m = -n ln f / (ln 2)^2`` and
-        ``k = (m/n) ln 2`` (Eq. (8)/(9) territory of the paper).
-        """
-        require_positive("n", n)
-        if not 0.0 < fpr < 1.0:
-            raise ValueError("fpr must be in (0, 1), got %r" % fpr)
-        m = max(1, math.ceil(-n * math.log(fpr) / (math.log(2) ** 2)))
-        k = max(1, round(m / n * math.log(2)))
+        """Size a filter for ``n`` elements at target false positive rate
+        (:func:`~repro.core.base.bloom_geometry`)."""
+        m, k = bloom_geometry(n, fpr)
         return cls(m=m, k=k, family=family, memory=memory)
 
     @property
@@ -93,9 +86,6 @@ class BloomFilter(ElementFilter):
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
-    def _positions(self, element: ElementLike) -> list[int]:
-        return [v % self._m for v in self._family.values(element, self._k)]
-
     def add(self, element: ElementLike) -> None:
         """Insert *element*: set its ``k`` bits (``k`` recorded writes)."""
         for position in self._positions(element):

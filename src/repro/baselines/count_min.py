@@ -15,19 +15,19 @@ benches; the paper's comparisons use the classic update.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro._util import ElementLike, require_positive
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
-from repro.core.interfaces import MultiplicityAnswer
+from repro.core.base import CountEstimator, memory_model
 from repro.errors import UnsupportedOperationError
-from repro.hashing.family import HashFamily, default_family
+from repro.hashing.family import HashFamily
 
 __all__ = ["CountMinSketch"]
 
 
-class CountMinSketch:
+class CountMinSketch(CountEstimator):
     """Count-Min sketch with ``d`` rows of ``r`` packed counters.
 
     Args:
@@ -56,18 +56,15 @@ class CountMinSketch:
         family: Optional[HashFamily] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        require_positive("d", d)
-        require_positive("r", r)
+        super().__init__(family, d=d, r=r)
         self._d = d
         self._r = r
         self._conservative = conservative
-        self._family = family if family is not None else default_family()
-        self._memory = memory if memory is not None else MemoryModel()
+        self._memory = memory_model(memory)
         self._rows = CounterArray(
             d * r, bits_per_counter=counter_bits, memory=self._memory,
             overflow=OverflowPolicy.SATURATE,
         )
-        self._n_items = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -81,16 +78,6 @@ class CountMinSketch:
     def r(self) -> int:
         """Counters per row."""
         return self._r
-
-    @property
-    def n_items(self) -> int:
-        """Total inserted count mass."""
-        return self._n_items
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The access-cost model."""
-        return self._memory
 
     @property
     def size_bits(self) -> int:
@@ -133,11 +120,6 @@ class CountMinSketch:
                     self._rows.increment(cell, by=target - value)
         self._n_items += count
 
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Add one occurrence of each element in an iterable."""
-        for element in elements:
-            self.add(element)
-
     def remove(self, element: ElementLike) -> None:
         """Unsupported: CM point deletions break the upper-bound guarantee
         under conservative update and are not part of the paper's setup."""
@@ -162,15 +144,6 @@ class CountMinSketch:
             if minimum is None or value < minimum:
                 minimum = value
         return minimum if minimum is not None else 0
-
-    def query(self, element: ElementLike) -> MultiplicityAnswer:
-        """Multiplicity query in the harness' common answer format."""
-        value = self.estimate(element)
-        candidates = (value,) if value > 0 else ()
-        return MultiplicityAnswer(candidates=candidates, reported=value)
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.estimate(element) > 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "CountMinSketch(d=%d, r=%d, conservative=%s)" % (

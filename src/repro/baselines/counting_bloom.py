@@ -10,18 +10,19 @@ overflow so the filter may leak but never false-negates.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro._util import ElementLike, require_positive
+from repro._util import ElementLike
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
-from repro.hashing.family import HashFamily, default_family
+from repro.core.base import (ElementFilter, ProbeGeometry, bloom_geometry,
+                             memory_model)
+from repro.hashing.family import HashFamily
 
 __all__ = ["CountingBloomFilter"]
 
 
-class CountingBloomFilter:
+class CountingBloomFilter(ElementFilter, ProbeGeometry):
     """Counting Bloom filter with ``m`` packed ``z``-bit counters.
 
     Args:
@@ -50,16 +51,12 @@ class CountingBloomFilter:
         memory: Optional[MemoryModel] = None,
         overflow: OverflowPolicy = OverflowPolicy.SATURATE,
     ):
-        require_positive("m", m)
-        require_positive("k", k)
-        self._m = m
-        self._k = k
-        self._family = family if family is not None else default_family()
+        super().__init__(m, k, family)
+        self._memory = memory_model(memory, tier="dram")
         self._counters = CounterArray(
-            m, bits_per_counter=counter_bits, memory=memory,
+            m, bits_per_counter=counter_bits, memory=self._memory,
             overflow=overflow,
         )
-        self._n_items = 0
 
     @classmethod
     def for_capacity(
@@ -69,41 +66,15 @@ class CountingBloomFilter:
         counter_bits: int = 4,
         family: Optional[HashFamily] = None,
     ) -> "CountingBloomFilter":
-        """Size for ``n`` elements at a target FPR (same optima as BF)."""
-        require_positive("n", n)
-        if not 0.0 < fpr < 1.0:
-            raise ValueError("fpr must be in (0, 1), got %r" % fpr)
-        m = max(1, math.ceil(-n * math.log(fpr) / (math.log(2) ** 2)))
-        k = max(1, round(m / n * math.log(2)))
+        """Size for ``n`` elements at a target FPR (same optima as BF,
+        :func:`~repro.core.base.bloom_geometry`)."""
+        m, k = bloom_geometry(n, fpr)
         return cls(m=m, k=k, counter_bits=counter_bits, family=family)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def m(self) -> int:
-        """Number of counters."""
-        return self._m
-
-    @property
-    def k(self) -> int:
-        """Number of hash functions."""
-        return self._k
-
-    @property
-    def n_items(self) -> int:
-        """Number of elements currently represented (inserts - deletes)."""
-        return self._n_items
 
     @property
     def counters(self) -> CounterArray:
         """The underlying counter array."""
         return self._counters
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The access-cost model of the counter array."""
-        return self._counters.memory
 
     @property
     def size_bits(self) -> int:
@@ -118,19 +89,11 @@ class CountingBloomFilter:
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
-    def _positions(self, element: ElementLike) -> list[int]:
-        return [v % self._m for v in self._family.values(element, self._k)]
-
     def add(self, element: ElementLike) -> None:
         """Insert *element*: increment its ``k`` counters."""
         for position in self._positions(element):
             self._counters.increment(position)
         self._n_items += 1
-
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Insert every element of an iterable."""
-        for element in elements:
-            self.add(element)
 
     def remove(self, element: ElementLike) -> None:
         """Delete *element*: decrement its ``k`` counters.
@@ -151,9 +114,6 @@ class CountingBloomFilter:
             if self._counters.get(value % m) == 0:
                 return False
         return True
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.query(element)
 
     def count_estimate(self, element: ElementLike) -> int:
         """Minimum counter value over the ``k`` positions.

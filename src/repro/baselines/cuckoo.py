@@ -15,13 +15,14 @@ comparison for FPR/space/access trade-offs.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro._util import ElementLike, require_positive, to_bytes
+from repro._util import ElementLike, to_bytes
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
+from repro.core.base import ElementFilter, memory_model
 from repro.errors import CapacityError
-from repro.hashing.family import HashFamily, default_family
+from repro.hashing.family import HashFamily
 
 __all__ = ["CuckooFilter"]
 
@@ -30,7 +31,7 @@ _INDEX_BUCKET = 0
 _INDEX_FINGERPRINT = 1
 
 
-class CuckooFilter:
+class CuckooFilter(ElementFilter):
     """Partial-key cuckoo filter with 4-slot buckets.
 
     Args:
@@ -63,14 +64,13 @@ class CuckooFilter:
         memory: Optional[MemoryModel] = None,
         seed: int = 0,
     ):
-        require_positive("capacity", capacity)
-        require_positive("fingerprint_bits", fingerprint_bits)
-        require_positive("slots_per_bucket", slots_per_bucket)
-        require_positive("max_kicks", max_kicks)
+        super().__init__(family, capacity=capacity,
+                         fingerprint_bits=fingerprint_bits,
+                         slots_per_bucket=slots_per_bucket,
+                         max_kicks=max_kicks)
         self._fp_bits = fingerprint_bits
         self._slots = slots_per_bucket
         self._max_kicks = max_kicks
-        self._family = family if family is not None else default_family()
         self._rng = random.Random(seed)
         wanted_buckets = max(
             1, -(-capacity // max(1, int(slots_per_bucket * 0.95)))
@@ -79,14 +79,13 @@ class CuckooFilter:
         while n_buckets < wanted_buckets:
             n_buckets <<= 1
         self._n_buckets = n_buckets
-        self._memory = memory if memory is not None else MemoryModel()
+        self._memory = memory_model(memory)
         self._table = CounterArray(
             n_buckets * slots_per_bucket,
             bits_per_counter=fingerprint_bits,
             memory=self._memory,
             overflow=OverflowPolicy.RAISE,
         )
-        self._n_items = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -95,16 +94,6 @@ class CuckooFilter:
     def n_buckets(self) -> int:
         """Number of buckets (a power of two)."""
         return self._n_buckets
-
-    @property
-    def n_items(self) -> int:
-        """Number of fingerprints currently stored."""
-        return self._n_items
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The access-cost model."""
-        return self._memory
 
     @property
     def size_bits(self) -> int:
@@ -190,11 +179,6 @@ class CuckooFilter:
             % (self._max_kicks, self.load_factor)
         )
 
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Insert every element of an iterable."""
-        for element in elements:
-            self.add(element)
-
     def query(self, element: ElementLike) -> bool:
         """Membership test: fingerprint present in either candidate bucket."""
         data = to_bytes(element)
@@ -204,9 +188,6 @@ class CuckooFilter:
             return True
         b2 = self._alt_bucket(b1, fingerprint)
         return fingerprint in self._read_bucket(b2)
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.query(element)
 
     def remove(self, element: ElementLike) -> bool:
         """Delete one copy of *element*'s fingerprint if present.

@@ -14,19 +14,19 @@ overflow counter saturates, the overflow vector is rebuilt one bit wider
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro._util import ElementLike, require_positive
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
-from repro.core.interfaces import MultiplicityAnswer
+from repro.core.base import CountEstimator, ProbeGeometry, memory_model
 from repro.errors import CounterUnderflowError
-from repro.hashing.family import HashFamily, default_family
+from repro.hashing.family import HashFamily
 
 __all__ = ["DynamicCountFilter"]
 
 
-class DynamicCountFilter:
+class DynamicCountFilter(CountEstimator, ProbeGeometry):
     """Counting filter with a fixed vector plus growable overflow vector.
 
     Args:
@@ -56,16 +56,10 @@ class DynamicCountFilter:
         family: Optional[HashFamily] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        require_positive("m", m)
-        require_positive("k", k)
-        require_positive("fixed_bits", fixed_bits)
-        require_positive("overflow_bits", overflow_bits)
-        self._m = m
-        self._k = k
+        super().__init__(m, k, family, fixed_bits=fixed_bits,
+                         overflow_bits=overflow_bits)
         self._fixed_bits = fixed_bits
-        self._family = family if family is not None else default_family()
-        self._memory = memory if memory is not None else MemoryModel(
-            tier="dram")
+        self._memory = memory_model(memory, tier="dram")
         self._fixed = CounterArray(
             m, bits_per_counter=fixed_bits, memory=self._memory,
             overflow=OverflowPolicy.RAISE,
@@ -75,21 +69,10 @@ class DynamicCountFilter:
             overflow=OverflowPolicy.RAISE,
         )
         self._rebuilds = 0
-        self._n_items = 0
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def m(self) -> int:
-        """Number of cells."""
-        return self._m
-
-    @property
-    def k(self) -> int:
-        """Number of hash functions."""
-        return self._k
-
     @property
     def overflow_bits(self) -> int:
         """Current width of the overflow vector (grows on demand)."""
@@ -99,16 +82,6 @@ class DynamicCountFilter:
     def rebuilds(self) -> int:
         """How many times the overflow vector has been widened."""
         return self._rebuilds
-
-    @property
-    def n_items(self) -> int:
-        """Net insert count."""
-        return self._n_items
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The shared access-cost model."""
-        return self._memory
 
     @property
     def size_bits(self) -> int:
@@ -123,9 +96,6 @@ class DynamicCountFilter:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _positions(self, element: ElementLike) -> list[int]:
-        return [v % self._m for v in self._family.values(element, self._k)]
-
     def _cell_value(self, index: int) -> int:
         return (
             self._overflow.get(index) << self._fixed_bits
@@ -165,11 +135,6 @@ class DynamicCountFilter:
             self._store_cell(index, self._cell_value(index) + count)
         self._n_items += count
 
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Add one occurrence of each element in an iterable."""
-        for element in elements:
-            self.add(element)
-
     def remove(self, element: ElementLike, count: int = 1) -> None:
         """Remove *count* occurrences of *element*.
 
@@ -198,15 +163,6 @@ class DynamicCountFilter:
             if minimum is None or value < minimum:
                 minimum = value
         return minimum if minimum is not None else 0
-
-    def query(self, element: ElementLike) -> MultiplicityAnswer:
-        """Multiplicity query in the harness' common answer format."""
-        value = self.estimate(element)
-        candidates = (value,) if value > 0 else ()
-        return MultiplicityAnswer(candidates=candidates, reported=value)
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.estimate(element) > 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "DynamicCountFilter(m=%d, k=%d, fixed=%d, overflow=%d)" % (

@@ -21,12 +21,13 @@ from repro._util import ElementLike, require_positive
 from repro.baselines.bloom import BloomFilter
 from repro.bitarray.memory import MemoryModel
 from repro.core.association_types import Association, AssociationAnswer
-from repro.hashing.family import HashFamily, default_family
+from repro.core.base import HashedStructure, memory_model
+from repro.hashing.family import HashFamily
 
 __all__ = ["IndividualBloomFilters"]
 
 
-class IndividualBloomFilters:
+class IndividualBloomFilters(HashedStructure):
     """Association queries via one Bloom filter per set.
 
     Args:
@@ -53,12 +54,9 @@ class IndividualBloomFilters:
         family: Optional[HashFamily] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        require_positive("m1", m1)
-        require_positive("m2", m2)
-        require_positive("k", k)
+        super().__init__(family, m1=m1, m2=m2, k=k)
         self._k = k
-        self._family = family if family is not None else default_family()
-        self._memory = memory if memory is not None else MemoryModel()
+        self._memory = memory_model(memory)
         self._bf1 = BloomFilter(
             m=m1, k=k, family=_IndexSlice(self._family, 0),
             memory=self._memory,
@@ -118,11 +116,6 @@ class IndividualBloomFilters:
     def bf2(self) -> BloomFilter:
         """The ``S2`` filter."""
         return self._bf2
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The shared access-cost model."""
-        return self._memory
 
     @property
     def size_bits(self) -> int:

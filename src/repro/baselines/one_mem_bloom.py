@@ -19,16 +19,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro._util import ElementLike, require_positive
+from repro._util import ElementLike
 from repro.bitarray.memory import MemoryModel
-from repro.core.base import ElementFilter
+from repro.core.base import BitArrayFilter, ElementFilter
 from repro.errors import ConfigurationError, UnsupportedOperationError
 from repro.hashing.family import HashFamily
 
 __all__ = ["OneMemoryBloomFilter"]
 
 
-class OneMemoryBloomFilter(ElementFilter):
+class OneMemoryBloomFilter(ElementFilter, BitArrayFilter):
     """Bloom filter whose ``k`` bits per element share one machine word.
 
     Args:
@@ -61,8 +61,7 @@ class OneMemoryBloomFilter(ElementFilter):
         family: Optional[HashFamily] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        super().__init__(m, k, family)
-        require_positive("words_per_element", words_per_element)
+        super().__init__(m, k, family, words_per_element=words_per_element)
         if word_bits % 8 != 0 or word_bits <= 0:
             raise ConfigurationError(
                 "word_bits must be a positive multiple of 8, got %d"

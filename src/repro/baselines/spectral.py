@@ -25,14 +25,14 @@ is exactly right.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro._util import ElementLike, require_positive
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
-from repro.core.interfaces import MultiplicityAnswer
+from repro.core.base import CountEstimator, ProbeGeometry, memory_model
 from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.hashing.family import HashFamily, default_family
+from repro.hashing.family import HashFamily
 
 __all__ = ["SpectralBloomFilter", "SpectralVariant"]
 
@@ -45,7 +45,7 @@ class SpectralVariant(enum.Enum):
     RECURRING_MINIMUM = "rm"
 
 
-class SpectralBloomFilter:
+class SpectralBloomFilter(CountEstimator, ProbeGeometry):
     """Spectral Bloom filter over ``m`` packed counters.
 
     Args:
@@ -78,16 +78,11 @@ class SpectralBloomFilter:
         family: Optional[HashFamily] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        require_positive("m", m)
-        require_positive("k", k)
-        require_positive("counter_bits", counter_bits)
+        super().__init__(m, k, family, counter_bits=counter_bits)
         if isinstance(variant, str):
             variant = SpectralVariant(variant)
-        self._m = m
-        self._k = k
         self._variant = variant
-        self._family = family if family is not None else default_family()
-        self._memory = memory if memory is not None else MemoryModel()
+        self._memory = memory_model(memory)
         self._primary = CounterArray(
             m, bits_per_counter=counter_bits, memory=self._memory,
             overflow=OverflowPolicy.SATURATE,
@@ -104,35 +99,14 @@ class SpectralBloomFilter:
                 m2, bits_per_counter=counter_bits, memory=self._memory,
                 overflow=OverflowPolicy.SATURATE,
             )
-        self._n_items = 0
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def m(self) -> int:
-        """Number of primary counters."""
-        return self._m
-
-    @property
-    def k(self) -> int:
-        """Number of hash functions."""
-        return self._k
-
-    @property
     def variant(self) -> SpectralVariant:
         """The configured construction/query strategy."""
         return self._variant
-
-    @property
-    def n_items(self) -> int:
-        """Total insert operations performed."""
-        return self._n_items
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The shared access-cost model."""
-        return self._memory
 
     @property
     def size_bits(self) -> int:
@@ -152,9 +126,6 @@ class SpectralBloomFilter:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _positions(self, element: ElementLike) -> list[int]:
-        return [v % self._m for v in self._family.values(element, self._k)]
-
     def _secondary_positions(self, element: ElementLike) -> list[int]:
         assert self._secondary is not None
         m2 = self._secondary.size
@@ -214,11 +185,6 @@ class SpectralBloomFilter:
             for position in positions:
                 self._secondary.increment(position)
 
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Insert every element of an iterable (repeats increase counts)."""
-        for element in elements:
-            self.add(element)
-
     def remove(self, element: ElementLike) -> None:
         """Delete one occurrence (MS and RM only).
 
@@ -269,15 +235,6 @@ class SpectralBloomFilter:
             for p in self._secondary_positions(element)
         )
         return secondary_min if secondary_min > 0 else minimum
-
-    def query(self, element: ElementLike) -> MultiplicityAnswer:
-        """Multiplicity query in the harness' common answer format."""
-        value = self.estimate(element)
-        candidates = (value,) if value > 0 else ()
-        return MultiplicityAnswer(candidates=candidates, reported=value)
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.estimate(element) > 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SpectralBloomFilter(m=%d, k=%d, variant=%s)" % (

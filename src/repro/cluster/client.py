@@ -214,11 +214,13 @@ class ClusterClient:
                        trace_id: Optional[int] = None) -> None:
         """Fan ``pairs`` out per owner; re-split and retry on staleness.
 
-        *submit(conn, elements, trace_id)* returns one result per
+        *submit(conn, group, trace_id)* sends one sub-batch — ``group``
+        is its ``(slot, element)`` pairs — and returns one result per
         element; results land in ``out`` at each pair's slot, so the
-        caller reassembles request order for free.  A WRONG_OWNER
-        refusal of a sub-batch refreshes the map and recurses on just
-        that sub-batch — other owners' work is never repeated.
+        caller reassembles request order for free.  Each attempt calls
+        *submit* afresh.  A WRONG_OWNER refusal of a sub-batch refreshes
+        the map and recurses on just that sub-batch — other owners' work
+        is never repeated.
         """
         groups = self._group_by_owner(pairs)
 
@@ -230,8 +232,7 @@ class ClusterClient:
                                 owner=owner, n_elements=len(group),
                                 attempt=attempt):
                     conn = await self._conn(owner)
-                    results = await submit(
-                        conn, [e for _, e in group], trace_id)
+                    results = await submit(conn, group, trace_id)
             except WrongOwnerError:
                 if attempt >= self._max_map_refreshes:
                     raise
@@ -259,8 +260,9 @@ class ClusterClient:
             return np.zeros(0, dtype=bool)
         out: List[object] = [None] * len(data)
 
-        async def submit(conn: ServiceClient, chunk, trace_id):
-            return list(await conn.query(chunk, trace_id=trace_id))
+        async def submit(conn: ServiceClient, group, trace_id):
+            return list(await conn.query([e for _, e in group],
+                                         trace_id=trace_id))
 
         self._m_reads.inc()
         trace_id = self._new_trace()
@@ -280,8 +282,9 @@ class ClusterClient:
         data = to_bytes_batch(elements)
         out: List[object] = [None] * len(data)
 
-        async def submit(conn: ServiceClient, chunk, trace_id):
-            return await conn.query_multi(chunk, trace_id=trace_id)
+        async def submit(conn: ServiceClient, group, trace_id):
+            return await conn.query_multi([e for _, e in group],
+                                          trace_id=trace_id)
 
         self._m_reads.inc()
         trace_id = self._new_trace()
@@ -298,64 +301,31 @@ class ClusterClient:
                   counts: Optional[Sequence[int]] = None) -> int:
         """Insert a batch across its owners; returns elements applied.
 
-        Each per-owner sub-batch is one ADD_IDEM with its own write id.
-        A WRONG_OWNER refusal re-splits under the refreshed map and
-        retries with fresh keys — safe because refusal precedes
-        application, always.
+        Each per-owner sub-batch is one ADD_IDEM with its own write id
+        and its slice of *counts*.  A WRONG_OWNER refusal re-splits under
+        the refreshed map and retries with fresh keys — safe because
+        refusal precedes application, always.
         """
         data = to_bytes_batch(elements)
         if not data:
             return 0
-        count_by_slot = None if counts is None else dict(
-            zip(range(len(data)), counts))
         applied: List[object] = [None] * len(data)
+
+        async def submit(conn: ServiceClient, group, trace_id):
+            await conn.add_idem(
+                self._client_id, next(self._write_seq),
+                [e for _, e in group],
+                None if counts is None else [counts[s] for s, _ in group],
+                trace_id=trace_id)
+            return [True] * len(group)
+
         self._m_writes.inc()
         trace_id = self._new_trace()
-        # Writes need per-sub-batch idempotency keys and count slices,
-        # so they use a dedicated scatter instead of `_scatter`.
         with maybe_span(self.tracer, "client.request", trace_id, kind="add",
                         n_elements=len(data)):
-            await self._scatter_write(
-                list(enumerate(data)), count_by_slot, applied, 0,
-                trace_id)
+            await self._scatter(list(enumerate(data)), submit, applied,
+                                trace_id=trace_id)
         return sum(1 for v in applied if v is not None)
-
-    async def _scatter_write(self, pairs, count_by_slot, applied,
-                             attempt: int,
-                             trace_id: Optional[int] = None) -> None:
-        groups = self._group_by_owner(pairs)
-
-        async def run(owner: str, group) -> None:
-            self.counters["sub_requests"] += 1
-            self._m_subs.inc()
-            chunk = [e for _, e in group]
-            chunk_counts = None if count_by_slot is None else [
-                count_by_slot[slot] for slot, _ in group]
-            write_id = next(self._write_seq)
-            try:
-                with maybe_span(self.tracer, "client.sub_request", trace_id,
-                                owner=owner, n_elements=len(group),
-                                attempt=attempt):
-                    conn = await self._conn(owner)
-                    await conn.add_idem(
-                        self._client_id, write_id, chunk, chunk_counts,
-                        trace_id=trace_id)
-            except WrongOwnerError:
-                if attempt >= self._max_map_refreshes:
-                    raise
-                self.counters["wrong_owner_retries"] += 1
-                self._m_wrong_owner.inc()
-                await asyncio.sleep(
-                    self._backoff.delay(attempt, self._rng))
-                await self.refresh_map()
-                await self._scatter_write(
-                    group, count_by_slot, applied, attempt + 1, trace_id)
-                return
-            for slot, _ in group:
-                applied[slot] = True
-
-        await asyncio.gather(
-            *(run(owner, group) for owner, group in groups.items()))
 
     # ------------------------------------------------------------------
     # Observability and lifecycle

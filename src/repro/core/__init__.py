@@ -33,11 +33,7 @@ from repro.core.association import (
     ShiftingAssociationFilter,
 )
 from repro.core.generalized import GeneralizedShiftingBloomFilter
-from repro.core.interfaces import (
-    MembershipQuery,
-    MultiplicityAnswer,
-    MultiplicityQuery,
-)
+from repro.core.interfaces import MultiplicityAnswer
 from repro.core.log_shifting import LogShiftingBloomFilter
 from repro.core.membership import (
     CountingShiftingBloomFilter,
@@ -58,9 +54,7 @@ __all__ = [
     "CountingShiftingMultiplicityFilter",
     "GeneralizedShiftingBloomFilter",
     "LogShiftingBloomFilter",
-    "MembershipQuery",
     "MultiplicityAnswer",
-    "MultiplicityQuery",
     "OffsetPolicy",
     "ShiftingAssociationFilter",
     "ShiftingBloomFilter",

@@ -1,62 +1,105 @@
-"""The skeleton every bit-array filter shares (§3.1, §4.1, §5.1).
+"""The skeleton every filter and sketch shares (§3.1, §4.1, §5.1, §6).
 
-ShBF_M, ShBF_A, ShBF_x, their generalisations and the BF baselines are
-one structure: an ``m``-bit array, plus slack bits so shifted probes
-never wrap, probed at ``k`` hash bases.  :class:`BitArrayFilter` owns
-that structure — the checked geometry, the hash family and the bit
-array with its access-cost model — and its read-only introspection.
-Three optional parts ride on it:
+ShBF_M, ShBF_A, ShBF_x, their generalisations and every structure the
+paper compares against are one anatomy: an array of cells probed at
+hash-chosen positions, billed to an access-cost model.  Only the cells
+(bits, counters or fingerprints) and the probe layout change from one
+structure to the next.  The shared parts live here:
 
+* :class:`HashedStructure` — the root: positive sizes checked once, the
+  hash family defaulted once and the ``memory`` model the cells bill to;
+* :class:`ProbeGeometry` — ``m`` cells probed at ``k`` hash bases;
+* :class:`BitArrayFilter` — that geometry backed by an ``m``-bit array,
+  plus slack bits so shifted probes never wrap;
 * :class:`ShiftedFilter` — the :class:`~repro.core.offsets.OffsetPolicy`
-  of a filter whose offsets are bounded by ``w_bar``;
+  of a bit-array filter whose offsets are bounded by ``w_bar``;
 * :class:`ElementFilter` — elements inserted one at a time and counted
   in ``n_items``, tested with ``in``;
+* :class:`CountEstimator` — an element filter whose answer is a
+  multiplicity ``estimate``;
 * :class:`CountingTier` — the DRAM counter tier of the counting variants
   (§3.3, §4.3, §5.3), which updates write and queries never read.
 
-A concrete filter keeps only what differs: its probe layout and
-offsets, ``hash_ops_per_query``, its scalar ``add``/``query`` and its
-batch kernels.  No concrete filter subclasses another.
+A concrete structure keeps only what differs: its cell arrays, probe
+layout and offsets, ``hash_ops_per_query``, its scalar ops and its batch
+kernels.  No concrete structure subclasses another.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import math
+from typing import Iterable, Optional, Tuple
 
 from repro._util import ElementLike, require_positive
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
+from repro.core.interfaces import MultiplicityAnswer
 from repro.core.offsets import OffsetPolicy
 from repro.hashing.family import HashFamily, default_family
 
-__all__ = ["BitArrayFilter", "CountingTier", "ElementFilter",
-           "ShiftedFilter"]
+__all__ = ["BitArrayFilter", "CountEstimator", "CountingTier",
+           "ElementFilter", "HashedStructure", "ProbeGeometry",
+           "ShiftedFilter", "bloom_geometry", "memory_model"]
 
 
-class BitArrayFilter:
-    """An ``m``-cell bit array probed at ``k`` hash bases.
+def memory_model(memory: Optional[MemoryModel], word_bits: int = 64,
+                 tier: str = "sram") -> MemoryModel:
+    """*memory*, or a fresh model of ``word_bits``-bit words in *tier*."""
+    if memory is None:
+        memory = MemoryModel(word_bits=word_bits, tier=tier)
+    return memory
 
-    Checks ``m`` (positive) and ``k`` (with *check_k*), and defaults the
-    hash family.  The concrete filter then sizes its array — ``m`` plus
-    its own slack — with :meth:`_allocate`.
+
+def bloom_geometry(n: int, fpr: float) -> Tuple[int, int]:
+    """The textbook ``(m, k)`` for ``n`` elements at false positive rate
+    *fpr*: ``m = -n ln f / (ln 2)^2`` and ``k = (m/n) ln 2`` (Eq. (8)/(9)
+    territory of the paper)."""
+    require_positive("n", n)
+    if not 0.0 < fpr < 1.0:
+        raise ValueError("fpr must be in (0, 1), got %r" % fpr)
+    m = max(1, math.ceil(-n * math.log(fpr) / (math.log(2) ** 2)))
+    return m, max(1, round(m / n * math.log(2)))
+
+
+class HashedStructure:
+    """A structure whose cells are chosen by a hash family.
+
+    Checks that every size in *sizes* is positive, in the order given,
+    and defaults the hash family.  A structure that does not keep a bit
+    array sets ``_memory``, the model its cells bill to.
+    """
+
+    def __init__(self, family: Optional[HashFamily], **sizes: int):
+        for name, value in sizes.items():
+            require_positive(name, value)
+        self._family = family if family is not None else default_family()
+
+    @property
+    def family(self) -> HashFamily:
+        """The hash family in use."""
+        return self._family
+
+    @property
+    def memory(self) -> MemoryModel:
+        """The access-cost model the cells bill to."""
+        return self._memory
+
+
+class ProbeGeometry(HashedStructure):
+    """``m`` cells probed at ``k`` hash bases.
+
+    Checks ``m`` (positive), ``k`` (with *check_k*) and then the further
+    *sizes* of the concrete structure.
     """
 
     def __init__(self, m: int, k: int, family: Optional[HashFamily],
-                 check_k=require_positive):
+                 check_k=require_positive, **sizes: int):
         require_positive("m", m)
         check_k("k", k)
+        super().__init__(family, **sizes)
         self._m = m
         self._k = k
-        self._family = family if family is not None else default_family()
-
-    def _allocate(self, cells: int, memory: Optional[MemoryModel],
-                  word_bits: int = 64) -> None:
-        """Back the filter with a *cells*-bit array billed to *memory*
-        (a fresh model for ``word_bits``-bit words by default)."""
-        if memory is None:
-            memory = MemoryModel(word_bits=word_bits)
-        self._bits = BitArray(cells, memory=memory)
 
     @property
     def m(self) -> int:
@@ -65,13 +108,26 @@ class BitArrayFilter:
 
     @property
     def k(self) -> int:
-        """Number of probe bits (or hash bases) per element."""
+        """Number of probe cells (or hash bases) per element."""
         return self._k
 
-    @property
-    def family(self) -> HashFamily:
-        """The hash family in use."""
-        return self._family
+    def _positions(self, element: ElementLike) -> list[int]:
+        """The ``k`` hash bases of *element*, each below ``m``."""
+        return [v % self._m for v in self._family.values(element, self._k)]
+
+
+class BitArrayFilter(ProbeGeometry):
+    """An ``m``-cell bit array probed at ``k`` hash bases.
+
+    The concrete filter sizes its array — ``m`` plus its own slack —
+    with :meth:`_allocate`.
+    """
+
+    def _allocate(self, cells: int, memory: Optional[MemoryModel],
+                  word_bits: int = 64) -> None:
+        """Back the filter with a *cells*-bit array billed to *memory*
+        (a fresh model for ``word_bits``-bit words by default)."""
+        self._bits = BitArray(cells, memory=memory_model(memory, word_bits))
 
     @property
     def bits(self) -> BitArray:
@@ -115,24 +171,39 @@ class ShiftedFilter(BitArrayFilter):
         return self._policy
 
 
-class ElementFilter(BitArrayFilter):
-    """A bit-array filter that inserts elements one at a time."""
+class ElementFilter(HashedStructure):
+    """A structure that inserts elements one at a time."""
 
-    #: Net number of elements represented; ``add`` counts each insert.
+    #: Net number of insertions represented; ``add`` counts each one
+    #: (or its count mass, in a structure that adds with a count).
     _n_items = 0
 
     @property
     def n_items(self) -> int:
-        """Net number of elements represented."""
+        """Net number of insertions represented."""
         return self._n_items
 
     def update(self, elements: Iterable[ElementLike]) -> None:
-        """Insert every element of an iterable."""
+        """Insert every element of an iterable, once each."""
         for element in elements:
             self.add(element)
 
     def __contains__(self, element: ElementLike) -> bool:
         return self.query(element)
+
+
+class CountEstimator(ElementFilter):
+    """An element filter that answers with a multiplicity ``estimate``,
+    ``0`` meaning absent."""
+
+    def query(self, element: ElementLike) -> MultiplicityAnswer:
+        """Multiplicity query in the harness' common answer format."""
+        value = self.estimate(element)
+        candidates = (value,) if value > 0 else ()
+        return MultiplicityAnswer(candidates=candidates, reported=value)
+
+    def __contains__(self, element: ElementLike) -> bool:
+        return self.estimate(element) > 0
 
 
 class CountingTier(BitArrayFilter):
@@ -150,13 +221,10 @@ class CountingTier(BitArrayFilter):
                         word_bits: int = 64) -> None:
         """Allocate ``B`` and ``C`` with *cells* cells each, billed to
         *sram* and *dram* (fresh ``word_bits`` models by default)."""
-        if sram is None:
-            sram = MemoryModel(word_bits=word_bits, tier="sram")
-        if dram is None:
-            dram = MemoryModel(word_bits=word_bits, tier="dram")
-        self._bits = BitArray(cells, memory=sram)
+        self._allocate(cells, sram, word_bits)
         self._counters = CounterArray(
-            cells, bits_per_counter=counter_bits, memory=dram,
+            cells, bits_per_counter=counter_bits,
+            memory=memory_model(dram, word_bits, "dram"),
             overflow=OverflowPolicy.SATURATE,
         )
 

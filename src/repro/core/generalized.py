@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import ElementLike, require_positive
+from repro._util import ElementLike
 from repro._vector import mod_int64, record_early_exit, word_costs
 from repro.bitarray.memory import MemoryModel
 from repro.core.base import ElementFilter, ShiftedFilter
@@ -65,8 +65,7 @@ class GeneralizedShiftingBloomFilter(ElementFilter, ShiftedFilter):
         w_bar: Optional[int] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        super().__init__(m, k, family)
-        require_positive("t", t)
+        super().__init__(m, k, family, t=t)
         if t >= k:
             raise ConfigurationError(
                 "t must be smaller than k (got t=%d, k=%d)" % (t, k)

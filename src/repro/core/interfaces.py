@@ -1,8 +1,4 @@
-"""Shared query protocols and answer types.
-
-The experiment harness drives very different structures (plain Bloom
-filters, shifting filters, sketches) through the small protocols defined
-here, so a benchmark is written once and parameterised by structure.
+"""The multiplicity answer type and its reporting policies.
 
 Answer objects are deliberately richer than booleans where the paper's
 semantics need it: association queries have seven possible outcomes
@@ -14,41 +10,9 @@ semantics need it: association queries have seven possible outcomes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
-from repro._util import ElementLike
-
-__all__ = [
-    "MembershipQuery",
-    "MultiplicityAnswer",
-    "MultiplicityQuery",
-]
-
-
-@runtime_checkable
-class MembershipQuery(Protocol):
-    """A structure answering approximate set-membership queries."""
-
-    def add(self, element: ElementLike) -> None:
-        """Insert *element* into the represented set."""
-
-    def query(self, element: ElementLike) -> bool:
-        """Return True if *element* may be in the set (no false negatives).
-
-        Implementations record their memory traffic on their
-        :class:`~repro.bitarray.memory.MemoryModel` so harnesses can
-        measure accesses per query.
-        """
-
-    def __contains__(self, element: ElementLike) -> bool: ...
-
-
-@runtime_checkable
-class MultiplicityQuery(Protocol):
-    """A structure answering multiplicity (count) queries on a multi-set."""
-
-    def query(self, element: ElementLike) -> "MultiplicityAnswer":
-        """Return the estimated multiplicity information for *element*."""
+__all__ = ["MultiplicityAnswer"]
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro._util import ElementLike, require_positive
+from repro._util import ElementLike
 from repro.bitarray.memory import MemoryModel
 from repro.core.base import ElementFilter, ShiftedFilter
 from repro.errors import ConfigurationError, UnsupportedOperationError
@@ -74,8 +74,7 @@ class LogShiftingBloomFilter(ElementFilter, ShiftedFilter):
         w_bar: Optional[int] = None,
         memory: Optional[MemoryModel] = None,
     ):
-        super().__init__(m, k, family)
-        require_positive("levels", levels)
+        super().__init__(m, k, family, levels=levels)
         fanout = 1 << levels
         if k % fanout != 0:
             raise ConfigurationError(

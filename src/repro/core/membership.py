@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import ElementLike, require_even, require_positive
+from repro._util import ElementLike, require_even
 from repro._vector import mod_int64
 from repro.bitarray.memory import MemoryModel
 from repro.core.base import CountingTier, ElementFilter, ShiftedFilter
@@ -305,8 +305,8 @@ class CountingShiftingBloomFilter(CountingTier, ElementFilter,
         sram: Optional[MemoryModel] = None,
         dram: Optional[MemoryModel] = None,
     ):
-        super().__init__(m, k, family, check_k=require_even)
-        require_positive("counter_bits", counter_bits)
+        super().__init__(m, k, family, check_k=require_even,
+                         counter_bits=counter_bits)
         self._half = k // 2
         self._offset_policy(word_bits, counter_bits, w_bar)
         self._allocate_tiers(m + self._policy.slack_cells, counter_bits,

@@ -62,8 +62,7 @@ class _MultiplicityBase(BitArrayFilter):
         family: Optional[HashFamily],
         report: str,
     ):
-        super().__init__(m, k, family)
-        require_positive("c_max", c_max)
+        super().__init__(m, k, family, c_max=c_max)
         if report not in _REPORT_POLICIES:
             raise ConfigurationError(
                 "report must be one of %r, got %r"
@@ -93,9 +92,6 @@ class _MultiplicityBase(BitArrayFilter):
 
     def __contains__(self, element: ElementLike) -> bool:
         return self.query(element).present
-
-    def _bases(self, element: ElementLike) -> List[int]:
-        return [v % self._m for v in self._family.values(element, self._k)]
 
     def _answer_from_mask(self, mask: int) -> MultiplicityAnswer:
         candidates = tuple(
@@ -229,7 +225,7 @@ class ShiftingMultiplicityFilter(_MultiplicityBase):
                 "CountingShiftingMultiplicityFilter for updates)"
             )
         offset = count - 1
-        for base in self._bases(data):
+        for base in self._positions(data):
             self._bits.set(base + offset)
         self._counts[data] = count
 
@@ -244,17 +240,21 @@ class ShiftingMultiplicityFilter(_MultiplicityBase):
             self.add(element, count)
 
     def add_batch(
-        self, elements: Sequence[ElementLike], counts: Sequence[int]
+        self, elements: Sequence[ElementLike],
+        counts: Optional[Sequence[int]] = None,
     ) -> None:
         """Batch encode: one vectorised bit-write pass for the batch.
 
         Validates every (element, count) pair *before* touching the
         array, then produces the same state and access totals as a
         scalar :meth:`add` loop — ``k`` single-bit writes per element at
-        offset ``count - 1``.
+        offset ``count - 1``.  Without *counts* every element is encoded
+        with count 1, as :meth:`add` does.
         """
         elements = list(elements)
-        if not isinstance(counts, np.ndarray):
+        if counts is None:
+            counts = np.ones(len(elements), dtype=np.int64)
+        elif not isinstance(counts, np.ndarray):
             counts = list(counts)
         if len(elements) != len(counts):
             raise ConfigurationError(
@@ -429,7 +429,7 @@ class CountingShiftingMultiplicityFilter(CountingTier, _MultiplicityBase):
             raise CapacityError(
                 "element already at maximum multiplicity %d" % self._c_max
             )
-        bases = self._bases(data)
+        bases = self._positions(data)
         if z > 0:
             self._unencode(bases, z)
         self._encode(bases, z + 1)
@@ -453,7 +453,7 @@ class CountingShiftingMultiplicityFilter(CountingTier, _MultiplicityBase):
         z = self._current_multiplicity(data)
         if z == 0:
             raise KeyError("element not present in the multi-set")
-        bases = self._bases(data)
+        bases = self._positions(data)
         self._unencode(bases, z)
         if z > 1:
             self._encode(bases, z - 1)

@@ -14,9 +14,10 @@ rules (§3.1, §3.3, §4.1, §5.1, §5.5 of the paper):
   ``o1(e) = h(e) % ((w_bar - 1) / 2) + 1`` and
   ``o2(e) = o1(e) + h'(e) % ((w_bar - 1) / 2) + 1``, so the three cases
   ``{0, o1, o2}`` are distinguishable within a single word read;
-* multiplicity offsets are the count itself, ``o(e) = c(e) - 1``.
+* multiplicity offsets are the count itself, ``o(e) = c(e) - 1``, which
+  the multiplicity filters apply directly.
 
-:class:`OffsetPolicy` centralises these rules and their validity checks so
+:class:`OffsetPolicy` centralises the other rules and their validity checks so
 filters cannot be configured into states where the one-access guarantee
 silently breaks.
 """
@@ -142,14 +143,6 @@ class OffsetPolicy:
         o1 = (hv1 % half).astype(np.int64) + 1
         o2 = o1 + (hv2 % half).astype(np.int64) + 1
         return o1, o2
-
-    # ------------------------------------------------------------------
-    # Multiplicity (§5.1)
-    # ------------------------------------------------------------------
-    def multiplicity_offset(self, count: int) -> int:
-        """Map a multiplicity to its offset ``o(e) = c(e) - 1``."""
-        require_positive("count", count)
-        return count - 1
 
     # ------------------------------------------------------------------
     # Generalized shifting (§3.6)

@@ -16,20 +16,20 @@ Same estimate semantics as CM: the reported count never underestimates.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro._util import ElementLike, require_even, require_positive
 from repro.bitarray.counters import CounterArray, OverflowPolicy
 from repro.bitarray.memory import MemoryModel
-from repro.core.interfaces import MultiplicityAnswer
+from repro.core.base import CountEstimator, memory_model
 from repro.core.offsets import OffsetPolicy
 from repro.errors import UnsupportedOperationError
-from repro.hashing.family import HashFamily, default_family
+from repro.hashing.family import HashFamily
 
 __all__ = ["ShiftingCountMinSketch"]
 
 
-class ShiftingCountMinSketch:
+class ShiftingCountMinSketch(CountEstimator):
     """Shifting count-min sketch with ``d/2`` rows of ``2r`` counters.
 
     Args:
@@ -63,26 +63,22 @@ class ShiftingCountMinSketch:
         memory: Optional[MemoryModel] = None,
     ):
         require_even("d", d)
-        require_positive("r", r)
-        require_positive("counter_bits", counter_bits)
+        super().__init__(family, r=r, counter_bits=counter_bits)
         self._d = d
         self._rows = d // 2
         self._r = r
         self._conservative = conservative
-        self._family = family if family is not None else default_family()
         self._policy = OffsetPolicy(
             word_bits=word_bits, cell_bits=counter_bits)
         self._row_logical = 2 * r
         self._row_stride = self._row_logical + self._policy.slack_cells
-        self._memory = memory if memory is not None else MemoryModel(
-            word_bits=word_bits)
+        self._memory = memory_model(memory, word_bits)
         self._counters = CounterArray(
             self._rows * self._row_stride,
             bits_per_counter=counter_bits,
             memory=self._memory,
             overflow=OverflowPolicy.SATURATE,
         )
-        self._n_items = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -106,16 +102,6 @@ class ShiftingCountMinSketch:
     def w_bar(self) -> int:
         """The (counter-width-aware) offset range parameter."""
         return self._policy.w_bar
-
-    @property
-    def n_items(self) -> int:
-        """Total inserted count mass."""
-        return self._n_items
-
-    @property
-    def memory(self) -> MemoryModel:
-        """The access-cost model."""
-        return self._memory
 
     @property
     def size_bits(self) -> int:
@@ -160,11 +146,6 @@ class ShiftingCountMinSketch:
                     self._counters.increment(cell, by=target - value)
         self._n_items += count
 
-    def update(self, elements: Iterable[ElementLike]) -> None:
-        """Add one occurrence of each element in an iterable."""
-        for element in elements:
-            self.add(element)
-
     def remove(self, element: ElementLike) -> None:
         """Unsupported, matching the CM baseline's semantics."""
         raise UnsupportedOperationError(
@@ -193,15 +174,6 @@ class ShiftingCountMinSketch:
                 if minimum is None or value < minimum:
                     minimum = value
         return minimum if minimum is not None else 0
-
-    def query(self, element: ElementLike) -> MultiplicityAnswer:
-        """Multiplicity query in the harness' common answer format."""
-        value = self.estimate(element)
-        candidates = (value,) if value > 0 else ()
-        return MultiplicityAnswer(candidates=candidates, reported=value)
-
-    def __contains__(self, element: ElementLike) -> bool:
-        return self.estimate(element) > 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ShiftingCountMinSketch(d=%d, r=%d, conservative=%s)" % (

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 import os
 
 from repro.errors import ConfigurationError
 
-__all__ = ["env_scale", "optimal_bits", "scaled"]
+__all__ = ["env_scale", "scaled"]
 
 
 def scaled(value: int, scale: float, minimum: int = 1) -> int:
@@ -33,8 +32,3 @@ def env_scale(default: float = 1.0) -> float:
             "REPRO_BENCH_SCALE must be positive, got %r" % raw
         )
     return value
-
-
-def optimal_bits(n: int, k: int, headroom: float = 1.0) -> int:
-    """Bloom-optimal bit budget ``n k / ln 2`` with a headroom factor."""
-    return max(k, math.ceil(headroom * n * k / math.log(2.0)))

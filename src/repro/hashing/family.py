@@ -16,8 +16,7 @@ candidate hash functions and using the ones that pass a randomness test.
 from __future__ import annotations
 
 import abc
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -263,19 +262,15 @@ def family_spec(family: HashFamily) -> Tuple[str, int]:
     )
 
 
-def default_family(seed: int = 0, kind: Optional[str] = None) -> HashFamily:
-    """Return the library's default hash family.
+def default_family(seed: int = 0) -> HashFamily:
+    """Return the library's default hash family: seeded BLAKE2b lanes.
 
-    The default *kind* is seeded BLAKE2b lanes because (a) :mod:`hashlib`
-    executes it in C, so it is the fastest *trustworthy* option available
-    without compiled extensions, and (b) its output passes the paper's
-    per-bit randomness test by a wide margin for every index, so
-    experiments measure filter behaviour rather than hash artefacts.
-    Deployments that have re-run the vetting harness can flip the whole
-    stack onto another registered family (e.g. the vectorised
-    ``"vector64"`` mixers) via the *kind* argument or the
-    ``REPRO_HASH_FAMILY`` environment variable.
+    BLAKE2b because (a) :mod:`hashlib` executes it in C, so it is the
+    fastest *trustworthy* option available without compiled extensions,
+    and (b) its output passes the paper's per-bit randomness test by a
+    wide margin for every index, so experiments measure filter behaviour
+    rather than hash artefacts.  A structure runs on another registered
+    family (e.g. the vectorised ``"vector64"`` mixers) when it is handed
+    one: ``family=make_family("vector64")``.
     """
-    if kind is None:
-        kind = os.environ.get("REPRO_HASH_FAMILY", "blake2b")
-    return make_family(kind, seed)
+    return make_family("blake2b", seed)

@@ -181,14 +181,11 @@ class TestFamilyRegistry:
             == ("blake2b-per-index", 4)
 
     def test_default_family_kind_argument(self):
-        assert isinstance(default_family(kind="vector64"),
-                          VectorizedFamily)
-
-    def test_default_family_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HASH_FAMILY", "vector64")
-        assert isinstance(default_family(), VectorizedFamily)
-        monkeypatch.delenv("REPRO_HASH_FAMILY")
-        assert isinstance(default_family(), Blake2Family)
+        """The default is fixed on seeded BLAKE2b lanes; another kind is
+        chosen with ``make_family``, not through ``default_family``."""
+        assert family_spec(default_family(seed=3)) == ("blake2b", 3)
+        with pytest.raises(TypeError):
+            default_family(kind="vector64")
 
 
 class TestRandomnessVetting:

@@ -534,6 +534,21 @@ def test_multiplicity_batch_equivalence(report):
     assert batch.query_batch([]).shape == (0,)
 
 
+def test_multiplicity_countless_batch_equivalence():
+    """Without counts, ``add_batch`` encodes each element with count 1,
+    as a scalar ``add(element)`` loop does."""
+    batch = ShiftingMultiplicityFilter(m=16384, k=4, c_max=57)
+    scalar = ShiftingMultiplicityFilter(m=16384, k=4, c_max=57)
+    batch.add_batch(MEMBERS)
+    for element in MEMBERS:
+        scalar.add(element)
+    assert batch.bits.to_bytes() == scalar.bits.to_bytes()
+    assert batch.memory.stats == scalar.memory.stats
+    assert batch.n_items == scalar.n_items == len(MEMBERS)
+    assert batch.query_batch(MIXED).tolist() \
+        == [scalar.query(q).reported for q in MIXED]
+
+
 @pytest.mark.parametrize("m", [1, 7, 64])
 def test_multiplicity_slack_tail_batch_equivalence(m):
     """A tiny m puts the windows in the slack tail (and the buffer's last

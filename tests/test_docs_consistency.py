@@ -43,7 +43,7 @@ class TestCheckerDetectsDrift:
         bad = tmp_path / "BAD.md"
         bad.write_text(
             "Run with `--no-such-flag-anywhere` and send an\n"
-            "OP_TELEPORT frame.\n"
+            "OP_TELEPORT frame under `REPRO_NO_SUCH_KNOB=1`.\n"
             "| TELEPORT | 99 | nope | nope |\n")
         monkeypatch.setattr(checker, "doc_files", lambda: [bad])
         monkeypatch.setattr(
@@ -52,6 +52,7 @@ class TestCheckerDetectsDrift:
         problems = checker.check()
         assert any("--no-such-flag-anywhere" in p for p in problems)
         assert any("OP_TELEPORT" in p for p in problems)
+        assert any("REPRO_NO_SUCH_KNOB" in p for p in problems)
         assert any("TELEPORT" in p and "wire table" in p
                    for p in problems)
 
@@ -88,7 +89,7 @@ class TestCheckerDetectsDrift:
         good = tmp_path / "GOOD.md"
         good.write_text(
             "Use `--interval-ms` and `--max-batch`; the ops are\n"
-            "OP_SUBSCRIBE and OP_DELTA.\n"
+            "OP_SUBSCRIBE and OP_DELTA; scale with REPRO_BENCH_SCALE.\n"
             "| PROMOTE | 10 | empty | banner |\n")
         monkeypatch.setattr(checker, "doc_files", lambda: [good])
         monkeypatch.setattr(

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fail CI when docs reference CLI flags or protocol ops that don't exist.
+"""Fail CI when docs reference flags, ops or knobs that don't exist.
 
 Documentation drifts: a renamed ``--flag`` or a retired wire op keeps
 living in prose long after the code moved on.  This checker reads the
@@ -25,7 +25,12 @@ things that aren't defined:
   catalog in ``repro/obs/names.py``, and — the only check that runs in
   *both* directions — every catalog entry must appear in the
   ``docs/OPERATIONS.md`` metrics table: an undocumented metric is as
-  much drift as a documented ghost.
+  much drift as a documented ghost;
+* **environment variables**: every ``REPRO_*`` token must be read by
+  some file under ``src/``, ``tests/`` or ``benchmarks/`` — through
+  ``os.environ.get("REPRO_...")``, ``os.environ["REPRO_..."]`` or
+  ``os.getenv("REPRO_...")`` — so the docs never promise a knob the
+  code has dropped.
 
 Checked files: ``docs/*.md`` and ``README.md``.  Exit status 0 when
 clean, 1 with a ``file:line`` listing otherwise::
@@ -65,6 +70,9 @@ WIRE_TABLE_DOCS = ("README.md", "ARCHITECTURE.md")
 _CATALOG_ENTRY = re.compile(
     r'^\s*"(repro_[a-z0-9_]+)":\s*_spec\(', re.MULTILINE)
 _DOC_METRIC = re.compile(r"\b(repro_[a-z0-9_]+)\b")
+_DOC_ENV = re.compile(r"\b(REPRO_[A-Z0-9_]+)\b")
+_ENV_READ = re.compile(
+    r"""(?:environ\.get\(|environ\[|getenv\()\s*["'](REPRO_[A-Z0-9_]+)["']""")
 
 
 def known_flags() -> set:
@@ -116,6 +124,15 @@ def known_metrics() -> set:
     return set(_CATALOG_ENTRY.findall(names_py.read_text()))
 
 
+def known_env_vars() -> set:
+    """The ``REPRO_*`` environment variables the code and tests read."""
+    names = set()
+    for root in ("src", "tests", "benchmarks"):
+        for path in (REPO / root).rglob("*.py"):
+            names.update(_ENV_READ.findall(path.read_text()))
+    return names
+
+
 def doc_files() -> list:
     docs = sorted((REPO / "docs").glob("*.md")) if (
         REPO / "docs").is_dir() else []
@@ -131,6 +148,7 @@ def check() -> list:
     ops = known_ops()
     errors = known_errors()
     metrics = known_metrics()
+    env_vars = known_env_vars()
     documented_metrics = set()
     problems = []
     for path in doc_files():
@@ -144,6 +162,12 @@ def check() -> list:
                     problems.append(
                         "%s:%d: unknown metric %s (not in the "
                         "repro/obs/names.py catalog)"
+                        % (rel, lineno, name))
+            for name in _DOC_ENV.findall(line):
+                if name not in env_vars:
+                    problems.append(
+                        "%s:%d: environment variable %s is read by no "
+                        "file under src/, tests/ or benchmarks/"
                         % (rel, lineno, name))
             for flag in _DOC_FLAG.findall(line):
                 if flag not in flags:
@@ -196,9 +220,11 @@ def main() -> int:
             print("  " + problem, file=sys.stderr)
         return 1
     print("docs consistent: %d file(s), %d known flags, %d known ops, "
-          "%d known error types, %d catalogued metrics"
+          "%d known error types, %d catalogued metrics, "
+          "%d environment variables"
           % (len(docs), len(known_flags()), len(known_ops()),
-             len(known_errors()), len(known_metrics())))
+             len(known_errors()), len(known_metrics()),
+             len(known_env_vars())))
     return 0
 
 
