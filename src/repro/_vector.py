@@ -37,6 +37,15 @@ __all__ = [
 ]
 
 
+#: Smallest array :func:`mod_int64` reduces by floor division: the
+#: measured crossover with ``%``, on contiguous and strided input.
+_FLOOR_MIN_SIZE = 1024
+
+#: Elements per floor-division block of :func:`mod_int64`: bounds its
+#: quotient temporary at 512 KiB beside the result.
+_FLOOR_BLOCK = 1 << 16
+
+
 def as_batch_int64(values) -> np.ndarray:
     """Coerce positions/offsets to an ``int64`` array (no copy if possible)."""
     return np.asarray(values, dtype=np.int64)
@@ -45,12 +54,33 @@ def as_batch_int64(values) -> np.ndarray:
 def mod_int64(values: np.ndarray, m) -> np.ndarray:
     """``values % m`` for a ``uint64`` array, as ``int64`` positions.
 
+    Computed as ``values - (values // m) * m``: NumPy divides a
+    contiguous ``uint64`` array by one scalar with a precomputed
+    multiply-and-shift (libdivide), several times faster than the
+    hardware division ``%`` makes per element.  The result starts as a
+    contiguous copy of *values*, which also serves strided columns, and
+    is reduced in place block by block, so beside it only one block's
+    quotient is allocated.  The form is exact: ``(values // m) * m <=
+    values`` never wraps.  Below ``_FLOOR_MIN_SIZE`` elements the extra
+    ufunc calls cost more than the divisions they save, and ``%`` is
+    used.
+
     The remainder is below ``m < 2**63``, so reinterpreting its bits as
     ``int64`` is exact and skips the copy ``astype`` would make.  *m*
     goes through ``np.uint64`` first: NumPy 2 promotes ``uint64 %
     int64`` to ``float64``, where the reinterpretation would be wrong.
     """
-    return (values % np.uint64(m)).view(np.int64)
+    m = np.uint64(m)
+    if values.size < _FLOOR_MIN_SIZE:
+        return (values % m).view(np.int64)
+    rem = values.copy()
+    flat = rem.reshape(-1)
+    for start in range(0, flat.size, _FLOOR_BLOCK):
+        block = flat[start:start + _FLOOR_BLOCK]
+        quotient = block // m
+        quotient *= m
+        block -= quotient
+    return rem.view(np.int64)
 
 
 def word_costs(memory, starts, spans):

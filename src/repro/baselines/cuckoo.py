@@ -150,10 +150,11 @@ class CuckooFilter(ElementFilter):
         Raises:
             CapacityError: if the displacement chain exceeds the kick
                 budget — the "non-negligible probability of failing"
-                related work attributes to cuckoo filters.  The partially
-                displaced fingerprints remain valid (the failing
-                fingerprint is the one left homeless), so the filter still
-                answers correctly for every *previously inserted* element.
+                related work attributes to cuckoo filters.  The chain's
+                last victim is an earlier element's fingerprint, so the
+                chain is undone slot by slot before raising: the table
+                is left as it was before the call, and every previously
+                inserted element still answers correctly.
         """
         data = to_bytes(element)
         fingerprint = self._fingerprint(data)
@@ -164,16 +165,20 @@ class CuckooFilter(ElementFilter):
             self._n_items += 1
             return
         bucket = self._rng.choice((b1, b2))
+        displaced = []
         for _ in range(self._max_kicks):
             slot = self._rng.randrange(self._slots)
             index = self._slot_base(bucket) + slot
             victim = self._table.get(index)
             self._table.set(index, fingerprint)
+            displaced.append((index, victim))
             fingerprint = victim
             bucket = self._alt_bucket(bucket, fingerprint)
             if self._try_place(bucket, fingerprint):
                 self._n_items += 1
                 return
+        for index, victim in reversed(displaced):
+            self._table.set(index, victim)
         raise CapacityError(
             "cuckoo insertion failed after %d kicks at load %.2f"
             % (self._max_kicks, self.load_factor)

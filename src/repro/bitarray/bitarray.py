@@ -33,36 +33,59 @@ from repro.errors import ConfigurationError
 __all__ = ["BitArray"]
 
 
-#: Positions per :func:`_or_bits` round.  Bounds the kernel's
-#: temporaries (about 18 bytes per position) at roughly 1.2 MB for any
-#: batch size, and keeps each round's sort and gather cache-resident.
+#: Positions per sparse :func:`_or_bits` chunk.  Bounds the sparse
+#: branch's temporaries (about 20 bytes per position) at roughly
+#: 1.3 MB for any batch size.
 _OR_CHUNK = 1 << 16
+
+#: Largest buffer, in bits, the dense branch flags: one ``bool`` per
+#: bit, so its flag array stays at 2 MiB.
+_DENSE_MAX_BITS = 1 << 21
+
+#: The dense branch runs on batches of at least one position per this
+#: many bits of the buffer.  The measured crossover of the two branches
+#: is one position per about 64 bits on a 2^21-bit buffer and per about
+#: 100 on 2^19 to 2^20 bits; on smaller buffers dense wins below one
+#: per 256.
+_DENSE_BITS_PER_POSITION = 64
 
 
 def _or_bits(view: np.ndarray, positions: np.ndarray) -> None:
     """Set bit ``p`` of the LSB-first byte buffer *view* for each *p*.
 
-    The scatter-OR under the batch write kernels.  Each chunk of
-    positions is grouped by in-byte bit with one stable argsort (a radix
-    sort for 8-bit keys), then each of the eight groups is written with
-    one fancy-indexed ``|=``.  Within a group every position ORs the
-    same mask, so a byte named twice is written the same value twice
-    and no ``np.ufunc.at`` read-modify-write is needed.  *positions* is
-    not modified: the byte indices are shifted in place on the gathered
-    copy.
+    The scatter-OR under the batch write kernels; *positions* is not
+    modified.  Two branches, chosen by the batch's density:
+
+    * **Dense** (a buffer of at most ``_DENSE_MAX_BITS`` bits and at
+      least one position per ``_DENSE_BITS_PER_POSITION`` of them):
+      scatter ``True`` into one ``bool`` flag per bit, pack the flags
+      LSB-first and OR them into the buffer once.
+    * **Sparse** (otherwise), chunk by chunk: one fancy
+      ``view[byte] |= mask``, then a re-read of ``view[byte] & mask``
+      finds the positions whose bit was lost to another write of the
+      same byte, and only those are written again.  Of the writes to
+      one byte exactly one lands, so each round sets at least one
+      missing bit of every byte still owed one: at most eight rounds,
+      whatever the duplicates.
     """
+    nbits = view.size * 8
+    if (nbits <= _DENSE_MAX_BITS
+            and len(positions) * _DENSE_BITS_PER_POSITION >= nbits):
+        flags = np.zeros(nbits, dtype=bool)
+        flags[positions] = True
+        view |= np.packbits(flags, bitorder="little")
+        return
     for start in range(0, len(positions), _OR_CHUNK):
         chunk = positions[start:start + _OR_CHUNK]
-        bit = (chunk & 7).astype(np.uint8)
-        order = np.argsort(bit, kind="stable")
-        bounds = np.searchsorted(bit[order], np.arange(9))
-        byte = chunk[order]
-        del order
-        byte >>= 3
-        for b in range(8):
-            lo, hi = bounds[b], bounds[b + 1]
-            if lo != hi:
-                view[byte[lo:hi]] |= np.uint8(1 << b)
+        byte = chunk >> 3
+        mask = np.left_shift(np.uint8(1), (chunk & 7).astype(np.uint8))
+        while True:
+            view[byte] |= mask
+            lost = (view[byte] & mask) == 0
+            if not lost.any():
+                break
+            byte = byte[lost]
+            mask = mask[lost]
 
 
 class BitArray:

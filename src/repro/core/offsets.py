@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import require_positive
+from repro._vector import mod_int64
 from repro.errors import ConfigurationError
 
 __all__ = ["OffsetPolicy"]
@@ -102,8 +103,10 @@ class OffsetPolicy:
 
     def membership_offset_batch(self, hash_values) -> np.ndarray:
         """Vectorised :meth:`membership_offset` (``int64`` array out)."""
-        hash_values = np.asarray(hash_values, dtype=np.uint64)
-        return (hash_values % (self.w_bar - 1)).astype(np.int64) + 1
+        offsets = mod_int64(np.asarray(hash_values, dtype=np.uint64),
+                            self.w_bar - 1)
+        offsets += 1
+        return offsets
 
     # ------------------------------------------------------------------
     # Association (§4.1)
@@ -138,10 +141,10 @@ class OffsetPolicy:
         Returns the pair of ``int64`` arrays ``(o1, o2)``.
         """
         half = self.association_half_range
-        hv1 = np.asarray(hv1, dtype=np.uint64)
-        hv2 = np.asarray(hv2, dtype=np.uint64)
-        o1 = (hv1 % half).astype(np.int64) + 1
-        o2 = o1 + (hv2 % half).astype(np.int64) + 1
+        o1 = mod_int64(np.asarray(hv1, dtype=np.uint64), half)
+        o1 += 1
+        o2 = mod_int64(np.asarray(hv2, dtype=np.uint64), half)
+        o2 += o1 + 1
         return o1, o2
 
     # ------------------------------------------------------------------
@@ -181,9 +184,10 @@ class OffsetPolicy:
         segment = self.partition_segment(t)
         if not 1 <= j <= t:
             raise ConfigurationError("shift index %d outside [1, %d]" % (j, t))
-        hash_values = np.asarray(hash_values, dtype=np.uint64)
-        return (j - 1) * segment + (
-            hash_values % segment).astype(np.int64) + 1
+        offsets = mod_int64(np.asarray(hash_values, dtype=np.uint64),
+                            segment)
+        offsets += (j - 1) * segment + 1
+        return offsets
 
     # ------------------------------------------------------------------
     # Array sizing

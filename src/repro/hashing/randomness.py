@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import ElementLike, require_positive, to_bytes_batch
+from repro._vector import mod_int64
 from repro.hashing.family import HashFamily
 
 __all__ = [
@@ -325,7 +326,7 @@ def position_uniformity_report(
 def _uniformity_from_column(
     column: np.ndarray, index: int, n: int, n_buckets: int, sigmas: float
 ) -> UniformityReport:
-    buckets = (column % np.uint64(n_buckets)).astype(np.int64)
+    buckets = mod_int64(column, n_buckets)
     counts = np.bincount(buckets, minlength=n_buckets)
     expected = n / n_buckets
     statistic = float(((counts - expected) ** 2 / expected).sum())
@@ -369,8 +370,8 @@ def _independence_from_columns(
     col_a: np.ndarray, col_b: np.ndarray, index_a: int, index_b: int,
     n: int, n_buckets: int, sigmas: float,
 ) -> IndependenceReport:
-    modulus = np.uint64(n_buckets)
-    collisions = int((col_a % modulus == col_b % modulus).sum())
+    collisions = int((mod_int64(col_a, n_buckets)
+                      == mod_int64(col_b, n_buckets)).sum())
     p = 1.0 / n_buckets
     expected = n * p
     bound = sigmas * math.sqrt(n * p * (1.0 - p))

@@ -22,6 +22,7 @@ original message intact.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import threading
 import warnings
@@ -438,9 +439,11 @@ class SyncServiceClient:
         """
         if self._loop.is_closed():
             return
+        closing = None
         try:
             if self._client is not None:
-                self._call(self._client.close())
+                closing = self._client.close()
+                self._call(closing)
                 self._client = None
         finally:
             self._loop.call_soon_threadsafe(self._loop.stop)
@@ -452,6 +455,12 @@ class SyncServiceClient:
                     "event loop open" % self._timeout,
                     ResourceWarning, stacklevel=2)
             else:
+                # A loop that stopped before running the close leaves
+                # its coroutine unstarted; closing the loop would drop
+                # it with a "never awaited" warning.
+                if (closing is not None and inspect.getcoroutinestate(
+                        closing) == inspect.CORO_CREATED):
+                    closing.close()
                 self._loop.close()
 
     def __enter__(self) -> "SyncServiceClient":

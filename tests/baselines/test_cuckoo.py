@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import CuckooFilter
 from repro.errors import CapacityError
+from repro.hashing.family import make_family
 from tests.conftest import make_elements
 
 
@@ -74,9 +75,22 @@ class TestCapacityFailure:
                 inserted.append(e)
         except CapacityError:
             pass
-        # all but at most one displaced victim must still be present
         missing = sum(1 for e in inserted if e not in cf)
-        assert missing <= 1
+        assert missing == 0
+
+    def test_failed_insert_leaves_the_table_unchanged(self):
+        """An exhausted kick chain is undone: the homeless fingerprint
+        would otherwise be an earlier member's, a false negative."""
+        cf = CuckooFilter(capacity=48, fingerprint_bits=8,
+                          family=make_family("blake2b", 0), seed=3)
+        members = ["member-%04d" % i for i in range(64)]
+        cf.update(members)
+        table = cf._table.to_list()
+        with pytest.raises(CapacityError):
+            cf.add("member-0064")
+        assert [e for e in members if e not in cf] == []
+        assert cf._table.to_list() == table
+        assert cf.n_items == 64
 
 
 class TestDeterminism:

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro._vector import _FLOOR_BLOCK, _FLOOR_MIN_SIZE, mod_int64
 from repro.bitarray import AccessStats, BitArray, CounterArray, MemoryModel
+from repro.bitarray.bitarray import (_DENSE_BITS_PER_POSITION, _DENSE_MAX_BITS,
+                                     _OR_CHUNK, _or_bits)
 
 
 def make_pair(nbits=700, word_bits=64):
@@ -142,11 +145,9 @@ def test_offsets_batch_shared_group_matches_scalar(rng):
 
 
 # ----------------------------------------------------------------------
-# The scatter-OR under both write kernels groups positions by in-byte
-# bit and writes each group with one fancy-indexed ``|=``.  Positions
-# drawn from a few bytes make every batch duplicate-heavy: different
-# bits land in the same byte and the same bit repeats, within a group
-# and across groups.
+# The write kernels share one scatter-OR.  Positions drawn from a few
+# bytes make every batch duplicate-heavy: different bits land in the
+# same byte and the same bit repeats.
 # ----------------------------------------------------------------------
 FEW_BYTES = st.integers(min_value=0, max_value=3).flatmap(
     lambda lo: st.integers(min_value=lo * 8, max_value=lo * 8 + 23))
@@ -205,11 +206,9 @@ def test_set_bits_batch_byte_edges(positions):
 
 
 def test_set_bits_batch_across_scatter_chunks(rng):
-    """Batches longer than one scatter round: bytes and bits recur
-    across rounds, later rounds set bits the first one never named,
-    and the bill still counts every position."""
-    from repro.bitarray.bitarray import _OR_CHUNK
-
+    """A batch of twice a scatter chunk on a small array: bytes and
+    bits recur across it, its tail sets bits its head never named, and
+    the bill still counts every position."""
     batch = BitArray(300, memory=MemoryModel(word_bits=8))
     positions = np.concatenate([rng.integers(0, 150, _OR_CHUNK),
                                 rng.integers(100, 300, _OR_CHUNK + 5)])
@@ -520,3 +519,162 @@ def test_record_aggregates_match_scalar_records():
     model_b.record_writes(len(spans), int(costs.sum()))
     assert model_a.stats == model_b.stats
     assert isinstance(model_a.stats, AccessStats)
+
+
+# ----------------------------------------------------------------------
+# The scatter-OR itself, against the scalar loop, on both branches: the
+# dense flag-and-pack pass and the sparse write-and-repair rounds.  A
+# sparse round is one fancy ``view[byte] |= mask``, so the rounds made
+# are the ``__setitem__`` calls a counting buffer sees; the dense pass
+# makes none.
+# ----------------------------------------------------------------------
+class CountingBuffer(np.ndarray):
+    """A ``uint8`` buffer that counts the fancy writes made to it."""
+
+    def __setitem__(self, index, value):
+        self.writes += 1
+        super().__setitem__(index, value)
+
+
+def scatter(preset: bytes, positions):
+    """``(buffer, rounds)`` after :func:`_or_bits`, checked against the
+    scalar ``buf[p >> 3] |= 1 << (p & 7)`` loop and for an untouched
+    position array."""
+    want = bytearray(preset)
+    for p in positions:
+        want[p >> 3] |= 1 << (p & 7)
+    view = np.frombuffer(bytearray(preset), dtype=np.uint8).view(
+        CountingBuffer)
+    view.writes = 0
+    positions = np.array(positions, dtype=np.int64)
+    before = positions.copy()
+    _or_bits(view, positions)
+    assert view.tobytes() == bytes(want)
+    assert np.array_equal(positions, before)
+    return view, view.writes
+
+
+def is_dense(nbytes: int, n: int) -> bool:
+    return (8 * nbytes <= _DENSE_MAX_BITS
+            and n * _DENSE_BITS_PER_POSITION >= 8 * nbytes)
+
+
+@st.composite
+def scatter_cases(draw):
+    """A buffer with some bits already set and a batch for it, dense or
+    sparse by its size, positions often crowded into a few bytes."""
+    nbytes = draw(st.sampled_from([1, 3, 8, 40, 257, 4096]))
+    preset = draw(st.binary(min_size=nbytes, max_size=nbytes))
+    lo = draw(st.integers(0, nbytes - 1))
+    hi = draw(st.integers(lo, min(nbytes - 1, lo + draw(
+        st.sampled_from([0, 2, nbytes])))))
+    positions = draw(st.lists(st.integers(8 * lo, 8 * hi + 7),
+                              max_size=300))
+    return preset, positions
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scatter_cases())
+def test_property_or_bits_matches_scalar(case):
+    preset, positions = case
+    _, rounds = scatter(preset, positions)
+    if is_dense(len(preset), len(positions)):
+        assert rounds == 0
+    else:
+        assert 1 <= rounds <= 8 or not positions
+
+
+@settings(max_examples=100, deadline=None)
+@given(byte=st.integers(0, 4095),
+       bits=st.lists(st.integers(0, 7), min_size=1, max_size=60))
+@example(byte=77, bits=list(range(8)) * 3)
+def test_property_or_bits_one_byte_needs_at_most_eight_rounds(byte, bits):
+    """Every position names the same byte of a sparse buffer: each round
+    lands at least one of the bits still missing, so eight suffice."""
+    positions = [8 * byte + b for b in bits]
+    assert not is_dense(4096, len(positions))
+    view, rounds = scatter(bytes(4096), positions)
+    assert rounds <= len(set(bits)) <= 8
+    assert int(view[byte]) == sum(1 << b for b in set(bits))
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_or_bits_at_the_sparse_chunk_edges(rng, delta):
+    """Batches of one sparse chunk and one position either side: the
+    last chunk may hold one position, and each chunk makes its own
+    rounds.  The tail repeats bytes of the head, partly preset."""
+    nbytes = 1 << 19
+    n = _OR_CHUNK + delta
+    assert not is_dense(nbytes, n)
+    positions = rng.integers(0, 8 * nbytes, n)
+    positions[-64:] = positions[:64] ^ 1
+    preset = bytearray(nbytes)
+    preset[int(positions[0]) >> 3] = 0xFF
+    _, rounds = scatter(bytes(preset), positions.tolist())
+    chunks = -(-n // _OR_CHUNK)
+    assert chunks <= rounds <= 8 * chunks
+
+
+@pytest.mark.parametrize("nbytes", [64, 4096, (1 << 21) // 8])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_or_bits_at_the_density_threshold(rng, nbytes, delta):
+    """One position fewer than the threshold runs sparse; at it and
+    above, dense."""
+    n = 8 * nbytes // _DENSE_BITS_PER_POSITION + delta
+    preset = rng.bytes(nbytes)
+    _, rounds = scatter(preset, rng.integers(0, 8 * nbytes, n).tolist())
+    assert (rounds == 0) == (delta >= 0)
+
+
+@pytest.mark.parametrize("extra_bytes", [0, 1])
+def test_or_bits_at_the_dense_size_limit(rng, extra_bytes):
+    """The densest batch on a buffer one byte past the flag limit runs
+    sparse: the flag array stays within its bound."""
+    nbytes = _DENSE_MAX_BITS // 8 + extra_bytes
+    positions = rng.integers(0, 8 * nbytes, nbytes).tolist()
+    _, rounds = scatter(bytes(nbytes), positions)
+    assert (rounds == 0) == (extra_bytes == 0)
+
+
+@pytest.mark.parametrize("nbytes", [8, 1 << 19])
+def test_or_bits_empty_batch(nbytes):
+    _, rounds = scatter(b"\x5a" * nbytes, [])
+    assert rounds == 0
+
+
+# ----------------------------------------------------------------------
+# mod_int64 against Python's ``%``, below and above the size where it
+# switches to floor division, on contiguous and strided arrays.
+# ----------------------------------------------------------------------
+MODULI = [1, 2, 56, 2 ** 25, 577000, 2 ** 63 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.sampled_from(MODULI),
+       drawn=st.lists(st.integers(0, 2 ** 64 - 1), max_size=40),
+       big=st.booleans(), strided=st.booleans())
+def test_property_mod_int64_matches_python(m, drawn, big, strided):
+    words = [0, 1, m - 1, m, m + 1, 2 ** 63, 2 ** 64 - 1] + drawn
+    if big:
+        words = words * (_FLOOR_MIN_SIZE // len(words) + 1)
+    values = np.array(words, dtype=np.uint64)
+    assert (values.size >= _FLOOR_MIN_SIZE) == big
+    if strided:
+        grid = np.zeros((values.size, 3), dtype=np.uint64)
+        grid[:, 1] = values
+        values = grid[:, 1]
+    got = mod_int64(values, m)
+    assert got.dtype == np.int64
+    assert got.tolist() == [w % m for w in words]
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_mod_int64_across_floor_blocks(m):
+    """Arrays one short of a floor-division block, one exact block and
+    one past it, as a strided column: every block is reduced."""
+    rng = np.random.default_rng(m % 1000)
+    for n in (_FLOOR_BLOCK - 1, _FLOOR_BLOCK, _FLOOR_BLOCK + 1):
+        grid = rng.integers(0, 2 ** 64, (n, 2), dtype=np.uint64)
+        grid[-3:, 1] = (0, m - 1, 2 ** 64 - 1)
+        words = grid[:, 1].tolist()
+        assert mod_int64(grid[:, 1], m).tolist() == [w % m for w in words]

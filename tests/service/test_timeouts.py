@@ -6,7 +6,10 @@ exactly the case where the real server machinery never replies.
 """
 
 import asyncio
+import gc
+import sys
 import time
+import warnings
 
 import pytest
 
@@ -164,6 +167,34 @@ class TestSyncClientLifecycle:
             with SyncServiceClient(host="127.0.0.1", port=1,
                                    timeout=0.5):
                 pass  # pragma: no cover - connect fails first
+
+    def test_close_after_the_loop_stopped_leaves_no_coroutine(self):
+        """A close() whose loop thread is gone times out, and the
+        ``ServiceClient.close`` coroutine it queued never starts; it is
+        closed, not dropped with the loop unawaited."""
+        loop = asyncio.new_event_loop()
+        server, port = loop.run_until_complete(start_black_hole())
+        try:
+            client = SyncServiceClient(port=port, timeout=0.1)
+            client._loop.call_soon_threadsafe(client._loop.stop)
+            client._thread.join(2.0)
+            assert not client._thread.is_alive()
+            unraisable = []
+            hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    with pytest.raises(DeadlineExceededError):
+                        client.close()
+                    gc.collect()
+            finally:
+                sys.unraisablehook = hook
+            assert [str(u.exc_value) for u in unraisable] == []
+            assert client._loop.is_closed()
+        finally:
+            server.close()
+            loop.run_until_complete(server.wait_closed())
+            loop.close()
 
     def test_close_warns_instead_of_hanging_on_a_wedged_loop(self):
         async def main():
