@@ -33,6 +33,7 @@ __all__ = [
     "mod_int64",
     "record_early_exit",
     "row_spans",
+    "survivor_rounds",
     "word_costs",
 ]
 
@@ -54,7 +55,9 @@ def as_batch_int64(values) -> np.ndarray:
 def mod_int64(values: np.ndarray, m) -> np.ndarray:
     """``values % m`` for a ``uint64`` array, as ``int64`` positions.
 
-    Computed as ``values - (values // m) * m``: NumPy divides a
+    A power-of-two *m* keeps the low bits: one ``values & (m - 1)``,
+    the same bits as ``%`` with no division.  Any other *m* is
+    computed as ``values - (values // m) * m``: NumPy divides a
     contiguous ``uint64`` array by one scalar with a precomputed
     multiply-and-shift (libdivide), several times faster than the
     hardware division ``%`` makes per element.  The result starts as a
@@ -70,6 +73,9 @@ def mod_int64(values: np.ndarray, m) -> np.ndarray:
     goes through ``np.uint64`` first: NumPy 2 promotes ``uint64 %
     int64`` to ``float64``, where the reinterpretation would be wrong.
     """
+    m = int(m)
+    if m > 0 and not m & (m - 1):
+        return (values & np.uint64(m - 1)).view(np.int64)
     m = np.uint64(m)
     if values.size < _FLOOR_MIN_SIZE:
         return (values % m).view(np.int64)
@@ -121,6 +127,51 @@ def record_early_exit(memory, alive: np.ndarray, costs) -> None:
     # gather or ``sum(where=...)``.
     memory.record_reads(
         ops, int(costs[:, 0].sum()) + int((costs[:, 1:] * lived).sum()))
+
+
+def survivor_rounds(lanes, rounds: int, m: int, bits,
+                    offsets=None) -> np.ndarray:
+    """Early-exit membership verdicts for a batch, in survivor rounds.
+
+    Round ``j`` reads lane ``j`` of *lanes* (a
+    :meth:`~repro.hashing.family.HashFamily.lanes_batch` source) for
+    only the rows every earlier round passed, reduces it ``% m`` to
+    probe starts, and keeps the rows whose bit is set in the
+    :class:`~repro.bitarray.BitArray` *bits* (``test_bits_batch``), or
+    whose pair is, given the rows' *offsets* (``test_pairs_batch``);
+    the batch ends once no row survives.  So a lazy lane source stops
+    hashing with the probes, as the scalar query does (§3.2): a row
+    that dies in round ``j`` is never mixed for a later lane.  Each
+    round's probes are billed their ``bits.memory.read_cost_batch``
+    word costs over spans of 1 bit, or ``offsets + 1`` bits; the totals
+    go to one ``record_reads`` after the last round, the scalar loop's
+    early-exit bill.  The spans are computed once, and survivors are
+    compacted with ``np.flatnonzero`` and integer takes, which cost a
+    fraction of boolean-mask indexing on random masks.
+    """
+    memory = bits.memory
+    spans = 1 if offsets is None else offsets + 1
+    rows = None
+    ops = words = 0
+    for j in range(rounds):
+        starts = mod_int64(lanes.column(j, rows), m)
+        if offsets is None:
+            ok = bits.test_bits_batch(starts, record=False)
+        else:
+            ok = bits.test_pairs_batch(starts, offsets, record=False)
+        ops += len(starts)
+        words += int(memory.read_cost_batch(starts, spans).sum())
+        keep = np.flatnonzero(ok)
+        rows = keep if rows is None else rows[keep]
+        if offsets is not None:
+            offsets = offsets[keep]
+            spans = spans[keep]
+        if not len(rows):
+            break
+    memory.record_reads(ops, words)
+    verdicts = np.zeros(len(lanes), dtype=bool)
+    verdicts[rows] = True
+    return verdicts
 
 
 def row_spans(offsets: np.ndarray, n: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro._util import ElementLike
+from repro._vector import survivor_rounds
 from repro.bitarray.memory import MemoryModel
 from repro.core.base import BitArrayFilter, ElementFilter, bloom_geometry
 from repro.errors import ConfigurationError, UnsupportedOperationError
@@ -108,28 +109,17 @@ class BloomFilter(ElementFilter, BitArrayFilter):
     def query_batch(self, elements: Sequence[ElementLike]) -> np.ndarray:
         """Batch membership test returning a boolean array.
 
-        Runs the scalar early exit in survivor rounds, like
+        Runs the scalar early exit in survivor rounds
+        (:func:`repro._vector.survivor_rounds`), like ShBF_M's
         :func:`repro.core.membership._query_pairs_batch`: round ``j``
-        probes bit ``j`` of only the elements still alive, so each
-        element is billed single-bit reads up to and including its
-        first zero bit — the scalar early-exit accounting.
+        hashes and probes bit ``j`` of only the elements still alive,
+        so each element is billed single-bit reads up to and including
+        its first zero bit, the scalar early-exit accounting.  With a
+        lazy lane source (:meth:`HashFamily.lanes_batch`) the hashing
+        also stops at that bit, as in :meth:`query`.
         """
-        positions = self._family.positions_batch(elements, self._k, self._m)
-        rows = np.arange(len(positions))
-        memory = self.memory
-        ops = words = 0
-        for j in range(self._k):
-            probe = positions[rows, j]
-            ok = self._bits.test_bits_batch(probe, record=False)
-            ops += len(rows)
-            words += int(memory.read_cost_batch(probe, 1).sum())
-            rows = rows[ok]
-            if not len(rows):
-                break
-        memory.record_reads(ops, words)
-        verdicts = np.zeros(len(positions), dtype=bool)
-        verdicts[rows] = True
-        return verdicts
+        lanes = self._family.lanes_batch(elements, self._k)
+        return survivor_rounds(lanes, self._k, self._m, self._bits)
 
     def query(self, element: ElementLike) -> bool:
         """Membership test with early exit on the first zero bit.

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import ElementLike, require_even
-from repro._vector import mod_int64
+from repro._vector import mod_int64, survivor_rounds
 from repro.bitarray.memory import MemoryModel
 from repro.core.base import CountingTier, ElementFilter, ShiftedFilter
 from repro.errors import ConfigurationError, UnsupportedOperationError
@@ -51,32 +51,20 @@ def _bases_and_offsets_batch(filt, elements):
 def _query_pairs_batch(filt, bits, elements) -> np.ndarray:
     """Shared ShBF_M batch query against *bits* (§3.2, vectorised).
 
-    Runs the scalar early exit in survivor rounds: round ``j`` probes
-    pair ``j`` of only the elements whose pairs ``0 .. j-1`` were all
-    set, and the batch ends as soon as no element survives.  Verdicts
-    equal the scalar ``query`` element for element, and the memory
-    model is billed the pair reads actually made — which is exactly
-    what the scalar loop bills — in one call once every round has
-    passed its bounds checks.
+    Runs the scalar early exit in survivor rounds
+    (:func:`repro._vector.survivor_rounds`): round ``j`` hashes and
+    probes pair ``j`` of only the elements whose pairs ``0 .. j-1``
+    were all set, and the batch ends as soon as no element survives.
+    The offset hash ``h_{k/2+1}`` is read for every element first, as
+    the scalar ``query`` does; with a lazy lane source
+    (:meth:`HashFamily.lanes_batch`) the position hashes then stop with
+    the probes, as §3.2 describes.  Verdicts equal the scalar ``query``
+    element for element, and the memory model is billed the pair reads
+    actually made, which is exactly what the scalar loop bills.
     """
-    values = filt._family.values_batch(elements, filt._half + 1)
-    offsets = filt._policy.membership_offset_batch(values[:, filt._half])
-    rows = np.arange(len(values))
-    memory = bits.memory
-    ops = words = 0
-    for j in range(filt._half):
-        bases = mod_int64(values[rows, j], filt._m)
-        ok = bits.test_pairs_batch(bases, offsets, record=False)
-        ops += len(rows)
-        words += int(memory.read_cost_batch(bases, offsets + 1).sum())
-        rows = rows[ok]
-        offsets = offsets[ok]
-        if not len(rows):
-            break
-    memory.record_reads(ops, words)
-    verdicts = np.zeros(len(values), dtype=bool)
-    verdicts[rows] = True
-    return verdicts
+    lanes = filt._family.lanes_batch(elements, filt._half + 1)
+    offsets = filt._policy.membership_offset_batch(lanes.column(filt._half))
+    return survivor_rounds(lanes, filt._half, filt._m, bits, offsets)
 
 
 class ShiftingBloomFilter(ElementFilter, ShiftedFilter):

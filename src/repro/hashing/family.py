@@ -141,8 +141,39 @@ class HashFamily(abc.ABC):
         require_non_negative("count", count)
         return mod_int64(self.values_batch(elements, count, start=start), m)
 
+    def lanes_batch(self, elements: Sequence[ElementLike], count: int):
+        """Hashes ``0 .. count-1`` of every element, read one lane at a time.
+
+        Returns a lane source: ``len()`` is the batch size, and
+        ``column(j, rows=None)`` is hash ``j`` of the rows *rows* (every
+        row when ``None``), a ``uint64`` array equal to
+        ``values_batch(elements, count)[rows, j]``.  The survivor-round
+        queries (:func:`repro._vector.survivor_rounds`) read lane ``j``
+        only for the rows still alive in round ``j``.  This version is
+        eager: one :meth:`values_batch` call, then column gathers.
+        Families that derive every lane from one per-element base
+        (:class:`~repro.hashing.vectorized.VectorizedFamily`) mix each
+        column on demand instead, so a batch's hashing stops with its
+        probes, as the scalar query's does (§3.2).
+        """
+        return _EagerLanes(self.values_batch(elements, count))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "%s(name=%r)" % (type(self).__name__, self.name)
+
+
+class _EagerLanes:
+    """The base lane source: every lane hashed up front."""
+
+    def __init__(self, values: np.ndarray):
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def column(self, j: int, rows=None) -> np.ndarray:
+        column = self._values[:, j]
+        return column if rows is None else column[rows]
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,11 @@ Pipeline per element (both paths):
    a per-index seed drawn from a splitmix64 stream over the family
    seed: ``h_i(x) = mix64(base(x) + lane(i))``.  Distinct seeds give
    decorrelated families, matching the :class:`Blake2Family` contract.
+   The lane seeds are computed once per instance.  ``values_batch``
+   mixes every requested lane; ``lanes_batch`` folds the bases once and
+   mixes lane ``i`` only for the rows a survivor-round query still
+   probes in round ``i``, so batch hashing stops with the probes, as
+   the scalar query's does (§3.2).
 
 ``mix64`` is the splitmix64 finaliser (Stafford's mix13 constants) — a
 well-studied full-avalanche bijection.  The family is *not*
@@ -110,6 +115,7 @@ class VectorizedFamily(HashFamily):
         # splitmix64(seed): every derived quantity hangs off this.
         self._seed_mixed = _mix64((seed + _GOLDEN) & _M64)
         self._long_key = seed.to_bytes(8, "little") + b"vector64-long"
+        self._lane_seeds = np.empty(0, dtype=np.uint64)
 
     @property
     def seed(self) -> int:
@@ -172,9 +178,16 @@ class VectorizedFamily(HashFamily):
     # Batch path (whole-batch NumPy kernels)
     # ------------------------------------------------------------------
     def _lane_array(self, start: int, count: int) -> np.ndarray:
-        indices = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        lanes = np.uint64(self._seed_mixed) + indices * _NP_GOLDEN
-        return _mix64_np(lanes, np.empty_like(lanes))
+        """Lane seeds ``start .. start+count-1``: a slice of the
+        instance's read-only cache, rebuilt twice as long as needed when
+        a call reaches past it."""
+        stop = start + count
+        if stop > len(self._lane_seeds):
+            indices = np.arange(1, 2 * stop + 1, dtype=np.uint64)
+            lanes = np.uint64(self._seed_mixed) + indices * _NP_GOLDEN
+            _mix64_np(lanes, np.empty_like(lanes)).flags.writeable = False
+            self._lane_seeds = lanes
+        return self._lane_seeds[start:stop]
 
     def _ingest_batch(self, elements: Sequence[ElementLike]) -> np.ndarray:
         """Vectorised ingest: one ``uint64`` base value per element.
@@ -279,4 +292,36 @@ class VectorizedFamily(HashFamily):
         base = self._ingest_batch(elements)
         lanes = self._lane_array(start, count)
         values = base[:, None] + lanes[None, :]
+        return _mix64_np(values, np.empty_like(values))
+
+    def lanes_batch(self, elements: Sequence[ElementLike], count: int):
+        """Lazy lane source: one ingest fold now, one mix per column read.
+
+        ``column(j, rows)`` mixes ``base[rows] + lane(j)``, the very
+        arithmetic of :meth:`values_batch`, so it equals
+        ``values_batch(elements, count)[rows, j]`` bit for bit, and a
+        row is mixed only for the lanes it is asked for.
+        """
+        require_non_negative("count", count)
+        if not isinstance(elements, list):
+            elements = list(elements)
+        base = (self._ingest_batch(elements) if elements
+                else np.empty(0, dtype=np.uint64))
+        return _MixedLanes(base, self._lane_array(0, count))
+
+
+class _MixedLanes:
+    """:meth:`VectorizedFamily.lanes_batch`'s source: folded bases and
+    lane seeds, mixed per column read."""
+
+    def __init__(self, base: np.ndarray, lanes: np.ndarray):
+        self._base = base
+        self._lanes = lanes
+
+    def __len__(self) -> int:
+        return len(self._base)
+
+    def column(self, j: int, rows=None) -> np.ndarray:
+        base = self._base if rows is None else self._base[rows]
+        values = base + self._lanes[j]
         return _mix64_np(values, np.empty_like(values))

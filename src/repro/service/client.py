@@ -22,7 +22,6 @@ original message intact.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 import threading
 import warnings
@@ -379,6 +378,13 @@ class SyncServiceClient:
 
     def _call(self, coroutine):
         future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+        try:
+            return self._wait(future)
+        except DeadlineExceededError:
+            future.cancel()
+            raise
+
+    def _wait(self, future):
         # The in-loop op_timeout fires first in normal operation; the
         # small grace here only guards against a wedged event loop.
         try:
@@ -387,7 +393,6 @@ class SyncServiceClient:
         except (TimeoutError, futures.TimeoutError):
             if future.done():
                 raise  # the coroutine's own timeout error; keep it
-            future.cancel()
             raise DeadlineExceededError(
                 "operation exceeded the %.3gs client timeout and the "
                 "event loop did not answer" % self._timeout) from None
@@ -442,8 +447,11 @@ class SyncServiceClient:
         closing = None
         try:
             if self._client is not None:
-                closing = self._client.close()
-                self._call(closing)
+                # Not cancelled on timeout: a close the loop never ran
+                # is finished below, once the loop thread is gone.
+                closing = asyncio.run_coroutine_threadsafe(
+                    self._client.close(), self._loop)
+                self._wait(closing)
                 self._client = None
         finally:
             self._loop.call_soon_threadsafe(self._loop.stop)
@@ -455,13 +463,30 @@ class SyncServiceClient:
                     "event loop open" % self._timeout,
                     ResourceWarning, stacklevel=2)
             else:
-                # A loop that stopped before running the close leaves
-                # its coroutine unstarted; closing the loop would drop
-                # it with a "never awaited" warning.
-                if (closing is not None and inspect.getcoroutinestate(
-                        closing) == inspect.CORO_CREATED):
-                    closing.close()
+                if closing is not None and not closing.done():
+                    self._finish_close(closing)
                 self._loop.close()
+
+    def _finish_close(self, closing) -> None:
+        """Run a close the loop stopped before finishing, on this thread.
+
+        The loop thread is gone, so the idle loop is driven here: first
+        one pass over what was queued while it was stopped (the close's
+        submission and the stop request), then the close itself,
+        bounded by the client timeout.  A close that still fails aborts
+        the transport and waits, as long again, for the reader task to
+        see the connection drop, so no transport is left open.
+        """
+        loop = self._loop
+        loop.call_soon(loop.stop)
+        loop.run_forever()
+        try:
+            loop.run_until_complete(asyncio.wait_for(
+                asyncio.wrap_future(closing, loop=loop), self._timeout))
+        except Exception:
+            self._client._writer.transport.abort()
+            loop.run_until_complete(asyncio.wait(
+                [self._client._reader_task], timeout=self._timeout))
 
     def __enter__(self) -> "SyncServiceClient":
         return self

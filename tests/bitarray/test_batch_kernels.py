@@ -678,3 +678,40 @@ def test_mod_int64_across_floor_blocks(m):
         grid[-3:, 1] = (0, m - 1, 2 ** 64 - 1)
         words = grid[:, 1].tolist()
         assert mod_int64(grid[:, 1], m).tolist() == [w % m for w in words]
+
+
+# ----------------------------------------------------------------------
+# A power-of-two m reduces by one ``&`` with ``m - 1`` (no division), at
+# every size; the bits must still be Python's ``%``.
+# ----------------------------------------------------------------------
+POW2_MODULI = [1, 2, 2 ** 25, 2 ** 62]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.sampled_from(POW2_MODULI),
+       drawn=st.lists(st.integers(0, 2 ** 64 - 1), max_size=40),
+       big=st.booleans(), strided=st.booleans())
+def test_property_mod_int64_power_of_two_matches_python(m, drawn, big,
+                                                        strided):
+    words = [0, 1, m - 1, m, m + 1, 2 ** 63, 2 ** 64 - 1] + drawn
+    if big:
+        words = words * (_FLOOR_MIN_SIZE // len(words) + 1)
+    values = np.array(words, dtype=np.uint64)
+    if strided:
+        grid = np.zeros((values.size, 2), dtype=np.uint64)
+        grid[:, 0] = values
+        values = grid[:, 0]
+    assert values.flags.c_contiguous == (not strided or values.size < 2)
+    got = mod_int64(values, m)
+    assert got.dtype == np.int64
+    assert got.tolist() == [w % m for w in words]
+    assert values.tolist() == words  # the input is left as it was
+
+
+@pytest.mark.parametrize("m", POW2_MODULI)
+def test_mod_int64_power_of_two_accepts_numpy_moduli(m):
+    """A NumPy-integer m takes the same low-bits path."""
+    words = [0, m - 1, 2 ** 64 - 1, 12345678901234567]
+    values = np.array(words, dtype=np.uint64)
+    for modulus in (m, np.uint64(m), np.int64(m)):
+        assert mod_int64(values, modulus).tolist() == [w % m for w in words]

@@ -16,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing import (
+    FAMILY_KINDS,
     Blake2Family,
     DoubleHashingFamily,
     FNV1aFamily,
     Murmur3Family,
     VectorizedFamily,
     XXHash64Family,
+    make_family,
 )
 
 FAMILIES = [
@@ -161,3 +163,72 @@ def test_values_batch_accepts_any_iterable():
     want = family.values_batch(keys, 4)
     assert (family.values_batch(tuple(keys), 4) == want).all()
     assert (family.values_batch(iter(keys), 4) == want).all()
+
+
+# ----------------------------------------------------------------------
+# Lane sources (``lanes_batch``): the survivor-round queries read hash
+# ``j`` one column at a time, for the rows still alive.  Whether a
+# family hashes every lane up front (the base class) or mixes each
+# column on demand (VectorizedFamily), a column must equal the matching
+# column of ``values_batch``, for any row subset.
+# ----------------------------------------------------------------------
+LANE_ELEMENTS = st.one_of(
+    st.binary(max_size=48), st.text(max_size=40),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(FAMILY_KINDS),
+       seed=st.integers(min_value=0, max_value=2 ** 32),
+       elements=st.lists(LANE_ELEMENTS, max_size=24),
+       count=st.integers(min_value=1, max_value=9),
+       generator=st.booleans(), data=st.data())
+def test_property_lane_columns_match_values_batch(kind, seed, elements,
+                                                  count, generator, data):
+    family = make_family(kind, seed)
+    want = family.values_batch(elements, count)
+    lanes = family.lanes_batch(
+        (e for e in elements) if generator else elements, count)
+    assert len(lanes) == len(elements)
+    for j in range(count):
+        mask = data.draw(st.lists(st.booleans(), min_size=len(elements),
+                                  max_size=len(elements)))
+        rows = np.flatnonzero(np.array(mask, dtype=bool))
+        for subset in (None, rows, rows[:0]):
+            got = lanes.column(j, subset)
+            assert got.dtype == np.uint64
+            expected = want[:, j] if subset is None else want[subset, j]
+            assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_lane_columns_cover_every_key_shape(kind):
+    """Short, exactly-32-byte and long keys, str and int elements, in
+    one batch, plus an empty batch."""
+    family = make_family(kind, 5)
+    batch = [b"", b"y" * 32, b"z" * 33, b"x" * 200, "str-key", 2 ** 64 + 3,
+             -7, b"flow-0001"]
+    want = family.values_batch(batch, 6)
+    lanes = family.lanes_batch(batch, 6)
+    rows = np.array([1, 2, 3, 6])
+    for j in range(6):
+        assert lanes.column(j).tolist() == want[:, j].tolist()
+        assert lanes.column(j, rows).tolist() == want[rows, j].tolist()
+    empty = family.lanes_batch([], 6)
+    assert len(empty) == 0
+    assert empty.column(0).shape == (0,)
+    assert empty.column(5, np.array([], dtype=np.int64)).shape == (0,)
+
+
+def test_vector64_lane_seeds_are_cached_read_only_and_grow():
+    """The lane seeds are computed once per family, cannot be written
+    through a returned slice, and a request past the cache still
+    matches the scalar lanes."""
+    family = VectorizedFamily(seed=9)
+    seeds = family._lane_array(0, 4)
+    assert not seeds.flags.writeable
+    assert family._lane_array(0, 4).base is seeds.base
+    assert seeds.tolist() == [family._lane(i) for i in range(4)]
+    wide = family._lane_array(30, 50)
+    assert wide.tolist() == [family._lane(i) for i in range(30, 80)]
+    _assert_rows_match(family, ELEMENTS, count=50, start=30)

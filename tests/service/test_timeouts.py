@@ -171,7 +171,10 @@ class TestSyncClientLifecycle:
     def test_close_after_the_loop_stopped_leaves_no_coroutine(self):
         """A close() whose loop thread is gone times out, and the
         ``ServiceClient.close`` coroutine it queued never starts; it is
-        closed, not dropped with the loop unawaited."""
+        then run to completion on the idle loop, so neither the
+        coroutine nor the connection's socket transport is dropped
+        unclosed (a ResourceWarning, raised from ``__del__``, would
+        reach the unraisable hook)."""
         loop = asyncio.new_event_loop()
         server, port = loop.run_until_complete(start_black_hole())
         try:
@@ -179,18 +182,25 @@ class TestSyncClientLifecycle:
             client._loop.call_soon_threadsafe(client._loop.stop)
             client._thread.join(2.0)
             assert not client._thread.is_alive()
+            client_loop = client._loop
+            with warnings.catch_warnings():
+                # Earlier tests' garbage is not this test's to report.
+                warnings.simplefilter("ignore", ResourceWarning)
+                gc.collect()
             unraisable = []
             hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
+                    warnings.simplefilter("error", ResourceWarning)
                     with pytest.raises(DeadlineExceededError):
                         client.close()
+                    del client
                     gc.collect()
             finally:
                 sys.unraisablehook = hook
             assert [str(u.exc_value) for u in unraisable] == []
-            assert client._loop.is_closed()
+            assert client_loop.is_closed()
         finally:
             server.close()
             loop.run_until_complete(server.wait_closed())
