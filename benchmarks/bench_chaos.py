@@ -21,51 +21,25 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_chaos.py --smoke
 
 Writes ``BENCH_chaos.json`` (``.smoke.json`` for smoke runs) at the
-repo root.  ``--check`` exits non-zero if the overhead bar or any
-drill invariant fails.
+repo root through the drill harness's
+:func:`~repro.workloads.drill.bench_main`.  ``--check`` exits non-zero
+if the overhead bar or any check of the drill's contract fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
-import pathlib
 import sys
-import time
 
 from repro.chaos.drill import DrillConfig, run_drill
 from repro.replication.failover import FailoverClient
 from repro.service.client import ServiceClient
 from repro.service.server import CoalescerConfig, FilterService
 from repro.store.spec import StoreSpec
+from repro.workloads.drill import Contract, bench_main, drive
 from repro.workloads.service import build_service_workload
 
-DEFAULT_N = 4000
-DEFAULT_SHARDS = 4
-DEFAULT_M_PER_SHARD = 65536
-DEFAULT_K = 8
-DEFAULT_PER_REQUEST = 32
 MAX_OVERHEAD_PCT = 5.0
-
-
-async def _drive(call, requests, pipeline: int) -> float:
-    """Pipelined query stream through one client; wall-clock seconds."""
-    window = asyncio.Semaphore(pipeline)
-
-    async def one(batch) -> None:
-        try:
-            await call(batch)
-        finally:
-            window.release()
-
-    tasks = []
-    start = time.perf_counter()
-    for batch in requests:
-        await window.acquire()
-        tasks.append(asyncio.ensure_future(one(batch)))
-    await asyncio.gather(*tasks)
-    return time.perf_counter() - start
 
 
 async def _bench_overhead(args) -> dict:
@@ -76,20 +50,12 @@ async def _bench_overhead(args) -> dict:
     service = FilterService(store, CoalescerConfig())
     server = await service.start(port=0)
     port = server.sockets[0].getsockname()[1]
-    requests = workload.request_stream(args.per_request)
-    n_queries = sum(len(r) for r in requests)
+    ops = [("query", r) for r in workload.request_stream(args.per_request)]
+    n_queries = sum(len(batch) for _, batch in ops)
 
-    async def time_baseline() -> float:
-        client = await ServiceClient.connect(port=port, op_timeout=None)
+    async def timed(client) -> float:
         try:
-            return await _drive(client.query, requests, args.pipeline)
-        finally:
-            await client.close()
-
-    async def time_hardened() -> float:
-        client = FailoverClient([("127.0.0.1", port)])
-        try:
-            return await _drive(client.query, requests, args.pipeline)
+            return (await drive([client], ops, args.pipeline)).elapsed_s
         finally:
             await client.close()
 
@@ -97,8 +63,10 @@ async def _bench_overhead(args) -> dict:
         baseline = hardened = float("inf")
         # Alternate the two paths so drift (cache warmth, GC) hits both.
         for _ in range(args.repeats):
-            baseline = min(baseline, await time_baseline())
-            hardened = min(hardened, await time_hardened())
+            baseline = min(baseline, await timed(
+                await ServiceClient.connect(port=port, op_timeout=None)))
+            hardened = min(hardened, await timed(
+                FailoverClient([("127.0.0.1", port)])))
     finally:
         server.close()
         await server.wait_closed()
@@ -120,99 +88,27 @@ async def bench(args) -> dict:
     overhead = await _bench_overhead(args)
     drill = await run_drill(DrillConfig(
         n=args.drill_n, per_batch=args.drill_per_batch, seed=args.seed))
-    return {"overhead": overhead, "drill": drill}
+    contract = Contract()
+    contract.check("overhead_bar",
+                   overhead["overhead_pct"] <= MAX_OVERHEAD_PCT,
+                   "hardened client overhead %.2f%% <= %.1f%%"
+                   % (overhead["overhead_pct"], MAX_OVERHEAD_PCT))
+    contract.absorb(drill["contract"], "drill")
+    return {"overhead": overhead, "drill": drill,
+            "contract": contract.report()}
 
 
-def render(results: dict) -> str:
-    o = results["overhead"]
-    d = results["drill"]
-    lines = [
-        "overhead: baseline %d elems/s, hardened %d elems/s "
-        "-> %.2f%% (bar %.1f%%)" % (
-            o["baseline_elements_per_s"], o["hardened_elements_per_s"],
-            o["overhead_pct"], o["max_overhead_pct"]),
-        "drill: ok=%s %s" % (
-            d["ok"],
-            " ".join("%s=%s" % (k, v)
-                     for k, v in d["invariants"].items())),
-        "drill client: %s" % (d["client"],),
-    ]
-    return "\n".join(lines)
-
-
-def check(results: dict) -> bool:
-    ok = True
-    overhead = results["overhead"]["overhead_pct"]
-    if overhead > MAX_OVERHEAD_PCT:
-        print("FAIL: hardened client costs %.2f%% throughput "
-              "(bar %.1f%%)" % (overhead, MAX_OVERHEAD_PCT))
-        ok = False
-    else:
-        print("OK: hardened client overhead %.2f%% <= %.1f%%"
-              % (overhead, MAX_OVERHEAD_PCT))
-    if not results["drill"]["ok"]:
-        print("FAIL: drill invariants violated: %s"
-              % results["drill"]["invariants"])
-        ok = False
-    else:
-        print("OK: all drill invariants held")
-    return ok
+def _smoke(args) -> None:
+    args.n = min(args.n, 800)
+    args.drill_n = min(args.drill_n, 400)
+    args.repeats = 1
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=DEFAULT_N)
-    parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
-    parser.add_argument("--m-per-shard", type=int,
-                        default=DEFAULT_M_PER_SHARD)
-    parser.add_argument("--k", type=int, default=DEFAULT_K)
-    parser.add_argument("--per-request", type=int,
-                        default=DEFAULT_PER_REQUEST)
-    parser.add_argument("--pipeline", type=int, default=4,
-                        help="requests the client keeps in flight")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--drill-n", type=int, default=400,
-                        help="members written during the drill section")
-    parser.add_argument("--drill-per-batch", type=int, default=40)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload, single repeat (CI run)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero on the overhead bar or a "
-                             "drill invariant failure")
-    parser.add_argument("--output", type=pathlib.Path, default=None)
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        args.n = min(args.n, 800)
-        args.drill_n = min(args.drill_n, 400)
-        args.repeats = 1
-    if args.output is None:
-        name = ("BENCH_chaos.smoke.json" if args.smoke
-                else "BENCH_chaos.json")
-        args.output = pathlib.Path(__file__).resolve().parent.parent / name
-
-    results = asyncio.run(bench(args))
-    print(render(results))
-
-    payload = {
-        "config": {
-            "n": args.n, "shards": args.shards,
-            "m_per_shard": args.m_per_shard, "k": args.k,
-            "per_request": args.per_request, "pipeline": args.pipeline,
-            "repeats": args.repeats, "seed": args.seed,
-            "drill_n": args.drill_n,
-            "drill_per_batch": args.drill_per_batch,
-            "smoke": args.smoke,
-        },
-        "results": results,
-    }
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print("\nwrote %s" % args.output)
-
-    if args.check:
-        return 0 if check(results) else 1
-    return 0
+    return bench_main(
+        "chaos", __doc__, lambda args: asyncio.run(bench(args)), _smoke,
+        argv, n=4000, shards=4, m_per_shard=65536, k=8, per_request=32,
+        pipeline=4, repeats=3, seed=7, drill_n=400, drill_per_batch=40)
 
 
 if __name__ == "__main__":

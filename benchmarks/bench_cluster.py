@@ -20,10 +20,12 @@ second over a seeded member/absent mix:
   map exists for.
 
 The acceptance bar (``--check``) is ``aggregate > single_node`` — a
-3-way partition must buy capacity over one node — plus a bit-for-bit
-answer-equality cross-check (the 3-node fleet and the single node must
-return identical verdicts, false positives included) and the
-in-process migration drill's bounded-stall invariant.
+3-way partition must buy capacity over one node — plus the verdict
+contract of the drill harness (:mod:`repro.workloads.drill`): every
+verdict of both fleets agrees with an oracle store preloaded with the
+same catalog, false positives included, the two fleets agree bit for
+bit, and the in-process migration drill holds its own contract and
+stall budget.
 
 Run directly::
 
@@ -36,16 +38,13 @@ repo root.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
 import os
 import pathlib
 import socket
 import subprocess
 import sys
 import tempfile
-import time
 
 import numpy as np
 
@@ -55,27 +54,29 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.cluster.client import ClusterClient  # noqa: E402
 from repro.cluster.drill import ClusterDrillConfig, run_cluster_drill  # noqa: E402
 from repro.cluster.shardmap import ShardMap, bootstrap_map  # noqa: E402
+from repro.mpserve.fleet import fleet_stats  # noqa: E402
+from repro.retry import BackoffPolicy, call_with_retries  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
+from repro.store.spec import StoreSpec  # noqa: E402
+from repro.workloads.drill import (  # noqa: E402
+    Contract,
+    Oracle,
+    bench_main,
+    drive,
+)
 from repro.workloads.service import build_service_workload  # noqa: E402
 
-DEFAULT_MEMBERS = 6000
-DEFAULT_SHARDS = 8
-DEFAULT_M_PER_SHARD = 65536
-DEFAULT_K = 8
-DEFAULT_NODES = 3
-DEFAULT_PER_REQUEST = 64
 BOOT_RETRIES = 60
 BOOT_DELAY_S = 0.25
+REQUIRED_SPEEDUP = 1.0
 
 
 def _free_ports(count: int) -> list:
     """Bind-and-release *count* ports so the map can name them upfront."""
-    sockets, ports = [], []
-    for _ in range(count):
-        sock = socket.socket()
+    sockets = [socket.socket() for _ in range(count)]
+    for sock in sockets:
         sock.bind(("127.0.0.1", 0))
-        sockets.append(sock)
-        ports.append(sock.getsockname()[1])
+    ports = [sock.getsockname()[1] for sock in sockets]
     for sock in sockets:
         sock.close()
     return ports
@@ -108,22 +109,15 @@ class NodeFleet:
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
 
     async def wait_ready(self) -> None:
+        """Until every node answers STATS (each boots in well under
+        ``BOOT_RETRIES * BOOT_DELAY_S``)."""
         for endpoint in self.shard_map.nodes():
             host, port = endpoint.rsplit(":", 1)
-            for attempt in range(BOOT_RETRIES):
-                try:
-                    conn = await ServiceClient.connect(
-                        host, int(port), connect_timeout=1.0)
-                    try:
-                        await conn.stats()
-                    finally:
-                        await conn.close()
-                    break
-                except Exception:
-                    if attempt == BOOT_RETRIES - 1:
-                        raise RuntimeError(
-                            "node %s never became ready" % endpoint)
-                    await asyncio.sleep(BOOT_DELAY_S)
+            await call_with_retries(
+                lambda: fleet_stats(host, int(port)),
+                policy=BackoffPolicy(base=BOOT_DELAY_S, cap=BOOT_DELAY_S,
+                                     jitter="none",
+                                     max_attempts=BOOT_RETRIES))
 
     def stop(self) -> None:
         for proc in self.procs:
@@ -138,61 +132,24 @@ class NodeFleet:
         self.procs = []
 
 
-async def _drive_cluster(shard_map: ShardMap, requests, n_clients: int,
-                         pipeline: int):
-    """The full stream through *n_clients* ClusterClients.
-
-    Returns (elapsed seconds, verdicts concatenated in request order) —
-    the verdict vector doubles as the equality cross-check payload.
-    """
-    clients = [ClusterClient(shard_map) for _ in range(n_clients)]
-    answers = [None] * len(requests)
-
-    async def drive(client_id: int) -> None:
-        client = clients[client_id]
-        window = asyncio.Semaphore(pipeline)
-
-        async def one(i: int) -> None:
-            try:
-                answers[i] = await client.query(requests[i])
-            finally:
-                window.release()
-
-        tasks = []
-        for i in range(client_id, len(requests), n_clients):
-            await window.acquire()
-            tasks.append(asyncio.ensure_future(one(i)))
-        await asyncio.gather(*tasks)
-
-    start = time.perf_counter()
-    await asyncio.gather(*(drive(c) for c in range(n_clients)))
-    elapsed = time.perf_counter() - start
-    for client in clients:
-        await client.close()
-    return elapsed, np.concatenate([np.asarray(a) for a in answers])
+async def _timed(clients, requests, pipeline: int, repeats: int):
+    """Best wall time of *repeats* pipelined passes over *requests*,
+    and the last pass's verdicts concatenated in request order."""
+    ops = [("query", batch) for batch in requests]
+    best = float("inf")
+    try:
+        for _ in range(repeats):
+            run = await drive(clients, ops, pipeline)
+            best = min(best, run.elapsed_s)
+    finally:
+        for client in clients:
+            await client.close()
+    return best, np.concatenate([np.asarray(a) for a in run.answers])
 
 
-async def _drive_direct(endpoint: str, requests, pipeline: int) -> float:
-    """A per-node slice straight at one node over one connection."""
+async def _direct(endpoint: str):
     host, port = endpoint.rsplit(":", 1)
-    client = await ServiceClient.connect(host, int(port))
-    window = asyncio.Semaphore(pipeline)
-
-    async def one(batch) -> None:
-        try:
-            await client.query(batch)
-        finally:
-            window.release()
-
-    start = time.perf_counter()
-    tasks = []
-    for batch in requests:
-        await window.acquire()
-        tasks.append(asyncio.ensure_future(one(batch)))
-    await asyncio.gather(*tasks)
-    elapsed = time.perf_counter() - start
-    await client.close()
-    return elapsed
+    return [await ServiceClient.connect(host, int(port))]
 
 
 def _split_by_owner(shard_map: ShardMap, requests):
@@ -210,7 +167,8 @@ def _split_by_owner(shard_map: ShardMap, requests):
     return per_node
 
 
-async def bench(args, cluster_map: ShardMap, single_map: ShardMap) -> dict:
+async def bench(args, cluster_map: ShardMap, single_map: ShardMap,
+                contract: Contract) -> dict:
     workload = build_service_workload(args.members, seed=args.seed)
     requests = workload.request_stream(args.per_request)
     n_queries = sum(len(r) for r in requests)
@@ -218,22 +176,18 @@ async def bench(args, cluster_map: ShardMap, single_map: ShardMap) -> dict:
 
     # Scale-up ceiling: everything on the single node, direct.
     single_endpoint = single_map.nodes()[0]
-    best = float("inf")
-    for _ in range(args.repeats):
-        best = min(best, await _drive_direct(
-            single_endpoint, requests, args.pipeline))
+    best, single_answers = await _timed(
+        await _direct(single_endpoint), requests, args.pipeline,
+        args.repeats)
     single_rate = round(n_queries / best)
     rows.append({"scenario": "single_node", "transport": "direct",
                  "endpoint": single_endpoint, "elements": n_queries,
                  "elements_per_s": single_rate})
 
     # The honest concurrent row: every node time-shares this one CPU.
-    best = float("inf")
-    cluster_answers = None
-    for _ in range(args.repeats):
-        elapsed, cluster_answers = await _drive_cluster(
-            cluster_map, requests, args.clients, args.pipeline)
-        best = min(best, elapsed)
+    best, cluster_answers = await _timed(
+        [ClusterClient(cluster_map) for _ in range(args.clients)],
+        requests, args.pipeline, args.repeats)
     rows.append({"scenario": "cluster_concurrent",
                  "transport": "cluster_client",
                  "nodes": len(cluster_map.nodes()),
@@ -246,10 +200,8 @@ async def bench(args, cluster_map: ShardMap, single_map: ShardMap) -> dict:
     for endpoint in cluster_map.nodes():
         slice_requests = per_node[endpoint]
         slice_n = sum(len(r) for r in slice_requests)
-        best = float("inf")
-        for _ in range(args.repeats):
-            best = min(best, await _drive_direct(
-                endpoint, slice_requests, args.pipeline))
+        best, _ = await _timed(await _direct(endpoint), slice_requests,
+                               args.pipeline, args.repeats)
         rate = slice_n / best if best > 0 else 0.0
         aggregate += rate
         rows.append({"scenario": "node_isolated", "transport": "direct",
@@ -258,18 +210,25 @@ async def bench(args, cluster_map: ShardMap, single_map: ShardMap) -> dict:
                      "elements": slice_n,
                      "elements_per_s": round(rate)})
 
-    # Equality: the fleet and the single node must agree bit-for-bit.
-    _, single_answers = await _drive_cluster(
-        single_map, requests, 1, args.pipeline)
+    # Equality: the fleet and the single node must agree bit-for-bit,
+    # and both with the oracle.
     answers_equal = bool(
         np.array_equal(cluster_answers, single_answers))
+    mix = workload.mixed_stream()
+    contract.verdicts(mix, cluster_answers)
+    contract.verdicts(mix, single_answers)
+    speedup = round(aggregate / single_rate, 3) if single_rate else 0.0
+    contract.check("aggregate_speedup", speedup > REQUIRED_SPEEDUP,
+                   "aggregate fleet capacity %.3fx of single node "
+                   "(bar: > %.2fx)" % (speedup, REQUIRED_SPEEDUP))
+    contract.check("answers_equal_to_single_node", answers_equal,
+                   "3-node answers bit-identical to single node")
 
     return {
         "rows": rows,
         "aggregate_elements_per_s": round(aggregate),
         "single_node_elements_per_s": single_rate,
-        "aggregate_speedup_vs_single": (
-            round(aggregate / single_rate, 3) if single_rate else 0.0),
+        "aggregate_speedup_vs_single": speedup,
         "aggregate_note": (
             "sum of per-node isolated rates: the fleet's capacity when "
             "each node has its own core/host (this container has one "
@@ -278,7 +237,7 @@ async def bench(args, cluster_map: ShardMap, single_map: ShardMap) -> dict:
     }
 
 
-def _run_drill_section(args) -> dict:
+def _run_drill_section(args, contract: Contract) -> dict:
     """The in-process migration drill's client-visible stall numbers."""
     config = ClusterDrillConfig(
         n_nodes=args.nodes, n_shards=args.shards,
@@ -289,6 +248,7 @@ def _run_drill_section(args) -> dict:
         migrate_after_ops=8 if args.smoke else 20,
         seed=args.seed)
     report = run_cluster_drill(config)
+    contract.absorb(report["contract"], "migration")
     return {
         "ok": report["ok"],
         "flip_window_s": report["migration"]["flip_window_s"],
@@ -300,97 +260,19 @@ def _run_drill_section(args) -> dict:
     }
 
 
-def render_table(results: dict) -> str:
-    header = "%-20s %-15s %10s %12s" % (
-        "scenario", "transport", "elements", "elems/s")
-    lines = [header, "-" * len(header)]
-    for row in results["throughput"]["rows"]:
-        lines.append("%-20s %-15s %10d %12d" % (
-            row["scenario"], row["transport"], row["elements"],
-            row["elements_per_s"]))
-    th = results["throughput"]
-    lines.append("")
-    lines.append("aggregate fleet capacity: %d elems/s (%.3fx single "
-                 "node)" % (th["aggregate_elements_per_s"],
-                            th["aggregate_speedup_vs_single"]))
-    lines.append("answers equal to single node: %s"
-                 % th["answers_equal_to_single_node"])
-    drill = results["migration"]
-    lines.append("migration: flip window %.4fs, max client stall %.4fs "
-                 "(budget %.1fs), wrong verdicts %d"
-                 % (drill["flip_window_s"],
-                    drill["max_stall_op_latency_s"],
-                    drill["stall_budget_s"], drill["wrong_verdicts"]))
-    return "\n".join(lines)
-
-
-def check(results: dict, required_speedup: float = 1.0) -> bool:
-    """The scale-out acceptance bars."""
-    ok = True
-    th = results["throughput"]
-    speedup = th["aggregate_speedup_vs_single"]
-    verdict = "OK" if speedup > required_speedup else "FAIL"
-    print("%s: aggregate fleet capacity %.3fx of single node "
-          "(bar: > %.2fx)" % (verdict, speedup, required_speedup))
-    ok = ok and speedup > required_speedup
-    verdict = "OK" if th["answers_equal_to_single_node"] else "FAIL"
-    print("%s: 3-node answers bit-identical to single node"
-          % verdict)
-    ok = ok and th["answers_equal_to_single_node"]
-    drill = results["migration"]
-    stalled_ok = (drill["ok"] and drill["wrong_verdicts"] == 0
-                  and drill["max_stall_op_latency_s"]
-                  <= drill["stall_budget_s"])
-    verdict = "OK" if stalled_ok else "FAIL"
-    print("%s: migration drill exact with stall %.4fs <= budget %.1fs"
-          % (verdict, drill["max_stall_op_latency_s"],
-             drill["stall_budget_s"]))
-    return ok and stalled_ok
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--members", type=int, default=DEFAULT_MEMBERS)
-    parser.add_argument("--nodes", type=int, default=DEFAULT_NODES)
-    parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
-    parser.add_argument("--m-per-shard", type=int,
-                        default=DEFAULT_M_PER_SHARD)
-    parser.add_argument("--k", type=int, default=DEFAULT_K)
-    parser.add_argument("--per-request", type=int,
-                        default=DEFAULT_PER_REQUEST)
-    parser.add_argument("--clients", type=int, default=4,
-                        help="concurrent ClusterClients in the "
-                             "cluster_concurrent scenario")
-    parser.add_argument("--pipeline", type=int, default=4,
-                        help="requests each client keeps in flight")
-    parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload, single repeat (CI sanity run)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless the 3-node aggregate "
-                             "beats single-node and the drill is exact")
-    parser.add_argument("--output", type=pathlib.Path, default=None)
-    args = parser.parse_args(argv)
-
-    if args.smoke and args.check:
-        parser.error(
-            "--check needs the full-size run; drop --smoke (the smoke "
-            "workload is too small for a stable throughput gate)")
-    if args.smoke:
-        args.members = min(args.members, 600)
-        args.m_per_shard = min(args.m_per_shard, 16384)
-        args.repeats = 1
-    if args.output is None:
-        name = ("BENCH_cluster.smoke.json" if args.smoke
-                else "BENCH_cluster.json")
-        args.output = REPO_ROOT / name
-
+def run(args) -> dict:
+    """Boot both fleets, measure, then run the migration drill."""
     ports = _free_ports(args.nodes + 1)
     cluster_map = bootstrap_map(
         args.shards, ["127.0.0.1:%d" % p for p in ports[:args.nodes]])
     single_map = bootstrap_map(
         args.shards, ["127.0.0.1:%d" % ports[args.nodes]])
+    # Every node preloads its owned slice of the seeded catalog.
+    contract = Contract(Oracle(
+        StoreSpec(shards=args.shards, m=args.m_per_shard, k=args.k,
+                  family=cluster_map.router_family),
+        router=cluster_map.make_router(),
+        preload=args.members, seed=args.seed))
 
     with tempfile.TemporaryDirectory(prefix="bench-cluster-") as tmp:
         cluster_path = pathlib.Path(tmp) / "cluster-map.json"
@@ -404,39 +286,38 @@ def main(argv=None) -> int:
             fleet.start()
             single.start()
 
-            async def run() -> dict:
+            async def measure() -> dict:
                 await fleet.wait_ready()
                 await single.wait_ready()
-                return await bench(args, cluster_map, single_map)
+                return await bench(args, cluster_map, single_map,
+                                   contract)
 
-            throughput = asyncio.run(run())
+            throughput = asyncio.run(measure())
         finally:
             fleet.stop()
             single.stop()
 
-    results = {
-        "throughput": throughput,
-        "migration": _run_drill_section(args),
-    }
-    print(render_table(results))
+    migration = _run_drill_section(args, contract)
+    return {"throughput": throughput, "migration": migration,
+            "contract": contract.report()}
 
-    payload = {
-        "config": {
-            "members": args.members, "nodes": args.nodes,
-            "shards": args.shards, "m_per_shard": args.m_per_shard,
-            "k": args.k, "per_request": args.per_request,
-            "clients": args.clients, "pipeline": args.pipeline,
-            "repeats": args.repeats, "seed": args.seed,
-            "smoke": args.smoke,
-        },
-        "results": results,
-    }
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print("\nwrote %s" % args.output)
 
+def _smoke(args):
     if args.check:
-        return 0 if check(results) else 1
-    return 0
+        return ("--check needs the full-size run; drop --smoke (the "
+                "smoke workload is too small for a stable throughput "
+                "gate)")
+    args.members = min(args.members, 600)
+    args.m_per_shard = min(args.m_per_shard, 16384)
+    args.repeats = 1
+    return None
+
+
+def main(argv=None) -> int:
+    return bench_main(
+        "cluster", __doc__, run, _smoke, argv, members=6000, nodes=3,
+        shards=8, m_per_shard=65536, k=8, per_request=64, clients=4,
+        pipeline=4, repeats=2, seed=0)
 
 
 if __name__ == "__main__":

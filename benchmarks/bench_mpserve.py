@@ -5,9 +5,11 @@ single-process coalesced serve, with the same forwarding and publish
 machinery so nothing else differs) and an **N-worker** fleet (default
 4).  Seeded member/absent query streams are driven by *separate client
 processes* (the load generator must not share a GIL with either
-contender, or it becomes the thing being measured), and every member
-verdict is verified — a fleet that scales by answering garbage fails
-the run, not just the gate.
+contender, or it becomes the thing being measured), and every verdict
+is checked against the drill harness's oracle (:mod:`repro.workloads.
+drill`: a store of the fleet's spec preloaded with the same seeded
+catalog) once the clock has stopped — a fleet that scales by answering
+garbage fails the run, not just the gate.
 
 Timing follows the paired-concurrent estimator this repo's benchmarks
 settled on in PR 8: both fleets serve their load **at the same time**
@@ -23,8 +25,9 @@ Run directly::
 Writes ``BENCH_mpserve.json`` (``.smoke.json`` for smoke runs) at the
 repo root, always recording ``cores``.  ``--check`` enforces two bars:
 
-* **correctness, unconditionally** — zero wrong member verdicts in
-  every driver of every round;
+* **correctness, unconditionally** — zero wrong verdicts in every
+  driver of every round: no false negatives, and false positives
+  bit-identical to the oracle's;
 * **scaling, where physics allows** — the N-worker fleet must serve
   >= 3x the 1-worker throughput, enforced when the box has at least
   4 cores.  On smaller machines the scaling bar is reported as an
@@ -35,26 +38,21 @@ repo root, always recording ``cores``.  ``--check`` enforces two bars:
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
 import math
 import multiprocessing
 import os
-import pathlib
 import sys
-import time
 
 from repro.mpserve.supervisor import MultiWorkerSupervisor, SupervisorConfig
 from repro.service.client import ServiceClient
+from repro.store.spec import StoreSpec
+from repro.workloads.drill import Contract, Oracle, bench_main, drive
 from repro.workloads.service import build_service_workload
 
 HOST = "127.0.0.1"
-DEFAULT_N = 4000
-DEFAULT_WORKERS = 4
-DEFAULT_PER_REQUEST = 32
-DEFAULT_DRIVERS = 2
-DEFAULT_CLIENTS_PER_DRIVER = 8
+REQUIRED_SCALE = 3.0
+MIN_CORES = 4
 
 
 # ----------------------------------------------------------------------
@@ -62,10 +60,12 @@ DEFAULT_CLIENTS_PER_DRIVER = 8
 # ----------------------------------------------------------------------
 async def _driver_async(port: int, driver_id: int, n_drivers: int,
                         n: int, seed: int, per_request: int,
-                        n_clients: int, pipeline: int, conn) -> None:
-    workload = build_service_workload(n, seed=seed)
-    requests = workload.request_stream(per_request)
-    mine = list(range(driver_id, len(requests), n_drivers))
+                        n_clients: int, pipeline: int, spec: StoreSpec,
+                        conn) -> None:
+    requests = build_service_workload(n, seed=seed).request_stream(
+        per_request)
+    ops = [("query", requests[i])
+           for i in range(driver_id, len(requests), n_drivers)]
     clients = []
     for _ in range(n_clients):
         clients.append(await ServiceClient.connect(
@@ -74,58 +74,27 @@ async def _driver_async(port: int, driver_id: int, n_drivers: int,
     while not conn.poll(0.01):
         await asyncio.sleep(0.005)
     conn.recv()  # the parent's "go" — both fleets start together
-
-    mismatches = 0
-    served = 0
-
-    async def drive(client_id: int) -> None:
-        nonlocal mismatches, served
-        client = clients[client_id]
-        window = asyncio.Semaphore(pipeline)
-
-        async def one(index: int) -> None:
-            nonlocal mismatches, served
-            batch = requests[index]
-            try:
-                verdicts = await client.query(batch)
-                # The seeded stream interleaves member/absent: the
-                # element at global position p is a member iff p is
-                # even (same convention as repro.service bench).
-                start_pos = index * per_request
-                for j in range(len(batch)):
-                    if (start_pos + j) % 2 == 0 and not verdicts[j]:
-                        mismatches += 1
-                served += len(batch)
-            finally:
-                window.release()
-
-        tasks = []
-        for index in mine[client_id::n_clients]:
-            await window.acquire()
-            tasks.append(asyncio.ensure_future(one(index)))
-        await asyncio.gather(*tasks)
-
-    start = time.perf_counter()
-    await asyncio.gather(*(drive(c) for c in range(n_clients)))
-    elapsed = time.perf_counter() - start
+    run = await drive(clients, ops, pipeline)
     for client in clients:
         await client.close()
-    conn.send(("done", driver_id, elapsed, served, mismatches))
+    # Checked once the clock has stopped: the writer preloaded the
+    # seeded catalog into a store of *spec*, and so does the oracle.
+    contract = Contract(Oracle(spec, preload=n, seed=seed))
+    contract.replay(ops, run)
+    conn.send(("done", driver_id, run.elapsed_s,
+               sum(len(batch) for _, batch in ops),
+               contract.wrong_verdicts))
 
 
-def driver_main(port: int, driver_id: int, n_drivers: int, n: int,
-                seed: int, per_request: int, n_clients: int,
-                pipeline: int, conn) -> None:
+def driver_main(*args) -> None:
     """Spawn entry point for one load-generator process."""
-    asyncio.run(_driver_async(
-        port, driver_id, n_drivers, n, seed, per_request, n_clients,
-        pipeline, conn))
+    asyncio.run(_driver_async(*args))
 
 
 # ----------------------------------------------------------------------
 # Paired rounds
 # ----------------------------------------------------------------------
-async def _run_paired_round(ports: dict, args) -> dict:
+async def _run_paired_round(ports: dict, args, spec: StoreSpec) -> dict:
     """One round: every contender's drivers run simultaneously.
 
     Spawns ``args.drivers`` client processes per contender, waits for
@@ -143,7 +112,7 @@ async def _run_paired_round(ports: dict, args) -> dict:
                 target=driver_main,
                 args=(port, driver_id, args.drivers, args.n, args.seed,
                       args.per_request, args.clients_per_driver,
-                      args.pipeline, child_conn),
+                      args.pipeline, spec, child_conn),
                 daemon=True)
             process.start()
             child_conn.close()
@@ -186,17 +155,18 @@ async def bench(args) -> dict:
             seed=args.seed, publish_interval_ms=25.0))
         await sups[name].start()
     ports = {name: sup.serve_port for name, sup in sups.items()}
+    spec = sups["workers_1"].config.store
     names = list(contenders)
     baseline, fleet = names[0], names[1]
 
     try:
-        await _run_paired_round(ports, args)  # warm-up, discarded
+        await _run_paired_round(ports, args, spec)  # warm-up, discarded
         best = {name: float("inf") for name in names}
         served = {name: 0 for name in names}
         mismatches = {name: 0 for name in names}
         log_ratio_sum = 0.0
         for _round in range(args.rounds):
-            result = await _run_paired_round(ports, args)
+            result = await _run_paired_round(ports, args, spec)
             for name in names:
                 best[name] = min(best[name], result[name]["elapsed"])
                 served[name] = result[name]["served"]
@@ -205,130 +175,61 @@ async def bench(args) -> dict:
             # throughput ratio for this round.
             log_ratio_sum += math.log(
                 result[baseline]["elapsed"] / result[fleet]["elapsed"])
-        scale_ratio = math.exp(log_ratio_sum / args.rounds)
+        scale_ratio = round(math.exp(log_ratio_sum / args.rounds), 3)
         generations = {name: sup.generation()
                        for name, sup in sups.items()}
     finally:
         for sup in sups.values():
             await sup.stop()
 
-    rows = [{
-        "contender": name,
-        "workers": contenders[name],
-        "elements_per_s": (round(served[name] / best[name])
-                           if best[name] > 0 else 0),
-        "queries": served[name],
-        "mismatches": mismatches[name],
-        "generation": generations[name],
-    } for name in names]
+    contract = Contract()
+    for name in names:
+        contract.check(
+            "%s_verdicts" % name, mismatches[name] == 0,
+            "%s answered %d queries with %d verdicts off the oracle"
+            % (name, served[name], mismatches[name]))
+    # A 1-core box cannot run N workers faster than 1: below MIN_CORES
+    # the ratio is reported as a SKIP, never judged.
+    cores = os.cpu_count()
+    judged = cores is not None and cores >= MIN_CORES
+    contract.check(
+        "scaling", scale_ratio >= REQUIRED_SCALE if judged else None,
+        "%s serves %.3fx the 1-worker throughput (bar: %.1fx on >= %d "
+        "cores; this box has %s)" % (fleet, scale_ratio, REQUIRED_SCALE,
+                                     MIN_CORES, cores))
     return {
-        "cores": os.cpu_count(),
+        "cores": cores,
         "drivers": args.drivers,
         "clients_per_driver": args.clients_per_driver,
         "rounds": args.rounds,
-        "rows": rows,
-        "scale_ratio": round(scale_ratio, 3),
+        "rows": [{
+            "contender": name,
+            "workers": contenders[name],
+            "elements_per_s": (round(served[name] / best[name])
+                               if best[name] > 0 else 0),
+            "queries": served[name],
+            "mismatches": mismatches[name],
+            "generation": generations[name],
+        } for name in names],
+        "scale_ratio": scale_ratio,
         "scale_contenders": [baseline, fleet],
+        "contract": contract.report(),
     }
 
 
-def render_table(results: dict) -> str:
-    header = "%-12s %8s %14s %12s %11s" % (
-        "contender", "workers", "elems/s", "queries", "mismatches")
-    lines = [header, "-" * len(header)]
-    for row in results["rows"]:
-        lines.append("%-12s %8d %14d %12d %11d" % (
-            row["contender"], row["workers"], row["elements_per_s"],
-            row["queries"], row["mismatches"]))
-    lines.append("")
-    lines.append("scale ratio (%s vs %s, paired geomean): %.3fx on "
-                 "%d core(s)"
-                 % (results["scale_contenders"][1],
-                    results["scale_contenders"][0],
-                    results["scale_ratio"], results["cores"]))
-    return "\n".join(lines)
-
-
-def check(results: dict, required_scale: float = 3.0,
-          min_cores: int = 4) -> bool:
-    """Correctness always; the >=3x scaling bar where cores exist."""
-    ok = True
-    for row in results["rows"]:
-        verdict = "OK" if row["mismatches"] == 0 else "FAIL"
-        print("%s: %s answered %d queries with %d wrong member "
-              "verdicts" % (verdict, row["contender"], row["queries"],
-                            row["mismatches"]))
-        ok = ok and row["mismatches"] == 0
-    cores = results["cores"]
-    ratio = results["scale_ratio"]
-    if cores is not None and cores >= min_cores:
-        verdict = "OK" if ratio >= required_scale else "FAIL"
-        print("%s: %s serves %.3fx the 1-worker throughput "
-              "(bar: %.1fx on %d cores)"
-              % (verdict, results["scale_contenders"][1], ratio,
-                 required_scale, cores))
-        ok = ok and ratio >= required_scale
-    else:
-        print("SKIP: scaling bar needs >= %d cores, this box has %s — "
-              "measured %.3fx is reported, not judged (workers "
-              "time-slice one core here)"
-              % (min_cores, cores, ratio))
-    return ok
+def _smoke(args) -> None:
+    args.n = min(args.n, 600)
+    args.workers = 2
+    args.drivers = 1
+    args.clients_per_driver = 4
+    args.rounds = 1
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=DEFAULT_N)
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
-                        help="fleet size of the scaling contender")
-    parser.add_argument("--per-request", type=int,
-                        default=DEFAULT_PER_REQUEST)
-    parser.add_argument("--drivers", type=int, default=DEFAULT_DRIVERS,
-                        help="client processes per contender")
-    parser.add_argument("--clients-per-driver", type=int,
-                        default=DEFAULT_CLIENTS_PER_DRIVER)
-    parser.add_argument("--pipeline", type=int, default=4,
-                        help="requests each connection keeps in flight")
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload, 2-worker fleet, one round")
-    parser.add_argument("--check", action="store_true",
-                        help="verify verdicts; enforce >=3x scaling "
-                             "when >=4 cores are available")
-    parser.add_argument("--output", type=pathlib.Path, default=None)
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        args.n = min(args.n, 600)
-        args.workers = 2
-        args.drivers = 1
-        args.clients_per_driver = 4
-        args.rounds = 1
-    if args.output is None:
-        name = ("BENCH_mpserve.smoke.json" if args.smoke
-                else "BENCH_mpserve.json")
-        args.output = pathlib.Path(__file__).resolve().parent.parent / name
-
-    results = asyncio.run(bench(args))
-    print(render_table(results))
-
-    payload = {
-        "config": {
-            "n": args.n, "workers": args.workers,
-            "per_request": args.per_request, "drivers": args.drivers,
-            "clients_per_driver": args.clients_per_driver,
-            "pipeline": args.pipeline, "rounds": args.rounds,
-            "seed": args.seed, "smoke": args.smoke,
-        },
-        "results": results,
-    }
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print("\nwrote %s" % args.output)
-
-    if args.check:
-        return 0 if check(results) else 1
-    return 0
+    return bench_main(
+        "mpserve", __doc__, lambda args: asyncio.run(bench(args)), _smoke,
+        argv, n=4000, workers=4, per_request=32, drivers=2,
+        clients_per_driver=8, pipeline=4, rounds=3, seed=0)
 
 
 if __name__ == "__main__":

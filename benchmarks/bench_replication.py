@@ -26,17 +26,18 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_replication.py --smoke
 
 Writes ``BENCH_replication.json`` (``.smoke.json`` for smoke runs) at
-the repo root.  ``--check`` enforces the replication PR's acceptance
-bar: failover succeeds, zero acknowledged writes are lost, and the
-standby's verdicts are bit-identical to the primary's.
+the repo root.  ``--check`` enforces the drill harness's verdict
+contract (:mod:`repro.workloads.drill`) on both sides of the kill:
+the primary's and the standby's verdicts on the read mix agree with an
+oracle replaying the acknowledged writes (no false negatives, false
+positives bit-identical), the promoted standby holds exactly the
+oracle's ``n_items``, the standby's verdicts are bit-identical to the
+primary's and the quiesced snapshots are byte-identical.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
-import pathlib
 import sys
 import time
 
@@ -46,67 +47,54 @@ from repro.replication.replicator import ReplicationConfig
 from repro.service.client import ServiceClient
 from repro.service.server import CoalescerConfig, FilterService
 from repro.store.spec import StoreSpec
+from repro.workloads.drill import Contract, Oracle, bench_main, drive
 from repro.workloads.service import build_service_workload, chop_requests
-
-DEFAULT_N = 6000
-DEFAULT_SHARDS = 4
-DEFAULT_M_PER_SHARD = 131072
-DEFAULT_K = 8
-DEFAULT_PER_BATCH = 64
-DEFAULT_CLIENTS = 4
-DEFAULT_INTERVAL_MS = 50
 
 
 COALESCER = CoalescerConfig(max_batch=512, max_delay_us=200,
                             max_inflight=4096)
 
 
-def _store(args):
+def _spec(args) -> StoreSpec:
     return StoreSpec(shards=args.shards, m=args.m_per_shard, k=args.k,
-                     family="blake2b").build()
+                     family="blake2b")
 
 
-async def _drive(port: int, write_batches, read_batches,
-                 n_clients: int) -> float:
-    """Round-robin the write then read batches over pipelined clients."""
+async def _drive(port: int, ops, n_clients: int) -> float:
+    """Round-robin *ops* over one-at-a-time clients; wall seconds."""
     clients = await asyncio.gather(
         *(ServiceClient.connect(port=port) for _ in range(n_clients)))
-
-    async def run(client_id: int) -> None:
-        client = clients[client_id]
-        for i in range(client_id, len(write_batches), n_clients):
-            await client.add(write_batches[i])
-        for i in range(client_id, len(read_batches), n_clients):
-            await client.query(read_batches[i])
-
-    start = time.perf_counter()
-    await asyncio.gather(*(run(c) for c in range(n_clients)))
-    elapsed = time.perf_counter() - start
-    await asyncio.gather(*(c.close() for c in clients))
-    return elapsed
+    try:
+        return (await drive(clients, ops)).elapsed_s
+    finally:
+        await asyncio.gather(*(c.close() for c in clients))
 
 
 async def bench(args) -> dict:
     _, pre, _, mix = failover_script(
         build_service_workload(args.n, seed=args.seed), -1, args.per_batch)
-    read_batches = chop_requests(mix, args.per_batch)
-    n_elements = sum(len(b) for b in pre) + len(mix)
+    # Each client sends its writes before its reads.
+    ops = ([("add", b) for b in pre]
+           + [("query", b) for b in chop_requests(mix, args.per_batch)])
+    n_elements = sum(len(b) for _, b in ops)
+    contract = Contract(Oracle(_spec(args)))
+    for batch in pre:
+        contract.oracle.add(batch)
 
     # --- 1. baseline: identical load, no replication ------------------
-    solo = FilterService(_store(args), COALESCER)
+    solo = FilterService(_spec(args).build(), COALESCER)
     solo_server = await solo.start(port=0)
-    solo_port = solo_server.sockets[0].getsockname()[1]
-    solo_s = await _drive(solo_port, pre, read_batches, args.clients)
+    solo_s = await _drive(solo_server.sockets[0].getsockname()[1], ops,
+                          args.clients)
     await solo.kill(solo_server)
 
     # --- 2. replicated primary, same load ------------------------------
     pair = await start_pair(
-        _store(args), _store(args), coalescer=COALESCER,
+        _spec(args).build(), _spec(args).build(), coalescer=COALESCER,
         config=ReplicationConfig(interval_ms=args.interval_ms,
                                  max_staleness_batches=32))
     try:
-        repl_s = await _drive(pair.primary_port, pre, read_batches,
-                              args.clients)
+        repl_s = await _drive(pair.primary_port, ops, args.clients)
         quiesce_start = time.perf_counter()
         await pair.repl.ship()
         quiesce_ms = (time.perf_counter() - quiesce_start) * 1e3
@@ -114,13 +102,12 @@ async def bench(args) -> dict:
         ship_stats = link.stats_dict()
 
         # --- standby equivalence after quiesce --------------------------
-        probe = await ServiceClient.connect(port=pair.standby_port)
-        primary_probe = await ServiceClient.connect(port=pair.primary_port)
-        standby_blob = await probe.snapshot()
-        primary_blob = await primary_probe.snapshot()
-        snapshots_identical = standby_blob == primary_blob
-        await probe.close()
-        await primary_probe.close()
+        blobs = []
+        for port in (pair.standby_port, pair.primary_port):
+            probe = await ServiceClient.connect(port=port)
+            blobs.append(await probe.snapshot())
+            await probe.close()
+        standby_blob, primary_blob = blobs
 
         # --- 3. failover: kill the primary under a warm client ---------
         client = FailoverClient([("127.0.0.1", pair.primary_port),
@@ -133,13 +120,19 @@ async def bench(args) -> dict:
         promote_start = time.perf_counter()
         await client.promote()
         promote_ms = (time.perf_counter() - promote_start) * 1e3
-        consistent = bool((standby_verdicts == primary_verdicts).all())
-        false_negatives = int(
-            sum(1 for v in standby_verdicts[0::2] if not v))
         await client.close()
+        contract.items(pair.standby_service.target.n_items)
     finally:
         await pair.close()
 
+    contract.verdicts(mix, standby_verdicts)
+    false_negatives = contract.false_negatives
+    contract.verdicts(mix, primary_verdicts)
+    consistent = bool((standby_verdicts == primary_verdicts).all())
+    contract.check("standby_bit_identical", consistent,
+                   "standby verdicts bit-identical")
+    contract.check("snapshots_byte_identical", standby_blob == primary_blob,
+                   "quiesced snapshots byte-identical")
     return {
         "throughput": {
             "elements": n_elements,
@@ -161,96 +154,22 @@ async def bench(args) -> dict:
             "verdicts_compared": len(mix),
             "bit_identical": consistent,
             "false_negatives": false_negatives,
-            "snapshots_byte_identical": bool(snapshots_identical),
+            "snapshots_byte_identical": standby_blob == primary_blob,
         },
+        "contract": contract.report(),
     }
 
 
-def render(results: dict) -> str:
-    t, s, f = (results["throughput"], results["shipping"],
-               results["failover"])
-    return "\n".join([
-        "throughput: solo %d elems/s, replicated %d elems/s "
-        "(overhead %.1f%%)" % (
-            t["solo_elements_per_s"], t["replicated_elements_per_s"],
-            t["overhead_pct"]),
-        "shipping: %d deltas + %d full snapshots, %d bytes on the wire "
-        "(one full snapshot: %d bytes); quiesce ship %.2f ms" % (
-            s["deltas_sent"], s["full_snapshots_sent"], s["bytes_sent"],
-            s["snapshot_bytes"], s["quiesce_ship_ms"]),
-        "failover: next verdict batch %.2f ms after the kill, "
-        "promote %.2f ms; %d verdicts bit-identical=%s "
-        "false_negatives=%d snapshots_byte_identical=%s" % (
-            f["failover_read_ms"], f["promote_ms"],
-            f["verdicts_compared"], f["bit_identical"],
-            f["false_negatives"], f["snapshots_byte_identical"]),
-    ])
-
-
-def check(results: dict) -> bool:
-    """Acceptance: failover lost nothing and diverged nowhere."""
-    f = results["failover"]
-    checks = [
-        ("standby verdicts bit-identical", f["bit_identical"]),
-        ("no acknowledged write lost", f["false_negatives"] == 0),
-        ("quiesced snapshots byte-identical",
-         f["snapshots_byte_identical"]),
-    ]
-    ok = True
-    for label, passed in checks:
-        print("%s: %s" % ("OK" if passed else "FAIL", label))
-        ok = ok and passed
-    return ok
+def _smoke(args) -> None:
+    args.n = min(args.n, 800)
+    args.m_per_shard = min(args.m_per_shard, 32768)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=DEFAULT_N)
-    parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
-    parser.add_argument("--m-per-shard", type=int,
-                        default=DEFAULT_M_PER_SHARD)
-    parser.add_argument("--k", type=int, default=DEFAULT_K)
-    parser.add_argument("--per-batch", type=int,
-                        default=DEFAULT_PER_BATCH)
-    parser.add_argument("--clients", type=int, default=DEFAULT_CLIENTS)
-    parser.add_argument("--interval-ms", type=int,
-                        default=DEFAULT_INTERVAL_MS)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload (CI sanity run)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless failover was "
-                             "lossless and bit-identical")
-    parser.add_argument("--output", type=pathlib.Path, default=None)
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        args.n = min(args.n, 800)
-        args.m_per_shard = min(args.m_per_shard, 32768)
-    if args.output is None:
-        name = ("BENCH_replication.smoke.json" if args.smoke
-                else "BENCH_replication.json")
-        args.output = pathlib.Path(__file__).resolve().parent.parent / name
-
-    results = asyncio.run(bench(args))
-    print(render(results))
-
-    payload = {
-        "config": {
-            "n": args.n, "shards": args.shards,
-            "m_per_shard": args.m_per_shard, "k": args.k,
-            "per_batch": args.per_batch, "clients": args.clients,
-            "interval_ms": args.interval_ms, "seed": args.seed,
-            "smoke": args.smoke,
-        },
-        "results": results,
-    }
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print("wrote %s" % args.output)
-
-    if args.check and not check(results):
-        return 1
-    return 0
+    return bench_main(
+        "replication", __doc__, lambda args: asyncio.run(bench(args)),
+        _smoke, argv, n=6000, shards=4, m_per_shard=131072, k=8,
+        per_batch=64, clients=4, interval_ms=50, seed=0)
 
 
 if __name__ == "__main__":

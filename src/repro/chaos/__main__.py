@@ -14,8 +14,9 @@ of any ``repro.service`` / ``repro.replication`` node, applying the
 printing an injection report on shutdown; ``drill`` runs the full
 seeded chaos drill of :mod:`repro.chaos.drill` — replicated pair,
 fault storm, hardened :class:`~repro.replication.FailoverClient`
-workload — and exits non-zero if any invariant (zero wrong verdicts,
-zero duplicate writes, nothing hangs) is violated.
+workload — prints the drill harness's contract checks and exits
+non-zero if any fails (a wrong verdict, a lost or twice-applied write,
+an op over its budget).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.chaos.faults import FaultSchedule
 from repro.chaos.proxy import ChaosProxy
 from repro.cli import add_store_args, add_timeout_args, from_args, run
 from repro.replication.failover import parse_endpoint
+from repro.workloads.drill import print_checks, render
 
 
 async def _serve(args: argparse.Namespace) -> int:
@@ -58,22 +60,8 @@ async def _drill(args: argparse.Namespace) -> int:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2)
         print("report written to %s" % args.report)
-    totals, client = report["totals"], report["client"]
-    print("drill: %d ops, %d elements written; slowest op %.3f s "
-          "(budget %.3f s)" % (totals["ops_run"],
-                               totals["elements_written"],
-                               totals["slowest_op_s"],
-                               totals["op_budget_s"]))
-    print("client: %d failovers, %d retries, %d deadline timeouts, "
-          "%d breaker opens" % (client["failovers"], client["retries"],
-                                client["deadline_timeouts"],
-                                client["breaker_opens"]))
-    for entry in report["proxy"]["injected"]:
-        print("fault %s: fired %d/%d matched"
-              % (entry["fault"], entry["fired"], entry["matched"]))
-    for name, held in report["invariants"].items():
-        print("invariant %s: %s" % (name, "OK" if held else "VIOLATED"))
-    if not report["ok"]:
+    print("\n".join(render(report)))
+    if not print_checks(report["contract"]["checks"]):
         print("DRILL FAILED", file=sys.stderr)
         return 1
     print("DRILL OK")

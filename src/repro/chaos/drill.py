@@ -7,34 +7,32 @@ a warm standby, and a :class:`~repro.chaos.proxy.ChaosProxy` in front
 of the primary — then drives a seeded write/read sequence
 (:func:`op_sequence`) through a hardened
 :class:`~repro.replication.FailoverClient` while the proxy injects the
-scripted faults.  After the run, three invariants are checked
-mechanically:
+scripted faults.  It is a scenario of the drill harness
+(:mod:`repro.workloads.drill`): one driver runs the ops, and the
+harness's contract checker replays every acknowledged write into a
+fault-free oracle built from the same :class:`~repro.store.StoreSpec`.
+Three invariants come out of it:
 
-* **zero wrong verdicts** — every query answer matches a fault-free
-  reference replay of the same seeded sequence on a local store built
-  from the same :class:`~repro.store.StoreSpec` (bit-identical by
-  construction, so even false positives must agree);
+* **zero wrong verdicts** — every query answer matches the oracle
+  (bit-identical by construction, so even false positives agree);
 * **zero duplicate-applied writes** — the primary's ``n_items`` equals
-  the reference store's, proving that every write retried across a
-  reset or failover was applied exactly once by the idempotency
-  window;
+  the oracle's, proving that every write retried across a reset or
+  failover was applied exactly once by the idempotency window;
 * **nothing hangs** — no single client op took longer than its
   deadline plus the failover budget.
 
-The returned report carries the per-invariant verdicts plus the
-client's resilience counters, the server's counters and the proxy's
-injection summary, and is JSON-serialisable as-is (the CLI and the CI
-smoke job dump it verbatim).
+The returned report carries the per-invariant verdicts, the
+harness's check-by-check ``contract`` report, the client's resilience
+counters, the server's counters and the proxy's injection summary, and
+is JSON-serialisable as-is (the CLI and the CI smoke job dump it
+verbatim).
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from repro.chaos.faults import FaultSchedule, default_drill_schedule
 from repro.chaos.proxy import ChaosProxy
@@ -44,6 +42,7 @@ from repro.replication.pair import start_pair
 from repro.replication.replicator import ReplicationConfig
 from repro.retry import BackoffPolicy
 from repro.store.spec import StoreSpec
+from repro.workloads.drill import Contract, Oracle, drive
 from repro.workloads.service import ServiceWorkload, build_service_workload
 
 __all__ = ["DrillConfig", "op_sequence", "run_drill"]
@@ -95,14 +94,11 @@ class DrillConfig:
         return StoreSpec(shards=self.shards, m=self.m, k=self.k)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n, "per_batch": self.per_batch, "seed": self.seed,
-            "op_timeout_s": self.op_timeout,
-            "connect_timeout_s": self.connect_timeout,
-            "failover_budget_s": self.failover_budget,
-            "shards": self.shards, "m": self.m, "k": self.k,
-            "max_passes": self.max_passes,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "faults"}
+        for name in ("op_timeout", "connect_timeout", "failover_budget"):
+            out[name + "_s"] = out.pop(name)
+        return out
 
 
 def op_sequence(workload: ServiceWorkload, per_batch: int,
@@ -124,33 +120,28 @@ def op_sequence(workload: ServiceWorkload, per_batch: int,
 async def run_drill(config: DrillConfig = DrillConfig()) -> dict:
     """Run one seeded chaos drill; see the module docstring.
 
-    Returns the report dict; ``report["ok"]`` is the overall verdict
-    and ``report["invariants"]`` the per-invariant breakdown.
+    Returns the report dict; ``report["ok"]`` is the overall verdict,
+    ``report["invariants"]`` the per-invariant breakdown and
+    ``report["contract"]`` the harness's clause-by-clause report.
     """
     schedule = config.schedule()
     schedule.reset()
     workload = build_service_workload(config.n, seed=config.seed)
-
-    # Fault-free reference: an identically constructed store replaying
-    # the same seeded sequence locally.  Bit-identical to the primary
-    # (and, after each ship, the standby), so verdicts must agree
-    # exactly — false positives included.
-    reference = config.store.build()
+    ops = list(op_sequence(workload, config.per_batch))
+    contract = Contract(Oracle(config.store))
     pair = await start_pair(
         config.store.build(), config.store.build(),
         config=ReplicationConfig(interval_ms=3_600_000))
     proxy = ChaosProxy("127.0.0.1", pair.primary_port, schedule)
     client = None
 
-    wrong_verdicts = 0
-    ops_run = 0
-    slowest_op_s = 0.0
-    deadline_violations = 0
-    # Full per-op latency distribution under faults — the report's
-    # histogram shares the live METRICS format, so drill artifacts and
-    # scrapes merge/compare with the same tooling.
-    op_latency = Histogram()
-    op_budget = config.op_timeout + config.failover_budget
+    async def ship(i: int, _answer) -> None:
+        # Ship each write's delta so standby reads stay verdict-exact.
+        # The ship rides inside the add's timing window: under faults
+        # it is part of what the op budget must absorb.
+        if ops[i][0] == "add":
+            await pair.repl.ship()
+
     try:
         await proxy.start()
         client = FailoverClient(
@@ -162,27 +153,8 @@ async def run_drill(config: DrillConfig = DrillConfig()) -> dict:
             client_id=config.seed + 1,
             rng=random.Random(config.seed),
         )
-        for kind, batch in op_sequence(workload, config.per_batch):
-            start = time.monotonic()
-            if kind == "add":
-                await client.add(batch)
-                reference.add_batch(batch)
-                # Ship the delta so standby reads stay verdict-exact.
-                await pair.repl.ship()
-            else:
-                verdicts = np.asarray(await client.query(batch))
-                expected = np.asarray(reference.query_batch(batch))
-                wrong_verdicts += int(np.sum(verdicts != expected))
-            elapsed = time.monotonic() - start
-            ops_run += 1
-            op_latency.observe(elapsed)
-            slowest_op_s = max(slowest_op_s, elapsed)
-            # Shipping rides inside the add's timing window; it is part
-            # of what the op budget must absorb under faults.
-            if elapsed > op_budget:
-                deadline_violations += 1
-        duplicate_writes = (pair.primary_service.target.n_items
-                            - reference.n_items)
+        run = await drive([client], ops, after=ship)
+        contract.items(pair.primary_service.target.n_items)
         server_counters = pair.primary_service.counters.as_dict()
         standby_counters = pair.standby_service.counters.as_dict()
     finally:
@@ -191,19 +163,36 @@ async def run_drill(config: DrillConfig = DrillConfig()) -> dict:
         await proxy.close()
         await pair.close()
 
+    contract.replay(ops, run)
+    op_budget = config.op_timeout + config.failover_budget
+    latencies = run.latencies()
+    # Full per-op latency distribution under faults — the report's
+    # histogram shares the live METRICS format, so drill artifacts and
+    # scrapes merge/compare with the same tooling.
+    op_latency = Histogram()
+    for seconds in latencies:
+        op_latency.observe(seconds)
+    slowest_op_s = max(latencies, default=0.0)
+    deadline_violations = sum(1 for s in latencies if s > op_budget)
+    contract.check("no_op_over_budget", deadline_violations == 0,
+                   "no op over its %.3f s budget (slowest %.3f s)"
+                   % (op_budget, slowest_op_s))
+    report = contract.report()
+    duplicate_writes = contract.served_items - contract.oracle.n_items
     invariants = {
-        "zero_wrong_verdicts": wrong_verdicts == 0,
+        "zero_wrong_verdicts": contract.wrong_verdicts == 0,
         "zero_duplicate_writes": duplicate_writes == 0,
         "no_op_over_budget": deadline_violations == 0,
     }
     return {
         "config": config.as_dict(),
-        "ok": all(invariants.values()),
+        "ok": report["ok"],
         "invariants": invariants,
+        "contract": report,
         "totals": {
-            "ops_run": ops_run,
+            "ops_run": len(run.acked),
             "elements_written": len(workload.members),
-            "wrong_verdicts": wrong_verdicts,
+            "wrong_verdicts": contract.wrong_verdicts,
             "duplicate_writes": duplicate_writes,
             "deadline_violations": deadline_violations,
             "slowest_op_s": slowest_op_s,

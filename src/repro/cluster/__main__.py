@@ -58,6 +58,7 @@ from repro.service.server import FilterService
 from repro.store.router import DEFAULT_ROUTER_SEED
 from repro.store.sharded import ShardedFilterStore
 from repro.store.spec import STRUCTURES
+from repro.workloads.drill import print_checks
 from repro.workloads.service import build_service_workload
 from repro.workloads.sharded import partition_by_shard
 
@@ -184,15 +185,11 @@ def _drill(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     print(text)
-    print("drill %s: wrong_verdicts=%d+%d items=%d/%d stall=%.4fs"
-          % ("OK" if report["ok"] else "FAIL",
-             report["ops"]["wrong_verdicts_live"],
-             report["ops"]["wrong_verdicts_sweep"],
-             report["writes_accounting"]["cluster_n_items"],
-             report["writes_accounting"]["reference_n_items"],
-             report["ops"]["max_stall_op_latency_s"]),
-          file=sys.stderr if not report["ok"] else sys.stdout)
-    return 0 if report["ok"] else 1
+    if not print_checks(report["contract"]["checks"]):
+        print("drill FAIL", file=sys.stderr)
+        return 1
+    print("drill OK")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,27 +1,30 @@
 """The migration drill: a live reshard proven exact under load.
 
-The headline harness of the cluster layer.  A seeded drill boots a
+The headline drill of the cluster layer, a scenario of the drill
+harness (:mod:`repro.workloads.drill`).  A seeded drill boots a
 cluster (in-process nodes on ephemeral ports, or external processes via
 ``endpoints``), drives a continuous read+write stream through a
 :class:`~repro.cluster.client.ClusterClient`, migrates a hot shard
-*while the stream runs*, and replays every applied write into a
-fault-free single-node reference store built from the same
-:class:`~repro.store.StoreSpec` as the nodes: the map's shard count,
+*while the stream runs*, and replays every acknowledged write into the
+harness's oracle: a single-node store built from the same
+:class:`~repro.store.StoreSpec` as the nodes — the map's shard count,
 router and family, and the filter geometry one node's SNAPSHOT header
-declares.  Because cluster and reference hash identically,
-every verdict — false positives included — must match **bit for bit**;
-any divergence is a real protocol bug, not noise.
+declares.  Because cluster and oracle hash identically, every verdict —
+false positives included — must match **bit for bit**; any divergence
+is a real protocol bug, not noise.
 
-Three invariants must hold for ``report["ok"]``:
+These invariants must hold for ``report["ok"]`` (the report's
+``contract`` lists them check by check):
 
 * ``zero_wrong_verdicts`` — every read during the drill and a full
-  post-drill sweep over the whole universe agree with the reference;
+  post-drill sweep over the whole universe agree with the oracle;
 * ``zero_lost_or_duplicate_writes`` — after the move, the summed
-  ``n_items`` across the fleet equals the reference count exactly (a
-  lost delta batch shows up low, a double-applied one high);
+  ``n_items`` across the fleet equals the oracle's exactly (a lost
+  delta batch shows up low, a double-applied one high);
 * ``bounded_stall`` — no operation overlapping the migration window
   took longer than the stall budget: the ownership flip may slow
-  clients (WRONG_OWNER → refresh → retry), never park them.
+  clients (WRONG_OWNER → refresh → retry), never park them;
+* ``epoch_advanced`` — every node ends past the starting epoch.
 
 Run it from the CLI as ``python -m repro.cluster drill`` (in-process)
 or ``--external`` against live nodes; CI's ``cluster-smoke`` job runs
@@ -33,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +56,7 @@ from repro.service.client import ServiceClient
 from repro.service.server import CoalescerConfig, FilterService
 from repro.store.router import DEFAULT_ROUTER_SEED
 from repro.store.spec import StoreSpec
+from repro.workloads.drill import Contract, Op, Oracle, drive
 from repro.workloads.service import build_service_workload, chop_requests
 
 __all__ = [
@@ -244,6 +248,33 @@ def _pick_migration(shard_map: ShardMap,
     return hot, min(candidates, key=lambda e: load[e])
 
 
+def _op_stream(config: ClusterDrillConfig, members: List[bytes],
+               absent: List[bytes], rng: random.Random):
+    """The drill's seeded ops: ``(preload, stream, drain)``.
+
+    Half the catalog is preloaded; the stream writes the other half
+    (an op is a write with probability ``write_fraction`` while any is
+    left) between reads that mix written members with absent elements;
+    the drain writes what the stream left.
+    """
+    split = len(members) // 2
+    writes = chop_requests(members[split:], config.per_request)
+    written = members[:split]
+    stream: List[Op] = []
+    for _ in range(config.n_ops):
+        if writes and rng.random() < config.write_fraction:
+            stream.append(("add", writes.pop(0)))
+            written.extend(stream[-1][1])
+        else:
+            stream.append(("query", [
+                rng.choice(written) if rng.random() < 0.5
+                else rng.choice(absent)
+                for _ in range(config.per_request)]))
+    preload = chop_requests(members[:split], config.per_request)
+    return ([("add", b) for b in preload], stream,
+            [("add", b) for b in writes])
+
+
 async def run_cluster_drill_async(
     config: ClusterDrillConfig,
     span_sink: Optional[List[dict]] = None,
@@ -266,11 +297,13 @@ async def run_cluster_drill_async(
         mode = "external"
 
     spec = await _fleet_spec(shard_map)
-    reference = spec.build(router=shard_map.make_router())
+    contract = Contract(Oracle(spec, router=shard_map.make_router()))
     workload = build_service_workload(config.n_members, seed=config.seed)
     members = list(workload.members)
     absent = list(workload.absent)
-    rng = random.Random(config.seed)
+    preload, stream, drain = _op_stream(
+        config, members, absent, random.Random(config.seed))
+    sweep = [("query", b) for b in chop_requests(members + absent, 512)]
 
     registry = MetricsRegistry()
     tracer = Tracer(component="client", sink=spans, seed=config.seed)
@@ -282,71 +315,36 @@ async def run_cluster_drill_async(
 
     async def run_migration() -> None:
         shard_id, target = _pick_migration(client.shard_map, members)
-        migration_window.append(time.monotonic())
+        migration_window.append(time.perf_counter())
         try:
             _, report = await migrate_shard(
                 client.shard_map, shard_id, target, metrics=registry)
             migration_report.update(report)
         finally:
-            migration_window.append(time.monotonic())
+            migration_window.append(time.perf_counter())
 
-    wrong_verdicts = 0
-    reads = writes = 0
-    op_log: List[Tuple[float, float, str]] = []  # (start, end, kind)
-    try:
-        # Preload: half the catalog through the cluster AND the
-        # reference — the drill's write stream is the other half.
-        split = len(members) // 2
-        for batch in chop_requests(members[:split], config.per_request):
-            await client.add(batch)
-            reference.add_batch(batch)
-        write_queue = chop_requests(members[split:], config.per_request)
-        written = members[:split]
-
-        for op_index in range(config.n_ops):
-            if (migration_task is None
-                    and op_index >= config.migrate_after_ops):
-                migration_task = asyncio.ensure_future(run_migration())
-            do_write = bool(write_queue) and (
-                rng.random() < config.write_fraction)
-            start = time.monotonic()
-            if do_write:
-                batch = write_queue.pop(0)
-                await client.add(batch)
-                reference.add_batch(batch)
-                written.extend(batch)
-                writes += 1
-                kind = "write"
-            else:
-                batch = [rng.choice(written) if rng.random() < 0.5
-                         else rng.choice(absent)
-                         for _ in range(config.per_request)]
-                got = await client.query(batch)
-                expected = reference.query_batch(batch)
-                wrong_verdicts += int((got != expected).sum())
-                reads += 1
-                kind = "read"
-            op_log.append((start, time.monotonic(), kind))
-            # Yield so the migration task interleaves with the stream.
-            await asyncio.sleep(0)
-
-        if migration_task is None:  # n_ops < migrate_after_ops
+    def launch_migration() -> None:
+        nonlocal migration_task
+        if migration_task is None:
             migration_task = asyncio.ensure_future(run_migration())
+
+    async def migrate_after(i: int, _answer) -> None:
+        if i + 1 == config.migrate_after_ops:
+            launch_migration()
+
+    try:
+        # The preload goes through the cluster and the oracle alike.
+        runs = [(preload, await drive([client], preload))]
+        if config.migrate_after_ops <= 0:
+            launch_migration()
+        live = await drive([client], stream, after=migrate_after)
+        launch_migration()  # n_ops < migrate_after_ops
         await migration_task
         # Drain any catalog remainder post-move, then the full sweep.
-        for batch in write_queue:
-            await client.add(batch)
-            reference.add_batch(batch)
-            writes += 1
-        sweep_wrong = 0
-        universe = members + absent
-        for batch in chop_requests(universe, 512):
-            got = await client.query(batch)
-            expected = reference.query_batch(batch)
-            sweep_wrong += int((got != expected).sum())
-
+        runs += [(stream, live), (drain, await drive([client], drain)),
+                 (sweep, await drive([client], sweep))]
         stats = await client.stats()
-        cluster_items = sum(s["n_items"] for s in stats.values())
+        contract.items(sum(s["n_items"] for s in stats.values()))
         epochs = {endpoint: s["cluster"]["epoch"]
                   for endpoint, s in stats.items()}
         final_map = client.shard_map
@@ -357,49 +355,57 @@ async def run_cluster_drill_async(
         if local is not None:
             await local.close()
 
+    wrong = [contract.replay(ops, run) for ops, run in runs]
     opened, closed = migration_window[0], migration_window[-1]
-    overlapping = [end - start for start, end, _ in op_log
+    latencies = live.latencies()
+    overlapping = [end - start for start, end in live.spans
                    if end > opened and start < closed]
-    max_stall = max(overlapping) if overlapping else 0.0
-    max_latency = max((end - start for start, end, _ in op_log),
-                      default=0.0)
+    max_stall = max(overlapping, default=0.0)
 
     # The report's latency sections share the live METRICS histogram
     # format, so drill artifacts merge/compare with scrape tooling.
     op_latency = registry.histogram(
         metric_names.DRILL_OP_LATENCY, drill="cluster")
-    for start, end, _ in op_log:
-        op_latency.observe(end - start)
+    for dur in latencies:
+        op_latency.observe(dur)
     stall_latency = registry.histogram(
         metric_names.DRILL_STALL, drill="cluster")
     for dur in overlapping:
         stall_latency.observe(dur)
 
-    invariants = {
-        "zero_wrong_verdicts": wrong_verdicts == 0 and sweep_wrong == 0,
-        "zero_lost_or_duplicate_writes": (
-            cluster_items == reference.n_items),
-        "bounded_stall": max_stall <= config.stall_budget_s,
-        "epoch_advanced": all(
-            epoch >= shard_map.epoch + 1 for epoch in epochs.values()),
-    }
+    contract.check("bounded_stall", max_stall <= config.stall_budget_s,
+                   "client stall %.4fs <= budget %.1fs during the "
+                   "migration" % (max_stall, config.stall_budget_s))
+    contract.check("epoch_advanced", all(
+        epoch >= shard_map.epoch + 1 for epoch in epochs.values()),
+        "every node past epoch %d" % shard_map.epoch)
+    report = contract.report()
+    held = {c["name"]: c["ok"] for c in report["checks"]}
+    reads = sum(1 for kind, _ in stream if kind == "query")
     return {
-        "ok": all(invariants.values()),
+        "ok": report["ok"],
         "mode": mode,
-        "invariants": invariants,
+        "invariants": {
+            "zero_wrong_verdicts": contract.wrong_verdicts == 0,
+            "zero_lost_or_duplicate_writes": (
+                held["no_lost_writes"] and held["no_duplicate_writes"]),
+            "bounded_stall": held["bounded_stall"],
+            "epoch_advanced": held["epoch_advanced"],
+        },
+        "contract": report,
         "migration": migration_report,
         "ops": {
             "reads": reads,
-            "writes": writes,
-            "wrong_verdicts_live": wrong_verdicts,
-            "wrong_verdicts_sweep": sweep_wrong,
-            "max_op_latency_s": max_latency,
+            "writes": len(stream) - reads + len(drain),
+            "wrong_verdicts_live": wrong[1],
+            "wrong_verdicts_sweep": wrong[3],
+            "max_op_latency_s": max(latencies, default=0.0),
             "max_stall_op_latency_s": max_stall,
             "ops_overlapping_migration": len(overlapping),
         },
         "writes_accounting": {
-            "cluster_n_items": cluster_items,
-            "reference_n_items": int(reference.n_items),
+            "cluster_n_items": contract.served_items,
+            "reference_n_items": int(contract.oracle.n_items),
         },
         "op_latency": op_latency.to_dict(),
         "stall_latency": stall_latency.to_dict(),
@@ -410,20 +416,11 @@ async def run_cluster_drill_async(
         "epochs": epochs,
         "final_epoch": final_map.epoch,
         "client_counters": dict(client.counters),
-        "config": {
-            "mode": mode,
-            "n_nodes": (len(shard_map.nodes())),
-            "n_shards": shard_map.n_shards,
-            "m": spec.m,
-            "k": spec.k,
-            "family": spec.family,
-            "n_members": config.n_members,
-            "n_ops": config.n_ops,
-            "per_request": config.per_request,
-            "write_fraction": config.write_fraction,
-            "stall_budget_s": config.stall_budget_s,
-            "seed": config.seed,
-        },
+        # The requested config, with the fleet's shape as drilled.
+        "config": {**asdict(config), "mode": mode,
+                   "n_nodes": len(shard_map.nodes()),
+                   "n_shards": shard_map.n_shards, "m": spec.m,
+                   "k": spec.k, "family": spec.family},
     }
 
 

@@ -25,7 +25,7 @@ from repro.obs import MetricsRegistry
 from repro.obs import names as metric_names
 from repro.mpserve.segments import GenerationPublisher, recover_target
 from repro.service.server import CoalescerConfig, FilterService
-from repro.workloads.service import build_service_workload
+from repro.workloads.service import preloaded
 
 __all__ = ["WriterService", "writer_main"]
 
@@ -97,11 +97,7 @@ async def _writer_async(base_name: str, port: int, config, conn) -> None:
         start_generation, target = recovered
     else:
         start_generation = 0
-        target = config.store.build()
-        if config.preload > 0:
-            workload = build_service_workload(
-                config.preload, seed=config.seed)
-            target.add_batch(list(workload.members))
+        target = preloaded(config.store, config.preload, config.seed)
     publisher = GenerationPublisher(
         base_name, metrics=registry, start_generation=start_generation)
     service = WriterService(

@@ -24,7 +24,9 @@ record names the same script, then replays its read mix through a
 :class:`~repro.replication.FailoverClient` — surviving a dead primary,
 optionally promoting a standby — and exits non-zero unless every
 verdict is bit-identical to the recorded ones; ``drill`` runs the
-whole kill-primary exercise end-to-end in one process and reports the
+whole kill-primary exercise end-to-end in one process, checks every
+verdict and the promoted standby's ``n_items`` against the drill
+harness's oracle (:mod:`repro.workloads.drill`), and reports the
 measured failover latency.
 """
 
@@ -62,7 +64,12 @@ from repro.replication.replicator import (
 )
 from repro.service.client import ServiceClient
 from repro.service.server import FilterService
-from repro.workloads.service import build_service_workload, chop_requests
+from repro.workloads.drill import Contract, Oracle, drive, print_checks
+from repro.workloads.service import (
+    build_service_workload,
+    chop_requests,
+    preloaded,
+)
 
 
 def _add_replication_args(parser: argparse.ArgumentParser) -> None:
@@ -86,22 +93,20 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _preloaded_target(args: argparse.Namespace):
-    """A fresh store from the flags, holding ``--preload`` members."""
-    target = spec_from_args(args).build()
-    if args.preload > 0:
-        workload = build_service_workload(args.preload, seed=args.seed)
-        target.add_batch(list(workload.members))
-    return target
+def _script(args: argparse.Namespace):
+    """The kill-primary script the workload flags name."""
+    return failover_script(build_service_workload(args.n, seed=args.seed),
+                           args.failover_at, args.per_batch)
 
 
 # ----------------------------------------------------------------------
 # serve / serve-pair
 # ----------------------------------------------------------------------
 async def _serve(args: argparse.Namespace) -> int:
-    service = FilterService(
-        _preloaded_target(args) if args.role == "primary"
-        else spec_from_args(args).build(), coalescer_from_args(args))
+    # Only a primary preloads: a standby's state arrives by SUBSCRIBE.
+    service = FilterService(preloaded(
+        spec_from_args(args), args.preload if args.role == "primary" else 0,
+        args.seed), coalescer_from_args(args))
     if args.role == "standby":
         server = await service.start(args.host, args.port)
         port = server.sockets[0].getsockname()[1]
@@ -135,7 +140,8 @@ async def _serve(args: argparse.Namespace) -> int:
 
 async def _serve_pair(args: argparse.Namespace) -> int:
     pair = await start_pair(
-        _preloaded_target(args), spec_from_args(args).build(),
+        preloaded(spec_from_args(args), args.preload, args.seed),
+        spec_from_args(args).build(),
         host=args.host, primary_port=args.primary_port,
         standby_port=args.standby_port,
         config=from_args(ReplicationConfig, args),
@@ -202,9 +208,7 @@ async def _query_all(client, mix: List[bytes], per_batch: int) -> list:
 
 
 async def _probe(args: argparse.Namespace) -> int:
-    at, pre, _, mix = failover_script(
-        build_service_workload(args.n, seed=args.seed),
-        args.failover_at, args.per_batch)
+    at, pre, _, mix = _script(args)
     client = await connect(args)
     try:
         if args.write:
@@ -228,9 +232,7 @@ async def _probe(args: argparse.Namespace) -> int:
 
 
 async def _verify(args: argparse.Namespace) -> int:
-    at, _, _, mix = failover_script(
-        build_service_workload(args.n, seed=args.seed),
-        args.failover_at, args.per_batch)
+    at, _, _, mix = _script(args)
     recorded = None
     if args.expected:
         with open(args.expected) as fh:
@@ -264,11 +266,13 @@ async def _verify(args: argparse.Namespace) -> int:
               % (len(verdicts), client.failovers))
     finally:
         await client.close()
-    false_negatives = sum(
-        1 for i in range(0, len(verdicts), 2) if not verdicts[i])
-    if false_negatives:
+    # The mix interleaves the acknowledged members with absent ones.
+    contract = Contract(Oracle())
+    contract.oracle.add(mix[0::2])
+    contract.verdicts(mix, verdicts)
+    if contract.false_negatives:
         print("FAIL: %d acknowledged members answered False"
-              % false_negatives, file=sys.stderr)
+              % contract.false_negatives, file=sys.stderr)
         return 1
     if recorded is not None:
         mismatches = sum(
@@ -289,12 +293,11 @@ async def _verify(args: argparse.Namespace) -> int:
 # drill: the whole exercise in one process
 # ----------------------------------------------------------------------
 async def _drill(args: argparse.Namespace) -> int:
-    at, pre, post, mix = failover_script(
-        build_service_workload(args.n, seed=args.seed),
-        args.failover_at, args.per_batch)
+    at, pre, post, mix = _script(args)
     in_flight = [e for batch in post for e in batch]
 
     spec = spec_from_args(args)
+    contract = Contract(Oracle(spec))
     pair = await start_pair(
         spec.build(), spec.build(), host=args.host,
         config=from_args(ReplicationConfig, args),
@@ -307,10 +310,11 @@ async def _drill(args: argparse.Namespace) -> int:
                             connect_timeout=args.connect_timeout)
     try:
         # --- acknowledged phase: write, replicate, record verdicts ----
-        for batch in pre:
-            await client.add(batch)
+        writes = [("add", batch) for batch in pre]
+        contract.replay(writes, await drive([client], writes))
         await pair.repl.ship()
         primary_verdicts = await client.query(mix)
+        contract.verdicts(mix, primary_verdicts)
         print("acknowledged %d writes; primary verdicts recorded "
               "(epoch %d)" % (at, pair.repl.epoch))
 
@@ -322,6 +326,7 @@ async def _drill(args: argparse.Namespace) -> int:
         # --- failover reads: must be bit-identical ---------------------
         standby_verdicts = await client.query(mix)
         failover_ms = (time.perf_counter() - killed_at) * 1e3
+        contract.verdicts(mix, standby_verdicts)
         identical = bool(
             (standby_verdicts == primary_verdicts).all())
         print("standby answered %d queries %.1f ms after the kill "
@@ -338,16 +343,16 @@ async def _drill(args: argparse.Namespace) -> int:
             pass
         banner = await client.promote()
         print("promoted: %s" % banner)
-        for batch in post:
-            await client.add(batch)
-        late = await client.query(in_flight)
-        all_late = bool(late.all()) if len(late) else True
-        print("replayed %d in-flight writes on the new primary; all "
-              "queryable: %s" % (len(in_flight), all_late))
+        writes = [("add", batch) for batch in post]
+        contract.replay(writes, await drive([client], writes))
+        contract.verdicts(in_flight, await client.query(in_flight))
+        contract.items(pair.standby_service.target.n_items)
+        print("replayed %d in-flight writes on the new primary"
+              % len(in_flight))
     finally:
         await client.close()
         await pair.close()
-    if not identical or not all_late:
+    if not print_checks(contract.report()["checks"]):
         return 1
     print("DRILL OK (failover read latency %.1f ms)" % failover_ms)
     return 0

@@ -10,10 +10,11 @@ Three subcommands::
 (or a single filter with ``--shards 0``) behind the micro-batching
 coalescer and prints one readiness line; ``ping`` retries until the
 server answers (its exit code is the CI liveness gate); ``bench`` drives
-a seeded member/absent mix through N concurrent pipelined clients,
-**verifies every member verdict**, and exits non-zero on any mismatch
-or transport failure — a smoke test that happens to print throughput,
-not just a stopwatch.
+a seeded member/absent mix through N concurrent clients with the drill
+harness's driver, **verifies every member verdict** (the
+no-false-negative clause of :mod:`repro.workloads.drill`), and exits
+non-zero on any mismatch or transport failure — a smoke test that
+happens to print throughput, not just a stopwatch.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from repro.errors import ReproError
 from repro.retry import BackoffPolicy
 from repro.service.server import FilterService
 from repro.store.generational import GenerationalStore
-from repro.workloads.service import build_service_workload
+from repro.workloads.drill import Contract, Oracle, drive
+from repro.workloads.service import build_service_workload, preloaded
 
 
 async def _rotation_poker(service: FilterService,
@@ -82,10 +84,7 @@ async def _serve(args: argparse.Namespace) -> int:
         return await run_supervisor(from_args(
             SupervisorConfig, args, store=spec_from_args(args),
             coalescer=coalescer_from_args(args)))
-    target = spec_from_args(args).build()
-    if args.preload > 0:
-        workload = build_service_workload(args.preload, seed=args.seed)
-        target.add_batch(list(workload.members))
+    target = preloaded(spec_from_args(args), args.preload, args.seed)
     tracer = tracer_from_args(args, "service:%s:%d" % (args.host, args.port))
     service = FilterService(target, coalescer_from_args(args), tracer=tracer)
     server = await service.start(args.host, args.port)
@@ -134,10 +133,14 @@ async def _ping(args: argparse.Namespace) -> int:
 
 async def _bench(args: argparse.Namespace) -> int:
     workload = build_service_workload(args.n, seed=args.seed)
+    # The server's geometry is unknown here, so the oracle only knows
+    # the catalog: enough for the no-false-negative clause.
+    contract = Contract(Oracle())
     loader = await connect(args)
     try:
         members = list(workload.members)
         acked = await loader.add(members)
+        contract.oracle.add(members)
         # Against a multi-process fleet an acknowledged ADD becomes
         # visible at the next generation publish, not instantly.  One
         # ADD frame is applied and published atomically, so polling
@@ -154,49 +157,32 @@ async def _bench(args: argparse.Namespace) -> int:
                           "10 s; querying anyway", file=sys.stderr)
                     break
                 await asyncio.sleep(0.01)
-        requests = workload.request_stream(args.elements_per_request)
-
-        async def run_client(client_id: int) -> int:
-            """Each client owns its slice of the request stream."""
-            mismatches = 0
-            client = await connect(args)
-            try:
-                for i in range(client_id, len(requests), args.clients):
-                    batch = requests[i]
-                    verdicts = await client.query(batch)
-                    # The mixed stream interleaves member/absent, so an
-                    # element is a member iff its *global* stream index
-                    # is even; request i starts at i * per_request.
-                    start = i * args.elements_per_request
-                    for j in range(len(batch)):
-                        if (start + j) % 2 == 0 and not verdicts[j]:
-                            mismatches += 1
-            finally:
+        ops = [("query", batch) for batch in
+               workload.request_stream(args.elements_per_request)]
+        clients = [await connect(args) for _ in range(args.clients)]
+        try:
+            run = await drive(clients, ops)
+        finally:
+            for client in clients:
                 await client.close()
-            return mismatches
-
-        start = time.perf_counter()
-        mismatch_counts = await asyncio.gather(
-            *(run_client(c) for c in range(args.clients)))
-        elapsed = time.perf_counter() - start
         stats = await loader.stats()
     finally:
         await loader.close()
 
-    n_queries = sum(len(batch) for batch in requests)
+    contract.replay(ops, run)
     print("bench: %d clients, %d queries in %.3f s -> %d elements/s"
-          % (args.clients, n_queries, elapsed,
-             round(n_queries / elapsed) if elapsed > 0 else 0))
+          % (args.clients, contract.compared, run.elapsed_s,
+             round(contract.compared / run.elapsed_s)
+             if run.elapsed_s > 0 else 0))
     print("server: batches_executed=%d coalesced_requests=%d "
           "queue peak=%d overloads=%d"
           % (stats["counters"]["batches_executed"],
              stats["counters"]["coalesced_requests"],
              stats["counters"]["peak_queue_depth"],
              stats["counters"]["overload_rejections"]))
-    mismatches = sum(mismatch_counts)
-    if mismatches:
-        print("FAIL: %d member queries answered False" % mismatches,
-              file=sys.stderr)
+    if contract.false_negatives:
+        print("FAIL: %d member queries answered False"
+              % contract.false_negatives, file=sys.stderr)
         return 1
     print("OK: every member verdict True")
     return 0

@@ -17,7 +17,8 @@ from typing import List, Sequence, Tuple
 from repro._util import require_positive
 from repro.traces.flows import FlowTraceGenerator
 
-__all__ = ["ServiceWorkload", "build_service_workload", "chop_requests"]
+__all__ = ["ServiceWorkload", "build_service_workload", "chop_requests",
+           "preloaded"]
 
 
 def chop_requests(
@@ -84,3 +85,14 @@ def build_service_workload(
         absent=tuple(flows[n_members:]),
         seed=seed,
     )
+
+
+def preloaded(spec, n_members: int, seed: int = 0):
+    """A fresh store built from *spec* (a :class:`~repro.store.
+    StoreSpec`) holding the first *n_members* of the seeded catalog:
+    the ``--preload`` of every serving CLI and mpserve writer."""
+    store = spec.build()
+    if n_members > 0:
+        store.add_batch(list(build_service_workload(
+            n_members, seed=seed).members))
+    return store

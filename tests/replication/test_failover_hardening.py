@@ -15,24 +15,11 @@ from repro.errors import DeadlineExceededError, FailoverExhaustedError
 from repro.replication.failover import EndpointState, FailoverClient
 from repro.retry import BackoffPolicy, RetryBudget
 from repro.service.client import ServiceClient
+from tests.conftest import start_black_hole
 
 
 def run(coro):
     return asyncio.run(coro)
-
-
-async def start_black_hole():
-    """Accepts and reads but never answers: a hung-but-up endpoint."""
-
-    async def handler(reader, writer):
-        try:
-            while await reader.read(65536):
-                pass
-        except (ConnectionError, OSError):
-            pass
-
-    server = await asyncio.start_server(handler, "127.0.0.1", 0)
-    return server, server.sockets[0].getsockname()[1]
 
 
 class TestEndpointState:

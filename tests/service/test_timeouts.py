@@ -17,24 +17,11 @@ from repro.errors import DeadlineExceededError
 from repro.service.client import ServiceClient, SyncServiceClient
 from repro.service.server import FilterService
 from repro.core.membership import ShiftingBloomFilter
+from tests.conftest import start_black_hole
 
 
 def run(coro):
     return asyncio.run(coro)
-
-
-async def start_black_hole():
-    """A server that accepts, reads, and never writes back."""
-
-    async def handler(reader, writer):
-        try:
-            while await reader.read(65536):
-                pass
-        except (ConnectionError, OSError):
-            pass
-
-    server = await asyncio.start_server(handler, "127.0.0.1", 0)
-    return server, server.sockets[0].getsockname()[1]
 
 
 class TestOpDeadline:

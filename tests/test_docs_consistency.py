@@ -96,3 +96,11 @@ class TestCheckerDetectsDrift:
             checker.pathlib.Path, "relative_to",
             lambda self, other: self, raising=False)
         assert checker.check() == []
+
+
+def test_bench_main_keyword_options_count_as_flags():
+    checker = _load_checker()
+    assert checker.bench_main_flags(
+        "bench_main('ttl', __doc__, run, smoke, argv, stall_budget_ms=1.0,"
+        " port=None)") == {"--stall-budget-ms", "--port"}
+    assert "--clients-per-driver" in checker.known_flags()

@@ -10,8 +10,10 @@ things that aren't defined:
 
 * **CLI flags**: every ``--long-flag`` token in the docs must appear in
   some ``add_argument("--long-flag"...)`` across ``src/`` and
-  ``benchmarks/`` (a small allowlist covers external tools like
-  pytest/pip whose flags the docs legitimately mention);
+  ``benchmarks/``, or be a keyword option of a drill bench's
+  ``bench_main(...)`` call (``long_flag=default`` declares
+  ``--long-flag``); a small allowlist covers external tools like
+  pytest/pip whose flags the docs legitimately mention;
 * **protocol ops**: every ``OP_NAME`` token must be an ``OP_*`` name of
   ``repro.service.protocol`` (the constants are views of its op table
   ``OPS``).  Every wire-protocol markdown
@@ -40,6 +42,7 @@ clean, 1 with a ``file:line`` listing otherwise::
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import sys
@@ -75,6 +78,16 @@ _ENV_READ = re.compile(
     r"""(?:environ\.get\(|environ\[|getenv\()\s*["'](REPRO_[A-Z0-9_]+)["']""")
 
 
+def bench_main_flags(source: str) -> set:
+    """The flags a drill bench declares as keyword options of its
+    ``repro.workloads.drill.bench_main`` call."""
+    return {"--" + keyword.arg.replace("_", "-")
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "bench_main"
+            for keyword in node.keywords if keyword.arg}
+
+
 def known_flags() -> set:
     flags = set(EXTERNAL_FLAGS)
     for root in ("src", "benchmarks", "tools", "examples"):
@@ -82,7 +95,9 @@ def known_flags() -> set:
         if not base.is_dir():
             continue
         for path in base.rglob("*.py"):
-            flags.update(_ADD_ARGUMENT.findall(path.read_text()))
+            source = path.read_text()
+            flags.update(_ADD_ARGUMENT.findall(source))
+            flags.update(bench_main_flags(source))
     return flags
 
 

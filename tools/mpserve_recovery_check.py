@@ -20,8 +20,12 @@ health check.  Against a running fleet it:
    counter bumped), queries the replacement directly on its admin
    port, and requires it to answer bit-identically too.
 
-Exit 0 only if the fleet never returned a wrong verdict and the
-killed worker came back.
+The checks go through the drill harness's contract
+(:mod:`repro.workloads.drill`): the members are the no-false-negative
+clause, and the pre-kill record stands in for the oracle's false
+positives, since the tool does not know the fleet's geometry or
+preload.  Exit 0 only if every check held and the killed worker came
+back.
 
 ::
 
@@ -48,6 +52,7 @@ from repro.mpserve.fleet import (  # noqa: E402
     wait_published,
 )
 from repro.service.client import ServiceClient  # noqa: E402
+from repro.workloads.drill import Contract, Oracle, print_checks  # noqa: E402
 
 
 async def drill(args: argparse.Namespace) -> int:
@@ -59,23 +64,26 @@ async def drill(args: argparse.Namespace) -> int:
 
     members = [b"recovery-%d" % i for i in range(args.n)]
     absent = [b"never-written-%d" % i for i in range(args.n)]
+    probe = members + absent
+    # The fleet's geometry and preload are unknown here: the oracle
+    # knows the members written, and the pre-kill record stands in for
+    # the false-positive half of the contract.
+    contract = Contract(Oracle())
     client = await ServiceClient.connect(args.host, args.port)
     acked = await client.add(members)
     await client.close()
-    if acked != len(members):
-        print("FAIL: %d of %d writes acknowledged"
-              % (acked, len(members)))
-        return 1
-    probe = members + absent
+    contract.oracle.add(members)
+    contract.check("writes_acknowledged", acked == len(members),
+                   "%d of %d writes acknowledged" % (acked, len(members)))
     try:
         await wait_published(args.host, fleet["writer"]["port"])
         expected = await query_riding(args.host, args.port, probe)
-        if not all(expected[: len(members)]):
-            print("FAIL: a published member answered False before the "
-                  "kill")
-            return 1
+        contract.verdicts(probe, expected)
         print("recorded %d verdicts (%d false positives on never-written "
               "elements)" % (len(expected), sum(expected[len(members):])))
+        if not contract.report()["ok"]:  # no kill under a broken fleet
+            print_checks(contract.report()["checks"])
+            return 1
 
         os.kill(victim["pid"], signal.SIGKILL)
         print("killed worker %d (pid %d)"
@@ -89,10 +97,9 @@ async def drill(args: argparse.Namespace) -> int:
             wrong += sum(1 for got, want in zip(verdicts, expected)
                          if got != want)
             await asyncio.sleep(0.05)
-        if wrong:
-            print("FAIL: %d verdicts diverged from the recorded ones "
-                  "mid-recovery" % wrong)
-            return 1
+        contract.check("recovery_identical", wrong == 0,
+                       "%d verdicts mid-recovery diverged from the "
+                       "pre-kill record" % wrong)
 
         replacement, verdicts = await query_replacement(
             args.host, args.control_port, victim, probe)
@@ -103,9 +110,10 @@ async def drill(args: argparse.Namespace) -> int:
           "admin port %d" % (replacement["worker_id"], replacement["pid"],
                              replacement["restarts"],
                              replacement["admin_port"]))
-    if verdicts != expected:
-        print("FAIL: the replacement worker's verdicts diverged from "
-              "the recorded ones")
+    contract.check("replacement_identical", verdicts == expected,
+                   "the replacement worker's verdicts equal the "
+                   "pre-kill record")
+    if not print_checks(contract.report()["checks"]):
         return 1
     print("OK: fleet served through a kill -9 with verdicts "
           "bit-identical to the pre-kill record and restarted the "
