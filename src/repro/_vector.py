@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "BLOCK_ROWS",
     "as_batch_int64",
     "bit_length_u64",
     "group_indices",
@@ -37,6 +38,12 @@ __all__ = [
     "word_costs",
 ]
 
+
+#: Rows per block of the blocked batch pipelines (the lane mix of
+#: ``VectorizedFamily.values_batch`` and ShBF_A's streamed build): a
+#: block's ``(rows, lanes)`` ``uint64`` work arrays stay a few hundred
+#: KiB, inside a core's L2, where a whole large batch's would not.
+BLOCK_ROWS = 4096
 
 #: Smallest array :func:`mod_int64` reduces by floor division: the
 #: measured crossover with ``%``, on contiguous and strided input.

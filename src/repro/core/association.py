@@ -25,13 +25,15 @@ take the ``o1`` offset.
 from __future__ import annotations
 
 import math
+from itertools import filterfalse
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro._util import (ElementLike, require_positive, to_bytes,
                          to_bytes_batch)
-from repro._vector import mod_int64, record_early_exit, word_costs
+from repro._vector import (BLOCK_ROWS, mod_int64, record_early_exit,
+                           word_costs)
 from repro.bitarray.bitarray import BitArray
 from repro.bitarray.memory import MemoryModel
 from repro.core.association_types import Association, AssociationAnswer
@@ -64,6 +66,18 @@ _ANSWERS = tuple(
 #: ``_ANSWERS`` as an object array, so a batch of codes maps to its
 #: answers with one gather.
 _ANSWER_ARRAY = np.fromiter(_ANSWERS, dtype=object, count=8)
+
+
+def _distinct(
+    elements: Iterable[ElementLike],
+) -> Tuple[List[bytes], Set[bytes]]:
+    """Canonical bytes of *elements*, first occurrences in input order,
+    and their set."""
+    datas = to_bytes_batch(elements)
+    table = set(datas)
+    if len(table) != len(datas):
+        datas = list(dict.fromkeys(datas))
+    return datas, table
 
 
 class _AssociationBase(ShiftedFilter):
@@ -315,21 +329,33 @@ class ShiftingAssociationFilter(_AssociationBase):
         distinct element still pays ``k`` single-bit writes at its
         region's offset.
         """
-        t1 = self._t1 = set(to_bytes_batch(s1))
-        t2 = self._t2 = set(to_bytes_batch(s2))
-        # Region by set algebra, in C: offset 0 for S1 - S2, o1 for
-        # S1 ∩ S2, o2 for S2 - S1.  Bits are OR-ed, so the encode order
-        # (set iteration order) cannot change the result.
-        s1_only, both, s2_only = t1 - t2, t1 & t2, t2 - t1
-        union = [*s1_only, *both, *s2_only]
-        if not union:
+        d1, t1 = _distinct(s1)
+        d2, t2 = _distinct(s2)
+        self._t1, self._t2 = t1, t2
+        # Encode in input order: S1's elements, flagged where T2 holds
+        # them (offset o1, else 0), then S2's elements T1 lacks (offset
+        # o2).  Hashing the keys in the order the caller laid them out
+        # reads them sequentially, and bits are OR-ed, so the order
+        # cannot change the result.
+        n1 = len(d1)
+        elements = d1 + list(filterfalse(t1.__contains__, d2))
+        n = len(elements)
+        if not n:
             return
-        bases, o1, o2 = self._bases_and_offsets_batch(union)
-        lo, hi = len(s1_only), len(s1_only) + len(both)
-        offsets = np.zeros(len(union), dtype=np.int64)
-        offsets[lo:hi] = o1[lo:hi]
-        offsets[hi:] = o2[hi:]
-        self._bits.set_bits_batch((bases + offsets[:, None]).ravel())
+        in_both = np.zeros(n, dtype=bool)
+        in_both[:n1] = np.fromiter(map(t2.__contains__, d1), bool, count=n1)
+        # Hash, reduce and offset one block at a time, so each block's
+        # work arrays stay in cache, into one row of positions per hash
+        # (the offsets add along contiguous rows); then one write pass.
+        positions = np.empty((self._k, n), dtype=np.int64)
+        for lo in range(0, n, BLOCK_ROWS):
+            hi = lo + BLOCK_ROWS
+            bases, o1, o2 = self._bases_and_offsets_batch(elements[lo:hi])
+            offsets = o1 * in_both[lo:hi]
+            s2_only = max(n1 - lo, 0)
+            offsets[s2_only:] = o2[s2_only:]
+            np.add(bases.T, offsets, out=positions[:, lo:hi])
+        self._bits.set_bits_batch(positions)
 
     # ------------------------------------------------------------------
     # Query (§4.2)

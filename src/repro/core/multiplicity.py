@@ -251,7 +251,8 @@ class ShiftingMultiplicityFilter(_MultiplicityBase):
         offset ``count - 1``.  Without *counts* every element is encoded
         with count 1, as :meth:`add` does.
         """
-        elements = list(elements)
+        if not isinstance(elements, list):
+            elements = list(elements)
         if counts is None:
             counts = np.ones(len(elements), dtype=np.int64)
         elif not isinstance(counts, np.ndarray):
@@ -291,16 +292,25 @@ class ShiftingMultiplicityFilter(_MultiplicityBase):
         valid batch; otherwise the per-count checks name the first bad
         count, as a scalar :meth:`add` loop would.
         """
-        array = np.asarray(counts)
-        if array.dtype.kind in "iu" and (
-                isinstance(counts, np.ndarray)
-                or {bool, np.bool_}.isdisjoint(map(type, counts))):
-            if 0 < array.min() and array.max() <= self._c_max:
-                return array.astype(np.int64)
+        if isinstance(counts, np.ndarray):
+            integral = counts.dtype.kind in "iu"
+        else:
+            types = set(map(type, counts))
+            integral = bool not in types and all(
+                issubclass(t, (int, np.integer)) for t in types)
+        if integral:
+            try:
+                array = np.asarray(counts, dtype=np.int64)
+            except OverflowError:  # a Python int past int64
+                pass
+            else:
+                # A uint64 array's counts past int64 wrap negative here.
+                if 0 < array.min() and array.max() <= self._c_max:
+                    return array
         for count in counts:
             self._check_count(
                 int(count) if isinstance(count, np.integer) else count)
-        return array.astype(np.int64)
+        return np.asarray(counts, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Query (§5.2)

@@ -25,7 +25,9 @@ Pipeline per element (both paths):
    seed: ``h_i(x) = mix64(base(x) + lane(i))``.  Distinct seeds give
    decorrelated families, matching the :class:`Blake2Family` contract.
    The lane seeds are computed once per instance.  ``values_batch``
-   mixes every requested lane; ``lanes_batch`` folds the bases once and
+   mixes every requested lane in row blocks of ``BLOCK_ROWS``, each
+   block's base-plus-seed sums mixed in place in the output while they
+   are still in cache; ``lanes_batch`` folds the bases once and
    mixes lane ``i`` only for the rows a survivor-round query still
    probes in round ``i``, so batch hashing stops with the probes, as
    the scalar query's does (§3.2).
@@ -48,6 +50,7 @@ import numpy as np
 
 from repro._util import (ElementLike, require_non_negative, to_bytes,
                          to_bytes_batch)
+from repro._vector import BLOCK_ROWS
 from repro.hashing.family import HashFamily
 
 __all__ = ["VectorizedFamily"]
@@ -275,12 +278,14 @@ class VectorizedFamily(HashFamily):
     def values_batch(
         self, elements: Sequence[ElementLike], count: int, start: int = 0
     ) -> np.ndarray:
-        """Whole-batch hashing as one ``(n, count)`` NumPy kernel.
+        """Whole-batch hashing into one ``(n, count)`` NumPy array.
 
         Values are bit-identical to :meth:`values` row for row; the
         only per-element Python on the fast path is the C-level
-        ``bytes.join`` and one ``len`` pass.  A list is used as given,
-        any other iterable is materialised once.
+        ``bytes.join`` and one ``len`` pass.  The lanes are mixed
+        ``BLOCK_ROWS`` rows at a time, in place in the output, so the
+        mixer's passes stay in cache however large the batch.  A list
+        is used as given, any other iterable is materialised once.
         """
         require_non_negative("count", count)
         require_non_negative("start", start)
@@ -291,8 +296,13 @@ class VectorizedFamily(HashFamily):
             return np.empty((n, count), dtype=np.uint64)
         base = self._ingest_batch(elements)
         lanes = self._lane_array(start, count)
-        values = base[:, None] + lanes[None, :]
-        return _mix64_np(values, np.empty_like(values))
+        values = np.empty((n, count), dtype=np.uint64)
+        tmp = np.empty((min(n, BLOCK_ROWS), count), dtype=np.uint64)
+        for lo in range(0, n, BLOCK_ROWS):
+            block = values[lo:lo + BLOCK_ROWS]
+            np.add(base[lo:lo + BLOCK_ROWS, None], lanes, out=block)
+            _mix64_np(block, tmp[:len(block)])
+        return values
 
     def lanes_batch(self, elements: Sequence[ElementLike], count: int):
         """Lazy lane source: one ingest fold now, one mix per column read.

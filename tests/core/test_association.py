@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._vector import BLOCK_ROWS
 from repro.core import (
     Association,
     CountingShiftingAssociationFilter,
     ShiftingAssociationFilter,
 )
+from repro.hashing import make_family
 from tests.conftest import make_elements
 
 
@@ -65,6 +67,81 @@ class TestConstruction:
         filt = ShiftingAssociationFilter.for_sets(
             [b"x", b"y"], [b"y", b"z"], k=8)
         assert filt.query(b"y").candidates == {Association.BOTH}
+
+
+def _twin_sets():
+    """Two sets built from one block of keys: 3 × ``BLOCK_ROWS`` + 500
+    S1 keys, of which rows 4000..4199 (across the first block edge) are
+    also in S2, then 2000 S2-only keys — the S1/S2-only boundary falls
+    inside the fourth block."""
+    s1 = make_elements(3 * BLOCK_ROWS + 500, "big")
+    return s1, s1[4000:4200] + make_elements(2000, "big-s2")
+
+
+#: Inputs ``build_batch`` must encode exactly like ``build``; each is a
+#: factory, so generator inputs are fresh for each build.
+BUILD_INPUTS = {
+    "duplicates": lambda: ([b"a", b"b", b"a", b"c", b"b"],
+                           [b"c", b"d", b"d", b"c", b"e", b"e"]),
+    "equal_distinct_bytes": lambda: (
+        [bytes(bytearray(b"shared")), b"s1"],
+        [bytes(bytearray(b"shared")), b"s2"]),
+    # "x" and b"x", 7 and b"\x07" canonicalise to the same bytes.
+    "mixed_types": lambda: (["x", 7, b"x", b"\x07", "y", -1, 2 ** 70],
+                            [7, "x", bytearray(b"z"), 2 ** 70, "y"]),
+    "generators": lambda: (
+        (e for e in make_elements(50, "g1") + make_elements(20, "gb")),
+        (e for e in make_elements(20, "gb") + make_elements(30, "g2"))),
+    "empty_s1": lambda: ([], make_elements(40, "s2")),
+    "empty_s2": lambda: (make_elements(40, "s1"), []),
+    "both_empty": lambda: ([], []),
+    "equal_sets": lambda: (make_elements(60, "eq"),
+                           make_elements(60, "eq")[::-1]),
+    "subset": lambda: (make_elements(30, "sub"), make_elements(80, "sub")),
+    "block_edges": _twin_sets,
+}
+
+
+class TestBuildBatch:
+    """``build_batch`` encodes in input order, block by block; the
+    filter it leaves must equal the scalar ``build``'s in every way."""
+
+    @pytest.mark.parametrize("family", ["blake2b", "vector64"])
+    @pytest.mark.parametrize("name", sorted(BUILD_INPUTS))
+    def test_matches_scalar_build(self, name, family):
+        make = BUILD_INPUTS[name]
+        m = 60000 if name == "block_edges" else 4096
+        scalar = ShiftingAssociationFilter(m=m, k=4,
+                                           family=make_family(family))
+        batch = ShiftingAssociationFilter(m=m, k=4,
+                                          family=make_family(family))
+        scalar.build(*make())
+        batch.build_batch(*make())
+        assert batch.bits.to_bytes() == scalar.bits.to_bytes()
+        assert batch.memory.stats == scalar.memory.stats
+        assert (batch.n_s1, batch.n_s2) == (scalar.n_s1, scalar.n_s2)
+        s1, s2 = make()
+        for element in [*s1, *s2, b"absent", "absent", 12345]:
+            assert batch.region_of(element) is scalar.region_of(element)
+
+    def test_equal_but_distinct_bytes_share_a_region(self):
+        s1, s2 = BUILD_INPUTS["equal_distinct_bytes"]()
+        assert s1[0] == s2[0] and s1[0] is not s2[0]
+        filt = ShiftingAssociationFilter(m=4096, k=4)
+        filt.build_batch(s1, s2)
+        assert (filt.n_s1, filt.n_s2) == (2, 2)
+        assert filt.region_of(b"shared") is Association.BOTH
+        assert filt.memory.stats.write_ops == 3 * 4
+
+    def test_block_edges_cover_four_blocks(self):
+        s1, s2 = _twin_sets()
+        distinct = len(set(s1) | set(s2))
+        assert distinct > 3 * BLOCK_ROWS
+        filt = ShiftingAssociationFilter(m=60000, k=4)
+        filt.build_batch(s1, s2)
+        assert filt.memory.stats.write_ops == 4 * distinct
+        assert filt.region_of(s1[BLOCK_ROWS - 1]) is Association.BOTH
+        assert filt.region_of(s1[BLOCK_ROWS]) is Association.BOTH
 
 
 class TestAnswers:
@@ -242,8 +319,11 @@ print(json.dumps({
 
 
 def test_build_batch_bits_do_not_depend_on_hash_order():
-    """``build_batch`` encodes in set-iteration order, which follows the
-    process's string-hash seed; the filter and its write bill must not."""
+    """Set iteration order follows the process's string-hash seed (the
+    ``order`` digests show that it differs between the two runs).
+    ``build_batch`` encodes in input order and only looks elements up
+    in its sets, so the filter and its write bill must not depend on
+    that seed."""
     repo = pathlib.Path(__file__).resolve().parents[2]
     runs = []
     for seed in ("0", "1"):

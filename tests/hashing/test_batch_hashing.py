@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._vector import BLOCK_ROWS
 from repro.hashing import (
     FAMILY_KINDS,
     Blake2Family,
@@ -77,6 +78,35 @@ def test_values_batch_single_element():
     batch = family.values_batch([b"solo"], 10)
     assert batch.shape == (1, 10)
     assert [int(v) for v in batch[0]] == family.values(b"solo", 10)
+
+
+# One row short of, at and past a block edge, and one row into a third
+# block: VectorizedFamily mixes its lanes ``BLOCK_ROWS`` rows at a time.
+BLOCK_EDGE_SIZES = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                    2 * BLOCK_ROWS + 1)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("start", [0, 3])
+def test_values_batch_across_block_edges(kind, start):
+    """Every family's batch, at every block edge, equals the scalar rows
+    and is one C-contiguous array; lane columns still equal it."""
+    family = make_family(kind, 11)
+    # Mixed widths, with a long (> 32-byte) key now and then.
+    keys = [b"edge-%d" % i if i % 997 else b"L" * 40 + b"%d" % i
+            for i in range(max(BLOCK_EDGE_SIZES))]
+    count = 5
+    scalar = np.array([family.values(key, count, start=start)
+                       for key in keys], dtype=np.uint64)
+    for n in BLOCK_EDGE_SIZES:
+        got = family.values_batch(keys[:n], count, start=start)
+        assert got.dtype == np.uint64 and got.shape == (n, count)
+        assert got.flags.c_contiguous
+        assert (got == scalar[:n]).all()
+        if start == 0:
+            lanes = family.lanes_batch(keys[:n], count)
+            for j in range(count):
+                assert (lanes.column(j) == got[:, j]).all()
 
 
 def test_batch_lanes_modes_disagree_like_scalar():

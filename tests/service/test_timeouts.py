@@ -170,10 +170,6 @@ class TestSyncClientLifecycle:
             client._thread.join(2.0)
             assert not client._thread.is_alive()
             client_loop = client._loop
-            with warnings.catch_warnings():
-                # Earlier tests' garbage is not this test's to report.
-                warnings.simplefilter("ignore", ResourceWarning)
-                gc.collect()
             unraisable = []
             hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
             try:
@@ -211,6 +207,14 @@ class TestSyncClientLifecycle:
                     client.close()
                 except DeadlineExceededError:
                     pass  # close's own op timing out is expected here
+            # Once the wedge ends the loop runs the stop request and its
+            # thread exits; a second close() then finishes the
+            # connection's close on the idle loop and closes the loop.
+            client._thread.join(5.0)
+            assert not client._thread.is_alive()
+            with pytest.raises(DeadlineExceededError):
+                client.close()
+            assert client._loop.is_closed()
         finally:
             server.close()
             loop.run_until_complete(server.wait_closed())

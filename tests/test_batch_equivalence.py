@@ -602,6 +602,9 @@ def test_multiplicity_add_batch_validates_before_mutating():
     pytest.param([0], id="zero"),
     pytest.param(np.array([9], dtype=np.uint8), id="over_c_max_array"),
     pytest.param([2 ** 70], id="huge_int"),
+    pytest.param([2 ** 63], id="past_int64"),
+    pytest.param([-2 ** 63 - 1], id="below_int64"),
+    pytest.param(np.array([2 ** 63], dtype=np.uint64), id="past_int64_array"),
     pytest.param(["2"], id="string"),
 ])
 def test_multiplicity_add_batch_rejects_what_add_rejects(counts):
@@ -619,6 +622,31 @@ def test_multiplicity_add_batch_rejects_what_add_rejects(counts):
     assert structure.bits.to_bytes() == snapshot
     assert structure.n_items == 0
     assert structure.memory.stats.write_ops == 0
+
+
+@pytest.mark.parametrize("counts", [
+    pytest.param([3, True, 0], id="bool"),
+    pytest.param([2, 2.0, 9], id="float"),
+    pytest.param([1, 0, 9], id="zero"),
+    pytest.param([4, 9, 0], id="over_c_max"),
+    pytest.param([5, 2 ** 63, 9], id="past_int64"),
+    pytest.param([1, -2 ** 63 - 1], id="below_int64"),
+    pytest.param(np.array([3, 2 ** 63, 9], dtype=np.uint64),
+                 id="past_int64_array"),
+])
+def test_multiplicity_add_batch_names_the_first_bad_count(counts):
+    """The batch refuses with the message a scalar ``add`` loop raises
+    at its first bad count."""
+    elements = MEMBERS[:len(counts)]
+    with pytest.raises(ConfigurationError) as batch_error:
+        ShiftingMultiplicityFilter(m=4096, k=4, c_max=8).add_batch(
+            elements, counts)
+    scalar = ShiftingMultiplicityFilter(m=4096, k=4, c_max=8)
+    counts = counts.tolist() if isinstance(counts, np.ndarray) else counts
+    with pytest.raises(ConfigurationError) as scalar_error:
+        for element, count in zip(elements, counts):
+            scalar.add(element, count)
+    assert str(batch_error.value) == str(scalar_error.value)
 
 
 def test_multiplicity_add_batch_accepts_numpy_integers():
